@@ -81,7 +81,6 @@ from .errors import (
 from .harness import (
     ConsistencySweep,
     ExcessEstimate,
-    ExperimentConfig,
     KRule,
     LowerBoundCheck,
     RateSweep,

@@ -18,7 +18,7 @@ attained at those candidate radii (plus the small-radius limit).
 
 Measures of these regions are exact atom sums for finite-atomic families.
 For the 1-D families each region is a finite union of intervals whose
-endpoints are bracketed to 1e-12 by sign bisection inside each
+endpoints are bracketed to 1e-12 by bisection on membership inside each
 positive-density cell; the reported error_bound sums the density-weighted
 bracket widths.  Interval endpoints centered on structural breakpoints
 are anchored by the cell grid; features strictly inside a cell must be
@@ -93,6 +93,11 @@ def _check_band(band: float) -> None:
         raise ValueError(f"band must lie in [0, 1/2], got {band}")
 
 
+def _check_sizes(n: int, k: int) -> None:
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+
+
 def _eta_extremes(dist, x, r_lo: float, r_hi: float) -> tuple[float, float, float, float]:
     """Extremes of r -> eta(B(x, r)) over [r_lo, r_hi] with witness radii.
 
@@ -113,11 +118,7 @@ def _eta_extremes(dist, x, r_lo: float, r_hi: float) -> tuple[float, float, floa
     return lo[0], lo[1], hi[0], hi[1]
 
 
-def region_classify(dist, x, p: float, band: float) -> RegionVerdict:
-    """Classify a point against the effective interiors at level (p, band)."""
-    _check_level(p)
-    _check_band(band)
-    dist.space.check_point(x)
+def _region_verdict(dist, x, p: float, band: float) -> RegionVerdict:
     if not dist.in_support_value(x):
         return RegionVerdict(NOT_IN_SUPPORT)
     eta_x = dist.eta_point_value(x)
@@ -134,11 +135,15 @@ def region_classify(dist, x, p: float, band: float) -> RegionVerdict:
     return RegionVerdict(BOUNDARY, mx_r)
 
 
-def high_error_classify(dist, x, n: int, k: int) -> HighErrorVerdict:
-    """Membership in the high-error set for sample size n and k neighbors."""
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+def region_classify(dist, x, p: float, band: float) -> RegionVerdict:
+    """Classify a point against the effective interiors at level (p, band)."""
+    _check_level(p)
+    _check_band(band)
     dist.space.check_point(x)
+    return _region_verdict(dist, x, p, band)
+
+
+def _high_error_verdict(dist, x, n: int, k: int) -> HighErrorVerdict:
     if not dist.in_support_value(x):
         return HighErrorVerdict(False, "none")
     eta_x = dist.eta_point_value(x)
@@ -157,6 +162,13 @@ def high_error_classify(dist, x, n: int, k: int) -> HighErrorVerdict:
     return HighErrorVerdict(False, "none")
 
 
+def high_error_classify(dist, x, n: int, k: int) -> HighErrorVerdict:
+    """Membership in the high-error set for sample size n and k neighbors."""
+    _check_sizes(n, k)
+    dist.space.check_point(x)
+    return _high_error_verdict(dist, x, n, k)
+
+
 # -- exact measures ------------------------------------------------------------
 
 
@@ -169,13 +181,23 @@ def _support_cells(dist) -> list[tuple[float, float]]:
     return cells
 
 
-def _scan_measure_1d(dist, slack: Callable[[float], float], grid: int) -> MassQueryResult:
-    """Mass of {x : slack(x) > 0}, cell by cell, edges bisected to 1e-12."""
+def _region_mass(dist, member: Callable[[object], bool], grid: int) -> MassQueryResult:
+    """Mass of {x : member(x)}.
+
+    An exact sum over the positive-mass atoms of a finite-atomic family;
+    on the 1-D families a scan of each support cell on `grid` steps, with
+    each membership change bisected to 1e-12.
+    """
     total = 0.0
     err = 0.0
+    if isinstance(dist, FiniteAtomic):
+        for atom in range(dist.space.size):
+            if dist.masses[atom] > 0.0 and member(atom):
+                total += float(dist.masses[atom])
+        return MassQueryResult(total, err)
     for a, b in _support_cells(dist):
         xs = np.linspace(a, b, grid + 1)
-        flags = [slack(float(x)) > 0.0 for x in xs]
+        flags = [member(float(x)) for x in xs]
         roots = []
         for i in range(grid):
             if flags[i] == flags[i + 1]:
@@ -183,7 +205,7 @@ def _scan_measure_1d(dist, slack: Callable[[float], float], grid: int) -> MassQu
             lo_x, hi_x = float(xs[i]), float(xs[i + 1])
             while hi_x - lo_x > _BISECT_TOL:
                 mid = 0.5 * (lo_x + hi_x)
-                if (slack(mid) > 0.0) == flags[i]:
+                if member(mid) == flags[i]:
                     lo_x = mid
                 else:
                     hi_x = mid
@@ -201,67 +223,17 @@ def _scan_measure_1d(dist, slack: Callable[[float], float], grid: int) -> MassQu
     return MassQueryResult(total, err)
 
 
-def _boundary_slack(dist, p: float, band: float) -> Callable[[float], float]:
-    def slack(x: float) -> float:
-        if not dist.in_support_value(x):
-            return -1.0
-        eta_x = dist.eta_point_value(x)
-        if eta_x == 0.5:
-            return 1.0
-        r_p = dist.prob_radius_value(x, p)
-        mn, _, mx, _ = _eta_extremes(dist, x, 0.0, r_p)
-        if eta_x > 0.5:
-            return (0.5 + band) - mn
-        return mx - (0.5 - band)
-
-    return slack
-
-
-def _high_error_slack(dist, n: int, k: int) -> Callable[[float], float]:
-    p_lo = k / n
-    p_hi = min(1.0, (k + math.sqrt(k) + 1.0) / n)
-    tol = 1.0 / math.sqrt(k)
-
-    def slack(x: float) -> float:
-        if not dist.in_support_value(x):
-            return -1.0
-        eta_x = dist.eta_point_value(x)
-        if eta_x == 0.5:
-            return -1.0
-        r_lo = dist.prob_radius_value(x, p_lo)
-        r_hi = dist.prob_radius_value(x, p_hi)
-        mn, _, mx, _ = _eta_extremes(dist, x, r_lo, r_hi)
-        if eta_x > 0.5:
-            return (0.5 + tol) - mx
-        return mn - (0.5 - tol)
-
-    return slack
-
-
 def boundary_measure(dist, p: float, band: float, grid: int = 96) -> MassQueryResult:
     """Exact mass of the effective boundary at level (p, band)."""
     _check_level(p)
     _check_band(band)
-    if isinstance(dist, FiniteAtomic):
-        total = 0.0
-        for atom in range(dist.space.size):
-            if dist.masses[atom] > 0.0 and region_classify(dist, atom, p, band).verdict == BOUNDARY:
-                total += float(dist.masses[atom])
-        return MassQueryResult(total, 0.0)
-    return _scan_measure_1d(dist, _boundary_slack(dist, p, band), grid)
+    return _region_mass(dist, lambda x: _region_verdict(dist, x, p, band).verdict == BOUNDARY, grid)
 
 
 def high_error_measure(dist, n: int, k: int, grid: int = 96) -> MassQueryResult:
     """Exact mass of the high-error set for (n, k)."""
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if isinstance(dist, FiniteAtomic):
-        total = 0.0
-        for atom in range(dist.space.size):
-            if dist.masses[atom] > 0.0 and high_error_classify(dist, atom, n, k).verdict:
-                total += float(dist.masses[atom])
-        return MassQueryResult(total, 0.0)
-    return _scan_measure_1d(dist, _high_error_slack(dist, n, k), grid)
+    _check_sizes(n, k)
+    return _region_mass(dist, lambda x: _high_error_verdict(dist, x, n, k).verdict, grid)
 
 
 def margin_mass(dist, t: float) -> float:

@@ -299,6 +299,14 @@ def zero_bayes_params(n: int, k: int, delta: float) -> float:
     return k / n + (2.0 * log_term / n) * (1.0 + math.sqrt(1.0 + k / log_term))
 
 
+def _binom_log_pmf(n: int, q: float, j: int) -> float:
+    """log P(X = j) for X ~ Bin(n, q), 0 < q < 1, via lgamma."""
+    return (
+        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        + j * math.log(q) + (n - j) * math.log1p(-q)
+    )
+
+
 def binomial_tail(n: int, q: float, count: int, direction: str = "ge") -> float:
     """Exact binomial tail P(X >= count) or P(X <= count), X ~ Bin(n, q).
 
@@ -316,14 +324,8 @@ def binomial_tail(n: int, q: float, count: int, direction: str = "ge") -> float:
     if q == 1.0:
         return 1.0 if (direction == "ge" or count == n) else 0.0
 
-    def log_pmf(j: int) -> float:
-        return (
-            math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-            + j * math.log(q) + (n - j) * math.log1p(-q)
-        )
-
     terms = []
-    term = math.exp(log_pmf(count))
+    term = math.exp(_binom_log_pmf(n, q, count))
     if direction == "ge":
         for j in range(count, n + 1):
             terms.append(term)

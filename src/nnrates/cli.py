@@ -456,7 +456,7 @@ def _cmd_analyze_boundary(args) -> int:
         return 2
 
     if isinstance(dist, FiniteAtomic):
-        probes = [float(i) for i in range(dist.space.size)]
+        probes = list(range(dist.space.size))
     else:
         probes = list(np.linspace(0.0, 1.0, 201))
     rows = []
@@ -538,13 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad arguments, which matches the contract;
-        # let --help exits pass through unchanged
-        raise exc
+    # argparse exits 2 on bad arguments, which matches the contract
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 

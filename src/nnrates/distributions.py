@@ -404,11 +404,6 @@ class PiecewiseUniform1D(_Interval1D):
         ones = self._bayes_one_prefix[j] + np.where(self._bayes_one[j], run, 0.0)
         return self._mass_prefix[j] + run, ones
 
-    def eta_prefix_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.clip(ts, 0.0, 1.0)
-        j = self._segs(ts)
-        return self._eta_mass_prefix[j] + self.g[j] * (ts - self.breaks[j])
-
     def density_at(self, t: float) -> float:
         if t < 0.0 or t > 1.0:
             return 0.0
@@ -510,11 +505,6 @@ class PowerMargin1D(_Interval1D):
     def eta_prefix(self, t: float) -> float:
         t = min(max(t, 0.0), 1.0)
         return 0.5 * t + 0.5 * (self._odd_antideriv(t) - self._odd_antideriv(0.0))
-
-    def eta_prefix_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.clip(ts, 0.0, 1.0)
-        odd = np.abs(2.0 * ts - 1.0) ** (self.gamma + 1.0) / (2.0 * (self.gamma + 1.0))
-        return 0.5 * ts + 0.5 * (odd - self._odd_antideriv(0.0))
 
     def bayes_one_cdf(self, t: float) -> float:
         return max(0.0, min(t, 1.0) - 0.5)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._rng import mix64
 from .boundary import boundary_measure, high_error_measure
-from .bounds import lower_bound_constants, upper_bound_params, zero_bayes_params
+from .bounds import _binom_log_pmf, lower_bound_constants, upper_bound_params, zero_bayes_params
 from .classifier import _check_k, _window_structure, fit_arrays, predict_batch
 from .distributions import FiniteAtomic
 from .errors import ResourceLimitError
@@ -45,7 +45,6 @@ from .errors import ResourceLimitError
 __all__ = [
     "ConsistencySweep",
     "ExcessEstimate",
-    "ExperimentConfig",
     "KRule",
     "LowerBoundCheck",
     "RateSweep",
@@ -102,19 +101,6 @@ class KRule:
         if not 1 <= k < n:
             raise ValueError(f"k rule yields k={k} outside [1, n) for n={n}")
         return int(k)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment block: the distribution plus sampling parameters."""
-
-    dist: object
-    n_values: tuple[int, ...]
-    k_rule: KRule
-    delta: float = 0.1
-    trials: int = 400
-    mc_points: int = 2000
-    master_seed: int = 0
 
 
 @dataclass
@@ -306,9 +292,12 @@ def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int)
 
 
 def _binom_pmf(m: int, eta: float) -> np.ndarray:
-    js = np.arange(m + 1)
-    combs = np.array([math.comb(m, int(j)) for j in js], dtype=float)
-    return combs * eta**js * (1.0 - eta) ** (m - js)
+    """pmf of Bin(m, eta) on 0..m; a pure label is a point mass."""
+    if eta == 0.0 or eta == 1.0:
+        pmf = np.zeros(m + 1)
+        pmf[m if eta == 1.0 else 0] = 1.0
+        return pmf
+    return np.array([math.exp(_binom_log_pmf(m, eta, j)) for j in range(m + 1)])
 
 
 def _compositions(total: int, caps: Sequence[int]):
@@ -415,17 +404,22 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
     return total
 
 
+def _mean_var(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and unbiased variance, exactly-rounded sums; variance 0 below two values."""
+    count = len(values)
+    mean = math.fsum(values) / count
+    if count < 2:
+        return mean, 0.0
+    return mean, math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+
+
 def mc_expected_mistake(
     dist, n: int, k: int, trials: int, master_seed: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo mean of the per-trial disagreement mass, with its stderr."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    values = _trial_values(dist, n, k, master_seed, 0, trials)
-    mean = math.fsum(values) / trials
-    if trials == 1:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
+    mean, var = _mean_var(_trial_values(dist, n, k, master_seed, 0, trials))
     return mean, math.sqrt(var / trials)
 
 
@@ -492,19 +486,15 @@ def run_lower_bound_trials(
     pilot = min(2000, cap)
     values = _trial_values(dist, n, k, master_seed, 0, pilot)
     used = pilot
-    if rhs > 0.0 and pilot >= 2:
-        mean = math.fsum(values) / used
-        var = math.fsum((v - mean) ** 2 for v in values) / (used - 1)
+    if rhs > 0.0:
+        _, var = _mean_var(values)
         needed = math.ceil(var / (rhs / 10.0) ** 2 * 1.1)
         target = min(cap, max(pilot, needed))
         if target > used:
             values += _trial_values(dist, n, k, master_seed, used, target)
             used = target
-    lhs = math.fsum(values) / used
-    stderr = 0.0
-    if used >= 2:
-        var = math.fsum((v - lhs) ** 2 for v in values) / (used - 1)
-        stderr = math.sqrt(var / used)
+    lhs, var = _mean_var(values)
+    stderr = math.sqrt(var / used)
     return LowerBoundCheck(
         n, k, lhs, rhs, stderr, used, lhs >= rhs - 3.0 * stderr, mass.value, constants.product
     )
@@ -533,12 +523,8 @@ def estimate_expected_excess(
     if trials < 1 or mc_points < 1:
         raise ValueError("trials and mc_points must be positive")
     values = _indexed_map(lambda t: _trial_excess(dist, n, k, mc_points, master_seed, t), 0, trials)
-    mean = math.fsum(values) / trials
-    stderr = 0.0
-    if trials >= 2:
-        var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
-        stderr = math.sqrt(var / trials)
-    return ExcessEstimate(n, k, mean, stderr, tuple(values))
+    mean, var = _mean_var(values)
+    return ExcessEstimate(n, k, mean, math.sqrt(var / trials), tuple(values))
 
 
 def _sweep_rows(dist, n_grid, k_rule: KRule, trials: int, mc_points: int, master_seed: int):

@@ -143,6 +143,19 @@ def test_high_error_vacuous_at_k_one():
     assert high_error_measure(fa, 10, 1).value == 1.0
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_high_error_measure_matches_classifier_at_k_four(n):
+    # at k=4 the tolerance 1/sqrt(k) is 1/2, so on pure labels every ball
+    # average sits within it: the classifier puts every probe in, and the
+    # measure must count the whole support, not just the bracket's edges
+    dist = disjoint_family()
+    probes = np.linspace(0.0, 1.0, 201)
+    assert all(high_error_classify(dist, float(x), n, 4).verdict for x in probes)
+    got = high_error_measure(dist, n, 4)
+    assert got.value == 1.0
+    assert got.error_bound == 0.0
+
+
 def test_high_error_requires_definite_label():
     pm = PowerMargin1D(1.0)
     got = high_error_classify(pm, 0.5, 400, 16)

@@ -238,6 +238,31 @@ def test_analyze_boundary_to_file(tmp_path, capsys):
     assert "boundary_mass=0.2" in target.read_text()
 
 
+def test_analyze_boundary_finite_atoms(tmp_path, capsys):
+    # the acceptance suite's three atoms; at p=0.4 atoms 0 and 1 reach
+    # their neighbors and average to 0.54 and 0.48, inside the band, while
+    # atom 2 holds mass 0.5 >= p alone at frequency 0.6
+    (tmp_path / "m.txt").write_text("3\n0 1 1\n1 0 2\n1 2 0\n")
+    masses = [0.2, 0.3, 0.5]
+    dist = write_config(tmp_path, {
+        "family": "finite_atomic",
+        "metric_file": "m.txt",
+        "masses": masses,
+        "etas": [0.9, 0.2, 0.6],
+    }, name="dist.json")
+    rc = run_cli([
+        "analyze", "boundary", "--dist", str(dist), "--p", "0.4", "--delta", "0.05", "--format", "json",
+    ])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["columns"]["x"] == [0, 1, 2]
+    verdicts = report["columns"]["verdict"]
+    assert verdicts == ["Boundary", "Boundary", "InteriorPlus"]
+    marked = math.fsum(m for m, v in zip(masses, verdicts) if v == "Boundary")
+    assert report["summary"]["boundary_mass"] == pytest.approx(marked, abs=1e-12)
+    assert report["summary"]["mass_error_bound"] == 0.0
+
+
 def test_analyze_boundary_bad_params(tmp_path):
     dist = write_config(tmp_path, POWER_DIST, name="dist.json")
     assert run_cli(["analyze", "boundary", "--dist", str(dist), "--p", "1.5", "--delta", "0.1"]) == 2

@@ -8,6 +8,7 @@ against convolved label counts), so agreement is meaningful evidence.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ def test_exact_oracle_handles_zero_mass_atom():
         [[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]], [0.5, 0.5, 0.0], [1.0, 0.0, 0.3], 3, 1
     )
     assert exact_expected_mistake(fa, 3, 1) == pytest.approx(want, abs=1e-12)
+
+
+def test_exact_oracle_large_n_stays_finite():
+    # 1,201 occupancies are far inside the enumeration limit, but C(1200, j)
+    # overflows a float; a query atom is misread exactly when fewer than
+    # 600 of the 1,200 points land on it
+    fa = pure_atoms()
+    tie = Fraction(math.comb(1200, 600), 2**1200)
+    want = float((1 - tie) / 2)
+    assert exact_expected_mistake(fa, 1200, 1199) == pytest.approx(want, rel=1e-12)
 
 
 def test_exact_oracle_enumeration_limit():
