@@ -3,7 +3,7 @@
 Every randomized routine in the package derives its generator from a
 64-bit seed produced by ``mix64``.  The mix is a SplitMix64 chain over the
 integer parts, so a (master_seed, trial_index, stream_tag) triple always
-maps to the same substream on every platform and under any worker count.
+maps to the same substream on every platform, in any thread.
 """
 
 from __future__ import annotations

@@ -151,8 +151,10 @@ def upper_bound_params(n: int, k: int, delta: float) -> UpperBoundParams:
 def misclassification_upper_bound(dist, n: int, k: int, delta: float) -> float:
     """delta + boundary mass at the schedule's (mass_level, band), clamped to 1.
 
-    The boundary term is exact for built-in families; its enclosure width
-    is added so the returned value never understates the bound.  A mass
+    The boundary term is exact on finite-atomic families.  On the 1-D
+    families it comes from a grid scan, and its error_bound, which is
+    added here, covers only the bisection widths: a boundary piece
+    narrower than one scan cell is missed (see `nnrates.boundary`).  A mass
     level above 1 quantifies over every radius, which coincides with the
     level-1 boundary because balls past full support share their average.
     """

@@ -103,11 +103,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; JSON booleans load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
     value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and _is_int(value):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
@@ -115,7 +120,7 @@ def _require(mapping: dict, key: str, kind, where: str):
 
 
 def _parse_k_rule(raw, where: str) -> KRule:
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    if _is_int(raw):
         return KRule("fixed", k=raw)
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: k rule must be an integer or an object")
@@ -144,7 +149,7 @@ def _parse_n_grid(raw, where: str) -> list[int]:
         raise ConfigError(f"{where}: n_grid must be a nonempty list")
     grid = []
     for v in raw:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 2:
+        if not _is_int(v) or v < 2:
             raise ConfigError(f"{where}: n_grid entries must be integers >= 2")
         grid.append(v)
     return grid
@@ -170,9 +175,9 @@ def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
     trials = block.get("trials", defaults["trials"])
     mc_points = block.get("mc_points", defaults["mc_points"])
     seed = defaults["master_seed"]
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError(f"{where}: trials must be a positive integer")
-    if not isinstance(mc_points, int) or mc_points < 1:
+    if not _is_int(mc_points) or mc_points < 1:
         raise ConfigError(f"{where}: mc_points must be a positive integer")
 
     if kind == "upper_bound":
@@ -210,7 +215,7 @@ def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
         n = _require(block, "n", int, where)
         k = _parse_k_rule(block.get("k", block.get("k_rule")), where).k_for(n)
         cap = block.get("trials")
-        if cap is not None and (not isinstance(cap, int) or cap < 1):
+        if cap is not None and (not _is_int(cap) or cap < 1):
             raise ConfigError(f"{where}: trials must be a positive integer")
 
         def run_lower():
@@ -295,7 +300,7 @@ def _cmd_run(args) -> int:
             raise ConfigError("config: missing 'distribution' object")
         dist = load_distribution(dist_cfg, base_dir=config_path.parent)
         seed = args.master_seed if args.master_seed is not None else config.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError("config: 'seed' must be an integer")
         out_dir = args.output_dir or config.get("output_dir", "reports")
         if not isinstance(out_dir, str):

@@ -12,17 +12,19 @@ label mistake probability.
 Reproducibility contract: every trial's generator seed is a documented
 64-bit mix of (master_seed, n, trial_index), with a fourth component
 tagging auxiliary streams (query draws).  Trials are therefore
-order-independent: the harness produces bitwise-identical results for any
-worker count, and growing a trial budget never changes earlier trials.
-Aggregation always reduces in trial order.
+order-independent: the harness produces bitwise-identical results whether
+trials run in one thread or on a pool, and growing a trial budget never
+changes earlier trials.  Aggregation always reduces in trial order.
 
-Trials of the 1-D families run on a thread pool whose size is capped by
-the NNRATES_WORKERS environment variable (default: available
-parallelism).  Work is dealt in fixed-size chunks of trial indices, so
-scheduling cannot reorder results.  Finite-atomic trials instead run in
-fixed blocks in the calling thread, whatever the worker count: their cost
-is dominated by building each trial's generator, which holds the GIL, and
-threads measured slower than one thread on that path.
+Trials of the 1-D families run on a pool of one thread per CPU only when
+each draws at least _POOL_MIN_POINTS points, the crossover measured on a
+2-core machine (about 6,000), and fill more than one chunk of trial
+indices.  Smaller trials hold the GIL between short numpy calls, and two
+threads ran them slower than one.  Chunks are concatenated in order, so
+scheduling cannot reorder results.  Finite-atomic trials run in fixed
+blocks in the calling thread: their cost is dominated by building each
+trial's generator, which holds the GIL, and threads measured slower than
+one thread on that path.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ __all__ = [
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK = 512
+# Points per trial from which 1-D trials use the pool.  One thread against
+# two on a 2-core machine, us/trial: mc_expected_mistake on the disjoint
+# family at n=3,000 309 vs 526, 5,000 531 vs 711, 6,000 762-799 vs 721-820,
+# 7,000 926 vs 863, 10^4 1,444 vs 1,035; estimate_expected_excess on power
+# margin at n + mc_points = 6,000 582 vs 729, 7,000 1,020 vs 910.
+_POOL_MIN_POINTS = 6_000
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 _ENUMERATION_LIMIT = 1_000_000
 
@@ -184,25 +192,17 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return (low, high)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("NNRATES_WORKERS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _indexed_map(fn: Callable[[int], object], start: int, stop: int, points: int) -> list:
+    """Evaluate fn over [start, stop) in index order; one call draws ``points`` points.
 
-
-def _indexed_map(fn: Callable[[int], object], start: int, stop: int) -> list:
-    """Evaluate fn over [start, stop) in index order, in fixed-size chunks.
-
-    Results are concatenated in chunk order, so output is identical for
-    any worker count.
+    Chunks of calls run on a pool of one thread per CPU only when
+    ``points`` >= _POOL_MIN_POINTS and there are two or more chunks and
+    CPUs; otherwise the calls run in the calling thread.  Chunks are
+    concatenated in order, so output is identical on either path.
     """
-    count = stop - start
-    if count <= 0:
-        return []
-    workers = _worker_count()
     spans = [(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK)]
-    if workers <= 1 or len(spans) == 1:
+    workers = os.cpu_count() or 1
+    if points < _POOL_MIN_POINTS or len(spans) < 2 or workers < 2:
         return [fn(i) for i in range(start, stop)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(lambda span: [fn(i) for i in range(span[0], span[1])], spans)
@@ -279,12 +279,12 @@ def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int)
     """Per-trial disagreement masses for trials [start, stop), in trial order.
 
     Finite-atomic trials run in blocks in the calling thread; the 1-D
-    families go through the worker pool.
+    families go through `_indexed_map`.
     """
     if isinstance(dist, FiniteAtomic):
         return _atomic_disagreements(dist, n, k, master_seed, start, stop)
     return _indexed_map(
-        lambda t: _trial_disagreement(dist, n, k, mix64(master_seed, n, t)), start, stop
+        lambda t: _trial_disagreement(dist, n, k, mix64(master_seed, n, t)), start, stop, n
     )
 
 
@@ -522,7 +522,9 @@ def estimate_expected_excess(
     """
     if trials < 1 or mc_points < 1:
         raise ValueError("trials and mc_points must be positive")
-    values = _indexed_map(lambda t: _trial_excess(dist, n, k, mc_points, master_seed, t), 0, trials)
+    values = _indexed_map(
+        lambda t: _trial_excess(dist, n, k, mc_points, master_seed, t), 0, trials, n + mc_points
+    )
     mean, var = _mean_var(values)
     return ExcessEstimate(n, k, mean, math.sqrt(var / trials), tuple(values))
 

@@ -116,6 +116,22 @@ def test_run_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "out" / "01_excess.csv").read_bytes() == first_excess
 
 
+def test_run_ignores_the_removed_worker_variable(tmp_path, monkeypatch):
+    # NNRATES_WORKERS once set the thread count; a value that is not a
+    # number used to end a 1-D run in a traceback with nothing written
+    cfg = write_config(tmp_path, {
+        "distribution": POWER_DIST,
+        "seed": 4,
+        "output_dir": "out",
+        "experiments": [{"type": "upper_bound", "n": 200, "k": 16, "delta": 0.4, "trials": 5}],
+    })
+    assert run_cli(["run", str(cfg)]) == 0
+    want = (tmp_path / "out" / "00_upper_bound.csv").read_bytes()
+    monkeypatch.setenv("NNRATES_WORKERS", "abc")
+    assert run_cli(["run", str(cfg), "--output_dir", "out2"]) == 0
+    assert (tmp_path / "out2" / "00_upper_bound.csv").read_bytes() == want
+
+
 def test_run_json_format(tmp_path):
     cfg = write_config(tmp_path, {
         "distribution": POWER_DIST,
@@ -159,6 +175,19 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
         "experiments": [{"type": "mystery", "n": 10}],
     })
     assert run_cli(["run", str(cfg)]) == 2
+    # JSON booleans load as Python bools, a subclass of int: a config that
+    # asks for an integer must still refuse them, and write nothing
+    excess = {"type": "excess", "n": 100, "k": 5, "trials": 3, "mc_points": 50}
+    lower = {"type": "lower_bound", "n": 100, "k": 5, "trials": 3}
+    for body in (
+        {"seed": True, "experiments": [excess]},
+        {"experiments": [{**excess, "trials": True}]},
+        {"experiments": [{**excess, "mc_points": True}]},
+        {"experiments": [{**lower, "trials": True}]},
+    ):
+        cfg = write_config(tmp_path, {"distribution": POWER_DIST, "output_dir": "out", **body})
+        assert run_cli(["run", str(cfg)]) == 2, body
+        assert not (tmp_path / "out").exists(), body
 
 
 def test_run_validation_failure_writes_nothing(tmp_path):

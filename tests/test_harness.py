@@ -8,16 +8,20 @@ against convolved label counts), so agreement is meaningful evidence.
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nnrates import harness
 from nnrates._rng import mix64
 from nnrates.distributions import FiniteAtomic, PiecewiseUniform1D, PowerMargin1D
 from nnrates.errors import ResourceLimitError
 from nnrates.harness import (
     _CHUNK,
+    _POOL_MIN_POINTS,
     KRule,
     _indexed_map,
     _trial_disagreement,
@@ -143,20 +147,44 @@ def test_mc_matches_exact_within_error():
     assert abs(mean - exact) < 4.0 * stderr
 
 
-def test_mc_deterministic_across_worker_counts(monkeypatch):
-    fa = tied_three_atoms()
-    monkeypatch.setenv("NNRATES_WORKERS", "1")
-    serial = mc_expected_mistake(fa, 3, 2, trials=3000, master_seed=1)
-    monkeypatch.setenv("NNRATES_WORKERS", "4")
-    threaded = mc_expected_mistake(fa, 3, 2, trials=3000, master_seed=1)
-    assert serial == threaded
+def test_pooled_and_serial_trials_are_bitwise_equal(monkeypatch):
+    # 1-D trials reach the pool only from _POOL_MIN_POINTS points per trial;
+    # move the threshold to force each path on the same inputs, and report
+    # four CPUs so that the pool runs on a one-core machine too
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    dist = disjoint_family()
+    stop = 3 * _CHUNK + 5
+
+    def run():
+        return (
+            _trial_values(dist, 60, 7, 3, 0, stop),
+            _trial_values(dist, 60, 7, 3, 40, stop),
+            estimate_expected_excess(PowerMargin1D(1.0), 40, 5, stop, 20, master_seed=3).per_trial,
+        )
+
+    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 1 << 62)
+    serial = run()
+    assert pools == []
+    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 1)
+    pooled = run()
+    assert pools == [4, 4, 4]
+    assert pooled == serial
+    assert serial[1] == serial[0][40:]
 
 
 def test_indexed_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("NNRATES_WORKERS", "4")
-    got = _indexed_map(lambda i: i * i, 0, 1200)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    got = _indexed_map(lambda i: i * i, 0, 1200, _POOL_MIN_POINTS)
     assert got == [i * i for i in range(1200)]
-    assert _indexed_map(lambda i: i, 5, 5) == []
+    assert _indexed_map(lambda i: i, 5, 5, _POOL_MIN_POINTS) == []
 
 
 def test_blocked_atomic_trials_match_single_trial_path():
