@@ -114,25 +114,56 @@ def predict(model: TrainedModel, query) -> int:
     return 1 if 2 * vote >= model.k else 0
 
 
+def _window_table(xs, zs, ys, k: int, packed: bool, switches, preds, scratch, flag) -> None:
+    """Fill the sorted-window table of n training points on the line, in place.
+
+    switches (n - k floats) and preds (n - k + 1 bools) receive the table
+    that `_window_structure` returns; scratch (two float rows of at least
+    n + 1) and flag (at least n bools) are overwritten.
+
+    With packed set (every location in [0, 2)), one sort of the int64 key
+    (x bits << 1) | y orders the points: the bits of such doubles sort as
+    the doubles do, a -0.0 packs as +0.0, and the low bit carries the label
+    along.  A repeated location, or packed unset, falls back to
+    lexsort((zs, xs)), the exact order by (location, tie-break draw).
+    """
+    n = xs.shape[0]
+    t = scratch[0, :n]
+    sums = scratch[1, : n + 1].view(np.int64)
+    labels = sums[1:]
+    if packed:
+        np.left_shift(xs.view(np.int64), 1, out=labels)
+        labels |= ys
+        labels.sort()
+        np.right_shift(labels, 1, out=t.view(np.int64))
+        labels &= 1
+    if not packed or np.equal(t[1:], t[:-1], out=flag[: n - 1]).any():
+        # only a repeated location needs the tie-break draws to order it
+        order = np.lexsort((zs, xs))
+        t[:] = xs[order]
+        labels[:] = ys[order]
+    sums[0] = 0
+    np.cumsum(labels, out=labels)
+    np.add(t[: n - k], t[k:], out=switches)
+    switches /= 2.0
+    votes = t.view(np.int64)[: n - k + 1]
+    np.subtract(sums[k:], sums[: n + 1 - k], out=votes)
+    np.greater_equal(votes, (k + 1) // 2, out=preds)
+
+
 def _window_structure(model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
     """Sorted-window prediction table for interval spaces.
 
     Returns (switches, preds): preds[i] labels queries falling between
     switches[i-1] and switches[i] (with virtual switches at -inf/+inf).
     """
-    order = np.argsort(model.xs)
-    t = model.xs[order]
-    if np.any(t[1:] == t[:-1]):
-        # only a repeated location needs the tie-break draws to order it
-        order = np.lexsort((model.zs, model.xs))
-        t = model.xs[order]
-    y = model.ys[order]
-    k, n = model.k, model.n
-    sums = np.concatenate([[0], np.cumsum(y, dtype=np.int64)])
-    votes = sums[k:] - sums[:-k]
-    preds = (2 * votes >= k).astype(np.int8)
-    switches = (t[: n - k] + t[k:]) / 2.0
-    return switches, preds
+    n, k = model.n, model.k
+    packed = 0.0 <= model.space.low and model.space.high < 2.0 and model.xs.dtype == np.float64
+    switches = np.empty(n - k)
+    preds = np.empty(n - k + 1, dtype=bool)
+    scratch, flag = np.empty((2, n + 1)), np.empty(n, dtype=bool)
+    _window_table(model.xs, model.zs, model.ys, k, packed, switches, preds, scratch, flag)
+    return switches, preds.view(np.int8)
 
 
 def predict_batch(model: TrainedModel, queries: np.ndarray) -> np.ndarray:

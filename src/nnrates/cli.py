@@ -132,14 +132,21 @@ def _parse_k_rule(raw, where: str) -> KRule:
     if kind == "sqrt":
         return KRule("sqrt")
     if kind == "rate_optimal":
-        delta = raw.get("delta")
-        if delta is not None and not isinstance(delta, (int, float)):
-            raise ConfigError(f"{where}: delta must be numeric")
+
+        def number(key: str, default, upper: float, span: str):
+            value = raw.get(key, default)
+            if value is None:
+                return None
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not numeric or not 0.0 < value < upper:
+                raise ConfigError(f"{where}: rate_optimal key {key!r} must be a number {span}")
+            return float(value)
+
         return KRule(
             "rate_optimal",
-            k_scale=float(raw.get("k_scale", 1.0)),
-            alpha=float(raw.get("alpha", 1.0)),
-            delta=None if delta is None else float(delta),
+            k_scale=number("k_scale", 1.0, math.inf, "> 0 and finite"),
+            alpha=number("alpha", 1.0, math.inf, "> 0 and finite"),
+            delta=number("delta", None, 1.0, "in (0, 1)"),
         )
     raise ConfigError(f"{where}: unknown k rule kind {kind!r}")
 

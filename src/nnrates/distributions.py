@@ -215,9 +215,58 @@ class _Interval1D:
     def density_at(self, t: float) -> float:
         raise NotImplementedError
 
-    def cdf_pair_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mass of [0, t] and the part of it where the Bayes label is 1, per t."""
+    def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
+        """Turn location uniforms u into locations, in place.
+
+        When v is given, also write the labels v < eta into the bool array
+        labels.  scratch holds two float rows of at least len(u).
+        """
         raise NotImplementedError
+
+    def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write eta(x) for each x into out; scratch as in `_place`."""
+        raise NotImplementedError
+
+    def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
+        """`cdf_pair_array` of the ascending ts, written into cdf and ones."""
+        raise NotImplementedError
+
+    def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xs, zs = np.empty((2, n))
+        ys = np.empty(n, dtype=bool)
+        self._draw(seed, xs, zs, ys, np.empty((3, n)))
+        return xs, zs, ys.view(np.int8)
+
+    def _draw(self, seed: int, xs: np.ndarray, zs, ys, scratch: np.ndarray) -> None:
+        """Draw len(xs) labeled points in place, as `sample_arrays` does.
+
+        Locations go to xs, tie-break draws to zs and labels to the bool
+        array ys.  With zs None only the locations are drawn: they are the
+        first len(xs) numbers of the same stream.  scratch holds three float
+        rows of at least len(xs).
+        """
+        rng = generator(seed)
+        rng.random(out=xs)
+        if zs is None:
+            self._place(xs, None, None, scratch[1:])
+            return
+        rng.random(out=zs)
+        v = scratch[0, : xs.size]
+        rng.random(out=v)
+        self._place(xs, v, ys, scratch[1:])
+
+    def cdf_pair_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mass of [0, t] and the part of it where the Bayes label is 1, per t; ts ascend."""
+        ts = np.asarray(ts, dtype=float)
+        cdf, ones = np.empty((2, ts.size))
+        self._cdf_pair_into(ts, cdf, ones)
+        return cdf, ones
+
+    def eta_values(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty(xs.shape)
+        self._eta_into(xs.ravel(), out.ravel(), np.empty((2, xs.size)))
+        return out
 
     def x_breakpoints(self) -> np.ndarray:
         """Locations where the density or eta formula changes."""
@@ -361,20 +410,43 @@ class PiecewiseUniform1D(_Interval1D):
         j = int(np.searchsorted(self.breaks, x, side="right")) - 1
         return min(max(j, 0), self.f.size - 1)
 
-    def _segs(self, xs: np.ndarray) -> np.ndarray:
-        j = np.searchsorted(self.breaks, xs, side="right") - 1
-        return np.clip(j, 0, self.f.size - 1)
+    @staticmethod
+    def _count_cuts(cuts: np.ndarray, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Number of the ascending cuts at or below each key, in scratch[0].
+
+        One comparison pass per cut: against a handful of cuts this beats a
+        binary search per key, and it gives searchsorted's segment index,
+        zero-mass segments included.
+        """
+        j = scratch[0].view(np.intp)[: keys.size]
+        hit = scratch[1].view(np.intp)[: keys.size]
+        j.fill(0)
+        for cut in cuts:
+            np.greater_equal(keys, cut, out=hit)
+            j += hit
+        return j
 
     # -- distribution interface --------------------------------------------
 
-    def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rng = generator(seed)
-        u = rng.random(n)
-        j = np.minimum(np.searchsorted(self._mass_prefix, u, side="right"), self.f.size) - 1
-        xs = self.breaks[j] + (u - self._mass_prefix[j]) / self.f[j]
-        zs = rng.random(n)
-        ys = (rng.random(n) < self._filled_eta[j]).astype(np.int8)
-        return xs, zs, ys
+    def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
+        # u lies in mass segment j when j interior mass prefixes are <= u;
+        # the location is breaks[j] + (u - prefix[j]) / f[j].  Indices are
+        # in range, so take's "clip" mode only spares it a copy of out.
+        j = self._count_cuts(self._mass_prefix[1:-1], u, scratch)
+        tmp = scratch[1, : u.size]
+        if v is not None:
+            np.take(self._filled_eta, j, out=tmp, mode="clip")
+            np.less(v, tmp, out=labels)
+        np.take(self._mass_prefix, j, out=tmp, mode="clip")
+        np.subtract(u, tmp, out=u)
+        np.take(self.f, j, out=tmp, mode="clip")
+        np.divide(u, tmp, out=u)
+        np.take(self.breaks, j, out=tmp, mode="clip")
+        np.add(tmp, u, out=u)
+
+    def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        j = self._count_cuts(self.breaks[1:-1], xs, scratch)
+        np.take(self._filled_eta, j, out=out, mode="clip")
 
     def point_value(self, x: np.ndarray) -> object:
         return float(x)
@@ -397,12 +469,24 @@ class PiecewiseUniform1D(_Interval1D):
             base = base + self.f[j] * (t - self.breaks[j])
         return float(base)
 
-    def cdf_pair_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.clip(ts, 0.0, 1.0)
-        j = self._segs(ts)
-        run = self.f[j] * (ts - self.breaks[j])
-        ones = self._bayes_one_prefix[j] + np.where(self._bayes_one[j], run, 0.0)
-        return self._mass_prefix[j] + run, ones
+    def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
+        # the clipped ts ascend, so segment j's ts form one slice; on it
+        # cdf = prefix[j] + run and ones = ones_prefix[j] + (run or 0.0),
+        # with run = f[j] * (t - breaks[j])
+        np.clip(ts, 0.0, 1.0, out=cdf)
+        starts = np.searchsorted(cdf, self.breaks[1:-1])
+        bounds = [0, *starts.tolist(), cdf.size]
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if lo == hi:
+                continue
+            run = cdf[lo:hi]
+            run -= self.breaks[j]
+            run *= self.f[j]
+            if self._bayes_one[j]:
+                np.add(run, self._bayes_one_prefix[j], out=ones[lo:hi])
+            else:
+                ones[lo:hi] = self._bayes_one_prefix[j] + 0.0
+            run += self._mass_prefix[j]
 
     def density_at(self, t: float) -> float:
         if t < 0.0 or t > 1.0:
@@ -428,9 +512,6 @@ class PiecewiseUniform1D(_Interval1D):
         if best is None:
             raise ZeroMassError("distribution has no positive-density segment")
         return float(self.seg_eta[best])
-
-    def eta_values(self, xs: np.ndarray) -> np.ndarray:
-        return self._filled_eta[self._segs(xs)]
 
     def in_support_value(self, x: float) -> bool:
         j = self._seg(x)
@@ -481,12 +562,23 @@ class PowerMargin1D(_Interval1D):
         self.gamma = float(gamma)
         self.space = IntervalMetric(0.0, 1.0)
 
-    def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rng = generator(seed)
-        xs = rng.random(n)
-        zs = rng.random(n)
-        ys = (rng.random(n) < self.eta_values(xs)).astype(np.int8)
-        return xs, zs, ys
+    def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
+        # the marginal is uniform: a location is its own uniform
+        if v is not None:
+            self._eta_into(u, scratch[0, : u.size], scratch[1:])
+            np.less(v, scratch[0, : u.size], out=labels)
+
+    def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        # 0.5 + 0.5 * sign(s) * |s|**gamma with s = 2x - 1, operation for operation
+        s = scratch[0, : xs.size]
+        np.multiply(xs, 2.0, out=s)
+        s -= 1.0
+        np.sign(s, out=out)
+        out *= 0.5
+        np.abs(s, out=s)
+        s **= self.gamma
+        out *= s
+        out += 0.5
 
     def point_value(self, x: np.ndarray) -> object:
         return float(x)
@@ -494,9 +586,10 @@ class PowerMargin1D(_Interval1D):
     def cdf(self, t: float) -> float:
         return min(max(t, 0.0), 1.0)
 
-    def cdf_pair_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.clip(ts, 0.0, 1.0)
-        return ts, np.maximum(0.0, ts - 0.5)
+    def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
+        np.clip(ts, 0.0, 1.0, out=cdf)
+        np.subtract(cdf, 0.5, out=ones)
+        np.maximum(0.0, ones, out=ones)
 
     def _odd_antideriv(self, t: float) -> float:
         # antiderivative of sign(2s - 1) * |2s - 1|**gamma
@@ -518,10 +611,6 @@ class PowerMargin1D(_Interval1D):
     def eta_point_value(self, x: float) -> float:
         s = 2.0 * x - 1.0
         return 0.5 + 0.5 * math.copysign(abs(s) ** self.gamma, s) if s != 0.0 else 0.5
-
-    def eta_values(self, xs: np.ndarray) -> np.ndarray:
-        s = 2.0 * np.asarray(xs, dtype=float) - 1.0
-        return 0.5 + 0.5 * np.sign(s) * np.abs(s) ** self.gamma
 
     def in_support_value(self, x: float) -> bool:
         return True

@@ -16,15 +16,22 @@ order-independent: the harness produces bitwise-identical results whether
 trials run in one thread or on a pool, and growing a trial budget never
 changes earlier trials.  Aggregation always reduces in trial order.
 
-Trials of the 1-D families run on a pool of one thread per CPU only when
-each draws at least _POOL_MIN_POINTS points, the crossover measured on a
-2-core machine (about 6,000), and fill more than one chunk of trial
-indices.  Smaller trials hold the GIL between short numpy calls, and two
-threads ran them slower than one.  Chunks are concatenated in order, so
-scheduling cannot reorder results.  Finite-atomic trials run in fixed
-blocks in the calling thread: their cost is dominated by building each
-trial's generator, which holds the GIL, and threads measured slower than
-one thread on that path.
+Trials of the 1-D families run through one kernel, `_Trials1D`, that
+allocates nothing per trial.  Each chunk of trials sizes one set of
+buffers for its (n, k) and draws every trial into them; the window table
+comes from one in-place sort of a packed int64 key, and the disagreement
+integral from one slice of the sorted edges per density segment.  Fresh
+temporaries cost a trial at n = 5*10^4 about 1,300 page faults, as the
+allocator returned them to the system after every trial.
+
+Those trials run on a pool of one thread per CPU only when each draws at
+least _POOL_MIN_POINTS points, the crossover measured on a 2-core
+machine, and fill more than one chunk of trial indices.  Smaller trials
+hold the GIL between short numpy calls, and two threads ran them slower
+than one.  Chunks are concatenated in order, so scheduling cannot reorder
+results.  Finite-atomic trials run in fixed blocks in the calling thread:
+their cost is dominated by building each trial's generator, which holds
+the GIL, and threads measured slower than one thread on that path.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 from ._rng import mix64
 from .boundary import boundary_measure, high_error_measure
 from .bounds import _binom_log_pmf, lower_bound_constants, upper_bound_params, zero_bayes_params
-from .classifier import _check_k, _window_structure, fit_arrays, predict_batch
+from .classifier import _check_k, _window_table, fit_arrays, predict_batch
 from .distributions import FiniteAtomic
 from .errors import ResourceLimitError
 
@@ -65,11 +72,13 @@ __all__ = [
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK = 512
 # Points per trial from which 1-D trials use the pool.  One thread against
-# two on a 2-core machine, us/trial: mc_expected_mistake on the disjoint
-# family at n=3,000 309 vs 526, 5,000 531 vs 711, 6,000 762-799 vs 721-820,
-# 7,000 926 vs 863, 10^4 1,444 vs 1,035; estimate_expected_excess on power
-# margin at n + mc_points = 6,000 582 vs 729, 7,000 1,020 vs 910.
-_POOL_MIN_POINTS = 6_000
+# two on a 2-core machine, us/trial, medians of 4-6 alternating runs of
+# 1,536 trials: mc_expected_mistake on the disjoint family at n = 5,000 390
+# vs 580, 10^4 433-584 vs 503-688, 12,000 591 vs 596, 15,000 598-838 vs
+# 641-831, 18,000 814 vs 717, 3*10^4 1,455 vs 1,263; estimate_expected_excess
+# on power margin at n + mc_points = 3,000 455 vs 549, 6,000 638 vs 615,
+# 10^4 700-753 vs 607-801, 15,000 782-934 vs 715-839.
+_POOL_MIN_POINTS = 12_000
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 _ENUMERATION_LIMIT = 1_000_000
 
@@ -192,56 +201,99 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return (low, high)
 
 
-def _indexed_map(fn: Callable[[int], object], start: int, stop: int, points: int) -> list:
-    """Evaluate fn over [start, stop) in index order; one call draws ``points`` points.
+def _indexed_map(fn: Callable[[int, int], list], start: int, stop: int, points: int) -> list:
+    """fn(lo, hi) lists the results for indices [lo, hi); concatenate them over [start, stop).
 
-    Chunks of calls run on a pool of one thread per CPU only when
-    ``points`` >= _POOL_MIN_POINTS and there are two or more chunks and
-    CPUs; otherwise the calls run in the calling thread.  Chunks are
-    concatenated in order, so output is identical on either path.
+    Chunks of _CHUNK indices run on a pool of one thread per CPU only when
+    one index draws ``points`` >= _POOL_MIN_POINTS points and there are two
+    or more chunks and CPUs; otherwise one call covers the whole range in
+    the calling thread.  Chunks are concatenated in order, so output is
+    identical on either path.
     """
     spans = [(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK)]
     workers = os.cpu_count() or 1
     if points < _POOL_MIN_POINTS or len(spans) < 2 or workers < 2:
-        return [fn(i) for i in range(start, stop)]
+        return fn(start, stop)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda span: [fn(i) for i in range(span[0], span[1])], spans)
+        parts = pool.map(lambda span: fn(*span), spans)
         return [item for part in parts for item in part]
 
 
 # -- per-trial statistics ------------------------------------------------------
 
 
-def _bayes_disagreement_atomic(dist: FiniteAtomic, model) -> float:
-    atoms = np.arange(dist.space.size)
-    preds = predict_batch(model, atoms)
-    bayes = dist.etas >= 0.5
-    return float(dist.masses[preds != bayes].sum())
+class _Trials1D:
+    """Trials of a 1-D family at one (n, k), drawn into buffers they reuse.
+
+    Six float rows and three flag rows of max(n, queries) + 2 entries
+    (2.5 MB at n = 5*10^4) hold a trial's draw, window table and integral;
+    the only array a trial allocates is an excess trial's query positions,
+    since `np.searchsorted` takes no out.  Each `_indexed_map` chunk makes its
+    own instance, so pool threads never share one, and the instance goes
+    when the chunk does.  A trial draws the same PCG64 stream as
+    `sample_arrays` and does the same floating-point operations as the
+    fit/predict path, so every value is bitwise that path's.
+    """
+
+    def __init__(self, dist, n: int, k: int, queries: int = 0):
+        _check_k(k, n)
+        self.dist, self.n, self.k = dist, n, k
+        size = max(n, queries) + 2
+        self.rows = np.empty((6, size))
+        self.flags = np.empty((3, size), dtype=bool)
+
+    def _train(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw a training set; returns (edges, preds) with the switches in edges[1:-1]."""
+        n, k, rows, flags = self.n, self.k, self.rows, self.flags
+        xs, zs = rows[0, :n], rows[1, :n]
+        self.dist._draw(seed, xs, zs, flags[0, :n], rows[2:5, :n])
+        edges = rows[5, : n - k + 2]
+        preds = flags[1, : n - k + 1]
+        _window_table(xs, zs, flags[0, :n], k, True, edges[1:-1], preds, rows[2:4], flags[2])
+        return edges, preds
+
+    def disagreement(self, seed: int) -> float:
+        """Exact Bayes-disagreement mass of the rule trained on draw ``seed``.
+
+        The mass between consecutive edges [0, switches, 1] is predicted
+        wrong where the window votes 1 on Bayes label 0 and the reverse.
+        """
+        edges, preds = self._train(seed)
+        edges[0], edges[-1] = 0.0, 1.0
+        cdf, ones, mass, ones_mass = (row[: edges.size] for row in self.rows[:4])
+        self.dist._cdf_pair_into(edges, cdf, ones)
+        mass, ones_mass = mass[:-1], ones_mass[:-1]
+        np.subtract(cdf[1:], cdf[:-1], out=mass)
+        np.subtract(ones[1:], ones[:-1], out=ones_mass)
+        # ones_mass becomes where(preds, mass - ones_mass, ones_mass)
+        np.subtract(mass, ones_mass, out=ones_mass, where=preds)
+        return float(ones_mass.sum())
+
+    def excess(self, seed: int, query_seed: int, queries: int) -> float:
+        """Mean excess |1 - 2 eta| over ``queries`` query draws where the rule is not Bayes."""
+        edges, preds = self._train(seed)
+        xq, etas, weight = self.rows[:3, :queries]
+        self.dist._draw(query_seed, xq, None, None, self.rows[2:5, :queries])
+        predicted = np.take(preds, np.searchsorted(edges[1:-1], xq), out=self.flags[0, :queries])
+        self.dist._eta_into(xq, etas, self.rows[3:5, :queries])
+        disagree = np.greater_equal(etas, 0.5, out=self.flags[2, :queries])
+        np.not_equal(predicted, disagree, out=disagree)
+        np.multiply(etas, 2.0, out=weight)
+        np.subtract(1.0, weight, out=weight)
+        np.abs(weight, out=weight)
+        weight *= disagree
+        return float(np.mean(weight))
 
 
-def _bayes_disagreement_1d(dist, model) -> float:
-    switches, preds = _window_structure(model)
-    edges = np.empty(switches.size + 2)
-    edges[0] = 0.0
-    edges[1:-1] = np.clip(switches, 0.0, 1.0)
-    edges[-1] = 1.0
-    cdf, ones_cdf = dist.cdf_pair_array(edges)
-    mass = np.diff(cdf)
-    ones_mass = np.diff(ones_cdf)
-    return float(np.where(preds == 1, mass - ones_mass, ones_mass).sum())
+def _trial_disagreement(dist: FiniteAtomic, n: int, k: int, seed: int) -> float:
+    """Exact Bayes-disagreement mass of one freshly trained finite-atomic rule.
 
-
-def _trial_disagreement(dist, n: int, k: int, seed: int) -> float:
-    """Exact Bayes-disagreement mass of one freshly trained rule.
-
-    For finite-atomic families this is the reference that the blocked
-    path in `_atomic_disagreements` is tested against.
+    This is the reference that the blocked path in `_atomic_disagreements`
+    is tested against.
     """
     xs, zs, ys = dist.sample_arrays(seed, n)
-    model = fit_arrays(dist.space, xs, zs, ys, k)
-    if isinstance(dist, FiniteAtomic):
-        return _bayes_disagreement_atomic(dist, model)
-    return _bayes_disagreement_1d(dist, model)
+    preds = predict_batch(fit_arrays(dist.space, xs, zs, ys, k), np.arange(dist.space.size))
+    return float(dist.masses[preds != (dist.etas >= 0.5)].sum())
 
 
 def _atomic_disagreements(
@@ -279,13 +331,16 @@ def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int)
     """Per-trial disagreement masses for trials [start, stop), in trial order.
 
     Finite-atomic trials run in blocks in the calling thread; the 1-D
-    families go through `_indexed_map`.
+    families go through `_indexed_map`, one `_Trials1D` per chunk.
     """
     if isinstance(dist, FiniteAtomic):
         return _atomic_disagreements(dist, n, k, master_seed, start, stop)
-    return _indexed_map(
-        lambda t: _trial_disagreement(dist, n, k, mix64(master_seed, n, t)), start, stop, n
-    )
+
+    def chunk(lo: int, hi: int) -> list[float]:
+        trials = _Trials1D(dist, n, k)
+        return [trials.disagreement(mix64(master_seed, n, t)) for t in range(lo, hi)]
+
+    return _indexed_map(chunk, start, stop, n)
 
 
 # -- exact oracle --------------------------------------------------------------
@@ -500,7 +555,7 @@ def run_lower_bound_trials(
     )
 
 
-def _trial_excess(dist, n: int, k: int, mc_points: int, master_seed: int, t: int) -> float:
+def _atomic_excess(dist: FiniteAtomic, n: int, k: int, mc_points: int, master_seed: int, t: int):
     xs, zs, ys = dist.sample_arrays(mix64(master_seed, n, t), n)
     model = fit_arrays(dist.space, xs, zs, ys, k)
     xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), mc_points)
@@ -522,9 +577,15 @@ def estimate_expected_excess(
     """
     if trials < 1 or mc_points < 1:
         raise ValueError("trials and mc_points must be positive")
-    values = _indexed_map(
-        lambda t: _trial_excess(dist, n, k, mc_points, master_seed, t), 0, trials, n + mc_points
-    )
+
+    def chunk(lo: int, hi: int) -> list[float]:
+        if isinstance(dist, FiniteAtomic):
+            return [_atomic_excess(dist, n, k, mc_points, master_seed, t) for t in range(lo, hi)]
+        trials = _Trials1D(dist, n, k, mc_points)
+        seeds = ((mix64(master_seed, n, t), mix64(master_seed, n, t, 1)) for t in range(lo, hi))
+        return [trials.excess(seed, query_seed, mc_points) for seed, query_seed in seeds]
+
+    values = _indexed_map(chunk, 0, trials, n + mc_points)
     mean, var = _mean_var(values)
     return ExcessEstimate(n, k, mean, math.sqrt(var / trials), tuple(values))
 

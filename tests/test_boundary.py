@@ -223,3 +223,25 @@ def test_scan_measure_against_monte_carlo():
     phat = hits / 4000
     sigma = np.sqrt(max(phat * (1 - phat), 1e-6) / 4000)
     assert abs(got.value - phat) < 3.5 * sigma + got.error_bound
+
+
+def multi_segment_family():
+    return PiecewiseUniform1D(
+        [0.4, 0.6],
+        ([0.0, 0.15, 0.4, 0.6, 0.85, 1.0], [2.0, 0.4, 2.0, 0.4, 0.6666666666666666]),
+        ([0.0, 0.2, 0.5, 0.7, 1.0], [0.5, 1.5, 0.0, 1.5]),
+    )
+
+
+@pytest.mark.parametrize("make", [disjoint_family, multi_segment_family, lambda: PowerMargin1D(1.0)])
+def test_scan_measures_agree_with_an_eight_times_finer_grid(make):
+    # the scan's error_bound covers bisection widths only; a region piece
+    # narrower than one cell would be missed at grid=96 and found at 768
+    dist = make()
+    for p in (0.05, 0.4):
+        for band in (0.05, 0.25):
+            coarse, fine = (boundary_measure(dist, p, band, grid) for grid in (96, 768))
+            assert abs(fine.value - coarse.value) <= coarse.error_bound + fine.error_bound, (p, band)
+    for n, k in ((100, 9), (400, 16)):
+        coarse, fine = (high_error_measure(dist, n, k, grid) for grid in (96, 768))
+        assert abs(fine.value - coarse.value) <= coarse.error_bound + fine.error_bound, (n, k)

@@ -93,6 +93,36 @@ def test_window_table_orders_repeated_locations_by_tie_break():
     assert preds.tolist() == [0, 0, 1, 1, 1]
 
 
+def test_window_table_packed_sort_matches_lexsort():
+    # the packed-key sort serves [0, 2); a -0.0 location packs as +0.0,
+    # repeated locations (-0.0 beside 0.0 among them) fall back to the
+    # tie-break order, and an interval reaching outside [0, 2) sorts by
+    # lexsort alone
+    rng = np.random.default_rng(8)
+    alone = rng.random(50)
+    alone[3] = -0.0
+    beside_zero = alone.copy()
+    beside_zero[7] = 0.0
+    cases = [
+        (IntervalMetric(0.0, 1.0), alone),
+        (IntervalMetric(0.0, 1.0), beside_zero),
+        (IntervalMetric(0.0, 1.0), np.round(rng.random(50), 1)),
+        (IntervalMetric(-1.0, 3.0), rng.uniform(-1.0, 3.0, 50)),
+    ]
+    for space, xs in cases:
+        zs = rng.random(xs.size)
+        ys = rng.integers(0, 2, size=xs.size)
+        for k in (1, 4, 49, 50):
+            switches, preds = _window_structure(fit_arrays(space, xs, zs, ys, k))
+            order = np.lexsort((zs, xs))
+            t = xs[order]
+            sums = np.concatenate([[0], np.cumsum(ys[order])])
+            want = (t[: xs.size - k] + t[k:]) / 2.0
+            assert switches.tobytes() == want.tobytes(), (space, k)
+            assert preds.tolist() == (2 * (sums[k:] - sums[: xs.size + 1 - k]) >= k).tolist()
+            assert preds.dtype == np.int8
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
 def test_batch_predict_matches_scalar_interval(n, seed):

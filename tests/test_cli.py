@@ -188,6 +188,19 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
         cfg = write_config(tmp_path, {"distribution": POWER_DIST, "output_dir": "out", **body})
         assert run_cli(["run", str(cfg)]) == 2, body
         assert not (tmp_path / "out").exists(), body
+    # a rate_optimal rule needs delta in (0, 1), alpha > 0 and a finite
+    # k_scale > 0; each bad value exits 2 with a message naming its key
+    capsys.readouterr()
+    for key, value in (
+        ("delta", True), ("alpha", True), ("k_scale", True), ("delta", 0), ("delta", 1),
+        ("delta", -1), ("alpha", -0.5), ("alpha", 0), ("k_scale", 0.0), ("k_scale", float("inf")),
+    ):
+        rule = {"kind": "rate_optimal", "delta": 0.1, key: value}
+        body = {"experiments": [{**excess, "n": 200, "k": rule}]}
+        cfg = write_config(tmp_path, {"distribution": POWER_DIST, "output_dir": "out", **body})
+        assert run_cli(["run", str(cfg)]) == 2, (key, value)
+        assert not (tmp_path / "out").exists(), (key, value)
+        assert repr(key) in capsys.readouterr().err, (key, value)
 
 
 def test_run_validation_failure_writes_nothing(tmp_path):

@@ -27,6 +27,7 @@ from nnrates.distributions import (
     sample_labeled,
     support_mass,
 )
+from nnrates._rng import mix64
 from nnrates.errors import DomainError, UnsupportedMethodError, ZeroMassError
 from nnrates.metric import FiniteMetric
 
@@ -206,6 +207,40 @@ def test_piecewise_sampling_matches_cdf():
         assert abs(got - want) < 4.0 * math.sqrt(want * (1 - want) / 40000) + 1e-3
     label_rate = float(np.mean(ys[xs < 0.4]))
     assert abs(label_rate - 0.2) < 0.02
+
+
+def test_sample_arrays_match_inverse_cdf_reference():
+    # the draw spelled out: three uniform arrays in order, a binary search
+    # of the mass prefix for each location, labels below eta of the segment
+    multi = PiecewiseUniform1D(
+        [0.4, 0.6],
+        ([0.0, 0.15, 0.4, 0.6, 0.85, 1.0], [2.0, 0.4, 2.0, 0.4, 0.6666666666666666]),
+        ([0.0, 0.2, 0.5, 0.7, 1.0], [0.5, 1.5, 0.0, 1.5]),
+    )
+    for dist in (make_piecewise(), multi, PowerMargin1D(0.5), PowerMargin1D(2.0)):
+        for seed, n in [(3, 0), (4, 1), (5, 7), (6, 5000)]:
+            rng = np.random.default_rng(np.random.PCG64(mix64(seed)))
+            u, zs, v = rng.random(n), rng.random(n), rng.random(n)
+            if isinstance(dist, PowerMargin1D):
+                xs = u
+                s = 2.0 * u - 1.0
+                eta = 0.5 + 0.5 * np.sign(s) * np.abs(s) ** dist.gamma
+            else:
+                prefix = dist._mass_prefix
+                j = np.minimum(np.searchsorted(prefix, u, side="right"), dist.f.size) - 1
+                xs = dist.breaks[j] + (u - prefix[j]) / dist.f[j]
+                eta = dist._filled_eta[j]
+            got = dist.sample_arrays(seed, n)
+            for part, want in zip(got, (xs, zs, (v < eta).astype(np.int8))):
+                assert part.dtype == want.dtype and part.tobytes() == want.tobytes()
+            probes = np.concatenate([xs, [-0.5, 0.0, 0.15, 0.4, 0.5, 0.6, 1.0, 1.5]])
+            if isinstance(dist, PowerMargin1D):
+                s = 2.0 * probes - 1.0
+                want_eta = 0.5 + 0.5 * np.sign(s) * np.abs(s) ** dist.gamma
+            else:
+                j = np.clip(np.searchsorted(dist.breaks, probes, side="right") - 1, 0, dist.f.size - 1)
+                want_eta = dist._filled_eta[j]
+            assert dist.eta_values(probes).tobytes() == want_eta.tobytes()
 
 
 # -- power margin --------------------------------------------------------------

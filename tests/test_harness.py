@@ -24,6 +24,7 @@ from nnrates.harness import (
     _POOL_MIN_POINTS,
     KRule,
     _indexed_map,
+    _Trials1D,
     _trial_disagreement,
     _trial_values,
     consistency_sweep,
@@ -92,6 +93,93 @@ def disjoint_family():
         ([0.0, 0.5, 1.0], [2.0, 0.0]),
         ([0.0, 0.5, 1.0], [0.0, 2.0]),
     )
+
+
+def multi_segment_family():
+    # five class-0 and four class-1 pieces, a label-0 gap inside class 1
+    return PiecewiseUniform1D(
+        [0.4, 0.6],
+        ([0.0, 0.15, 0.4, 0.6, 0.85, 1.0], [2.0, 0.4, 2.0, 0.4, 0.6666666666666666]),
+        ([0.0, 0.2, 0.5, 0.7, 1.0], [0.5, 1.5, 0.0, 1.5]),
+    )
+
+
+ONE_D_FAMILIES = {
+    "disjoint": disjoint_family,
+    "multi_segment": multi_segment_family,
+    "power_margin_0.5": lambda: PowerMargin1D(0.5),
+    "power_margin_2": lambda: PowerMargin1D(2.0),
+}
+
+
+def reference_window(xs, zs, ys, k):
+    """Sorted-window table spelled out: full lexsort, votes from a cumsum."""
+    n = xs.size
+    order = np.lexsort((zs, xs))
+    t = xs[order]
+    sums = np.concatenate([[0], np.cumsum(ys[order], dtype=np.int64)])
+    preds = (2 * (sums[k:] - sums[: n + 1 - k]) >= k).astype(np.int8)
+    return (t[: n - k] + t[k:]) / 2.0, preds
+
+
+def reference_disagreement(dist, n, k, seed):
+    """A 1-D trial spelled out: scalar cdf and Bayes-one cdf at every edge."""
+    switches, preds = reference_window(*dist.sample_arrays(seed, n), k)
+    edges = [0.0, *np.clip(switches, 0.0, 1.0).tolist(), 1.0]
+    mass = np.diff([dist.cdf(e) for e in edges])
+    ones_mass = np.diff([dist.bayes_one_cdf(e) for e in edges])
+    return float(np.where(preds == 1, mass - ones_mass, ones_mass).sum())
+
+
+def reference_eta(dist, xs):
+    if isinstance(dist, PowerMargin1D):
+        s = 2.0 * xs - 1.0
+        return 0.5 + 0.5 * np.sign(s) * np.abs(s) ** dist.gamma
+    j = np.clip(np.searchsorted(dist.breaks, xs, side="right") - 1, 0, dist.f.size - 1)
+    return dist._filled_eta[j]
+
+
+def reference_excess(dist, n, k, queries, master_seed, t):
+    switches, preds = reference_window(*dist.sample_arrays(mix64(master_seed, n, t), n), k)
+    xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), queries)
+    etas = reference_eta(dist, xq)
+    disagree = preds[np.searchsorted(switches, xq)] != (etas >= 0.5)
+    return float(np.mean(np.abs(1.0 - 2.0 * etas) * disagree))
+
+
+@pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
+def test_trial_kernel_matches_spelled_out_reference(family):
+    # n = 1, k = n, an offset start, and one set of buffers reused for every draw
+    dist = ONE_D_FAMILIES[family]()
+    for n, k, stop in [(1, 1, 6), (2, 2, 6), (25, 25, 12), (40, 7, 40), (300, 25, 25), (2000, 45, 8)]:
+        want = [reference_disagreement(dist, n, k, mix64(9, n, t)) for t in range(stop)]
+        assert _trial_values(dist, n, k, 9, 0, stop) == want, (n, k)
+        assert _trial_values(dist, n, k, 9, 3, stop) == want[3:], (n, k)
+        reused = _Trials1D(dist, n, k)
+        assert [reused.disagreement(mix64(9, n, t)) for t in range(stop)] == want, (n, k)
+
+
+@pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
+def test_excess_kernel_matches_spelled_out_reference(family):
+    # query sets smaller and larger than the training set share the buffers
+    dist = ONE_D_FAMILIES[family]()
+    for n, k, queries in [(1, 1, 5), (30, 30, 7), (200, 14, 500), (600, 25, 60)]:
+        want = [reference_excess(dist, n, k, queries, 4, t) for t in range(10)]
+        got = estimate_expected_excess(dist, n, k, 10, queries, master_seed=4).per_trial
+        assert list(got) == want, (n, k, queries)
+
+
+def test_one_dimensional_trials_reuse_their_buffers():
+    # a trial at n = 5*10^4 that allocated its temporaries afresh faulted
+    # about 1,300 pages back in; buffers reused across trials fault none
+    resource = pytest.importorskip("resource")
+    trials = 50
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _trial_values(disjoint_family(), 50_000, 224, 5, 0, trials)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    if before == 0 and faults == 0:
+        pytest.skip("this platform does not report minor page faults")
+    assert faults < 100 * trials
 
 
 # -- exact oracle ----------------------------------------------------------------
@@ -182,9 +270,9 @@ def test_pooled_and_serial_trials_are_bitwise_equal(monkeypatch):
 
 def test_indexed_map_preserves_order(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    got = _indexed_map(lambda i: i * i, 0, 1200, _POOL_MIN_POINTS)
+    got = _indexed_map(lambda lo, hi: [i * i for i in range(lo, hi)], 0, 1200, _POOL_MIN_POINTS)
     assert got == [i * i for i in range(1200)]
-    assert _indexed_map(lambda i: i, 5, 5, _POOL_MIN_POINTS) == []
+    assert _indexed_map(lambda lo, hi: list(range(lo, hi)), 5, 5, _POOL_MIN_POINTS) == []
 
 
 def test_blocked_atomic_trials_match_single_trial_path():
