@@ -19,6 +19,7 @@ from .boundary import (
     high_error_measure,
     margin_mass,
     region_classify,
+    region_verdicts,
     smoothness_audit,
 )
 from .bounds import (
@@ -95,16 +96,6 @@ from .harness import (
     run_upper_bound_trials,
     wilson_interval,
 )
-from .metric import (
-    AugmentedBall,
-    AugmentedPoint,
-    BoxMetric,
-    FiniteMetric,
-    IntervalMetric,
-    MetricSpace,
-    augmented_ball_contains,
-    load_finite_metric,
-    neighbor_order,
-)
+from .metric import FiniteMetric, IntervalMetric, MetricSpace, load_finite_metric
 
 __version__ = "0.1.0"

@@ -190,7 +190,7 @@ def bayes_predict(dist, x) -> int:
 def conditional_risk(model: TrainedModel, dist, query) -> RiskReport:
     """Exact pointwise mistake probability of the fitted rule at a query."""
     pred = predict(model, query)
-    eta = dist.eta_point_value(query)
+    eta = float(dist.eta_point_value(query))
     cond = (1.0 - eta) if pred == 1 else eta
     bayes_pt = min(eta, 1.0 - eta)
     return RiskReport(cond, bayes_pt, cond - bayes_pt)

@@ -19,7 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,11 +31,12 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .boundary import boundary_measure, region_classify
+from .boundary import boundary_measure, region_verdicts
 from .distributions import FiniteAtomic, load_distribution
 from .errors import DomainError, InapplicableError, InfeasibleParametersError, ResourceLimitError
 from .harness import (
     KRule,
+    _check_enumeration,
     consistency_sweep,
     estimate_expected_excess,
     rate_sweep,
@@ -224,6 +228,8 @@ def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
         cap = block.get("trials")
         if cap is not None and (not _is_int(cap) or cap < 1):
             raise ConfigError(f"{where}: trials must be a positive integer")
+        if isinstance(dist, FiniteAtomic):
+            _check_enumeration(dist.space.size, n)  # the exact oracle's budget, before anything runs
 
         def run_lower():
             chk = run_lower_bound_trials(dist, n, k, cap, seed)
@@ -324,42 +330,49 @@ def _cmd_run(args) -> int:
     except (ConfigError, ValueError, DomainError, InfeasibleParametersError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimitError as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 3
 
     out_path = Path(out_dir)
     if not out_path.is_absolute():
         out_path = config_path.parent / out_path
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     ext = args.format
-    statuses = []
-    outputs = []
+    # reports are staged beside the output directory and moved in only
+    # once every experiment has run, the manifest last: a failed run
+    # publishes nothing
+    staging = None
     try:
-        out_path.mkdir(parents=True, exist_ok=True)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out_path.name}-", dir=out_path.parent))
+        names, statuses = [], []
         for plan in plans:
             report = plan.runner()
-            target = out_path / f"{plan.filename}.{ext}"
-            target.write_text(report.render(ext))
-            outputs.append(str(target))
+            names.append(f"{plan.filename}.{ext}")
+            (staging / names[-1]).write_text(report.render(ext))
             statuses.append({"index": plan.index, "type": plan.kind, "status": "ok"})
+        manifest = {
+            "config": config,
+            "master_seed": seed,
+            "started": started,
+            "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "outputs": [str(out_path / name) for name in names],
+            "experiments": statuses,
+        }
+        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        out_path.mkdir(exist_ok=True)
+        for name in [*names, "manifest.json"]:
+            os.replace(staging / name, out_path / name)
     except ResourceLimitError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 4
-
-    manifest = {
-        "config": config,
-        "master_seed": seed,
-        "started": started,
-        "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": outputs,
-        "experiments": statuses,
-    }
-    try:
-        (out_path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 4
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     print(json.dumps(manifest, indent=2))
     return 0
 
@@ -470,12 +483,11 @@ def _cmd_analyze_boundary(args) -> int:
     if isinstance(dist, FiniteAtomic):
         probes = list(range(dist.space.size))
     else:
-        probes = list(np.linspace(0.0, 1.0, 201))
-    rows = []
-    for x in probes:
-        verdict = region_classify(dist, x, args.p, args.delta)
-        radius = "" if verdict.binding_radius is None else _canon(verdict.binding_radius)
-        rows.append([_canon(x), verdict.verdict, radius])
+        probes = np.linspace(0.0, 1.0, 201).tolist()
+    rows = [
+        [_canon(x), v.verdict, "" if v.binding_radius is None else _canon(v.binding_radius)]
+        for x, v in zip(probes, region_verdicts(dist, probes, args.p, args.delta))
+    ]
     mass = boundary_measure(dist, args.p, args.delta)
     summary = {
         "p": args.p,

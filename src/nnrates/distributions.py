@@ -27,6 +27,12 @@ where S(.) denotes the unnormalized integral of eta.  Both families of
 1-D queries reduce to prefix integrals that are piecewise linear or
 piecewise power functions of the interval endpoints, so every value here
 is exact up to float rounding; ``MassQueryResult.error_bound`` is zero.
+
+The geometry queries behind the public functions (``cdf``, ``eta_prefix``,
+``ball_sums``, ``prob_radius_value``, ``eta_closed``, ``eta_point_value``,
+``in_support_value``, ...) are array-first: they take an array of points,
+atom indices for finite-atomic families, and answer lane by lane with the
+same float operations a one-point query performs.
 """
 
 from __future__ import annotations
@@ -92,6 +98,13 @@ def _check_prob(p: float) -> None:
         raise ValueError(f"probability level must lie in [0, 1], got {p}")
 
 
+def _ball_average(mass: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """total / mass lane by lane; ZeroMassError when any ball holds no mass."""
+    if np.any(mass <= 0.0):
+        raise ZeroMassError("a ball in the query holds zero mass")
+    return total / mass
+
+
 class FiniteAtomic:
     """Point masses on the atoms of a finite metric space.
 
@@ -137,42 +150,43 @@ class FiniteAtomic:
         return int(x)
 
     # -- measures ---------------------------------------------------------
+    # Geometry queries take an array of atom indices (a plain index too)
+    # and answer lane by lane, broadcasting radii against the points.
 
-    def ball_mass_value(self, x: int, r: float, kind: str) -> float:
-        row = self.space.matrix[int(x)]
-        mask = row < r if kind == "open" else row <= r
-        return float(self.masses[mask].sum())
+    def ball_sums(self, xs, r, kind: str = "closed") -> tuple[np.ndarray, np.ndarray]:
+        """Mass and eta-weighted mass of the open or closed balls B(x, r)."""
+        rows = self.space.matrix[np.asarray(xs, dtype=np.intp)]
+        r = np.asarray(r, dtype=float)[..., None]
+        inside = rows < r if kind == "open" else rows <= r
+        mass = np.where(inside, self.masses, 0.0).sum(axis=-1)
+        return mass, np.where(inside, self.masses * self.etas, 0.0).sum(axis=-1)
 
-    def _eta_sum(self, x: int, r: float, kind: str) -> tuple[float, float]:
-        row = self.space.matrix[int(x)]
-        mask = row < r if kind == "open" else row <= r
-        return float(self.masses[mask].sum()), float((self.masses[mask] * self.etas[mask]).sum())
+    def ball_mass_value(self, xs, r, kind: str = "closed") -> np.ndarray:
+        return self.ball_sums(xs, r, kind)[0]
 
-    def prob_radius_value(self, x: int, p: float) -> float:
+    def prob_radius_value(self, xs, p: float) -> np.ndarray:
+        # walking each row in stable distance order, the radius is the first
+        # distance whose whole tie group brings the running mass to p; the
+        # largest distance when rounding keeps the total below p
+        rows = self.space.matrix[np.asarray(xs, dtype=np.intp)]
         if p <= 0.0:
-            return 0.0
-        row = self.space.matrix[int(x)]
-        order = np.argsort(row, kind="stable")
-        cum = 0.0
-        last_d = None
-        for i in order:
-            d = row[i]
-            if last_d is not None and d > last_d and cum >= p:
-                return float(last_d)
-            cum += self.masses[i]
-            last_d = d
-        if cum >= p:
-            return float(last_d)
-        return float(last_d)  # full support reached; p exceeds total only by rounding
+            return np.zeros(rows.shape[:-1])
+        order = np.argsort(rows, axis=-1, kind="stable")
+        dist = np.take_along_axis(rows, order, axis=-1)
+        cum = np.cumsum(self.masses[order], axis=-1)
+        group_end = np.ones(dist.shape, dtype=bool)
+        group_end[..., :-1] = dist[..., 1:] > dist[..., :-1]
+        hit = group_end & (cum >= p)
+        first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), dist.shape[-1] - 1)
+        return np.take_along_axis(dist, first[..., None], axis=-1)[..., 0]
 
-    def eta_point_value(self, x: int) -> float:
-        return float(self.etas[int(x)])
-
-    def eta_values(self, xs: np.ndarray) -> np.ndarray:
+    def eta_point_value(self, xs) -> np.ndarray:
         return self.etas[np.asarray(xs, dtype=np.intp)]
 
-    def in_support_value(self, x: int) -> bool:
-        return bool(self.masses[int(x)] > 0.0)
+    eta_values = eta_point_value  # a sampled atom reads the same table
+
+    def in_support_value(self, xs) -> np.ndarray:
+        return self.masses[np.asarray(xs, dtype=np.intp)] > 0.0
 
     def bayes_risk_value(self) -> float:
         return float((self.masses * np.minimum(self.etas, 1.0 - self.etas)).sum())
@@ -186,33 +200,34 @@ class FiniteAtomic:
 
     # -- radius structure for extremal scans ------------------------------
 
-    def radius_breakpoints(self, x: int) -> np.ndarray:
-        vals = np.unique(self.space.matrix[int(x)])
-        return vals[vals > 0.0]
+    def radius_breakpoints(self, xs) -> np.ndarray:
+        """Each point's distances to every atom, ascending along the last axis."""
+        return np.sort(self.space.matrix[np.asarray(xs, dtype=np.intp)], axis=-1)
 
-    def eta_closed(self, x: int, r: float) -> float:
-        mass, s = self._eta_sum(x, r, "closed")
-        if mass <= 0.0:
-            raise ZeroMassError(f"closed ball of radius {r} at atom {x} has zero mass")
-        return s / mass
+    def eta_closed(self, xs, r) -> np.ndarray:
+        return _ball_average(*self.ball_sums(xs, r, "closed"))
 
-    def eta_small_radius_limit(self, x: int) -> float:
-        return self.eta_point_value(x)
+    def eta_small_radius_limit(self, xs) -> np.ndarray:
+        return self.eta_point_value(xs)
 
 
 class _Interval1D:
-    """Shared plumbing for the two families supported on [0, 1]."""
+    """Shared plumbing for the two families supported on [0, 1].
+
+    Geometry queries take an array of points (a plain float too) and
+    answer lane by lane, broadcasting radii against the points.
+    """
 
     space: IntervalMetric
 
-    def cdf(self, t: float) -> float:
+    def cdf(self, t) -> np.ndarray:
         raise NotImplementedError
 
-    def eta_prefix(self, t: float) -> float:
-        """Integral of eta(s) * density(s) over [0, t]."""
+    def eta_prefix(self, t) -> np.ndarray:
+        """Integral of eta(s) * density(s) over [0, t], per t."""
         raise NotImplementedError
 
-    def density_at(self, t: float) -> float:
+    def density_at(self, t) -> np.ndarray:
         raise NotImplementedError
 
     def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
@@ -272,47 +287,49 @@ class _Interval1D:
         """Locations where the density or eta formula changes."""
         raise NotImplementedError
 
-    def _interval(self, x: float, r: float) -> tuple[float, float]:
-        return max(0.0, x - r), min(1.0, x + r)
+    @staticmethod
+    def _interval(xs, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ends of the balls B(x, r) clipped to [0, 1], and where they are empty."""
+        lo = np.maximum(0.0, np.subtract(xs, r))
+        hi = np.minimum(1.0, np.add(xs, r))
+        return lo, hi, hi <= lo
 
-    def ball_mass_value(self, x: float, r: float, kind: str) -> float:
-        lo, hi = self._interval(x, r)
-        if hi <= lo:
-            return 0.0
-        return self.cdf(hi) - self.cdf(lo)
+    # no atoms: spheres carry no mass, so open and closed balls agree
 
-    def prob_radius_value(self, x: float, p: float) -> float:
-        if p <= 0.0:
-            return 0.0
-        r_max = max(x - 0.0, 1.0 - x)
-        crits = [0.0]
-        for b in self.x_breakpoints():
-            d = abs(x - float(b))
-            if 0.0 < d < r_max:
-                crits.append(d)
-        crits.append(r_max)
-        crits = sorted(set(crits))
-        for r_a, r_b in zip(crits, crits[1:]):
-            m_a = self.ball_mass_value(x, r_a, "closed")
-            if m_a >= p:
-                return r_a
-            m_b = self.ball_mass_value(x, r_b, "closed")
-            if m_b >= p:
-                # mass is linear in r on this piece
-                return r_a + (p - m_a) * (r_b - r_a) / (m_b - m_a)
-        return r_max
+    def ball_mass_value(self, xs, r, kind: str = "closed") -> np.ndarray:
+        lo, hi, empty = self._interval(xs, r)
+        return np.where(empty, 0.0, self.cdf(hi) - self.cdf(lo))
 
-    def eta_closed(self, x: float, r: float) -> float:
-        lo, hi = self._interval(x, r)
-        mass = self.cdf(hi) - self.cdf(lo) if hi > lo else 0.0
-        if mass <= 0.0:
-            raise ZeroMassError(f"ball of radius {r} at {x} has zero mass")
-        return (self.eta_prefix(hi) - self.eta_prefix(lo)) / mass
+    def ball_sums(self, xs, r, kind: str = "closed") -> tuple[np.ndarray, np.ndarray]:
+        """Mass and eta integral of the balls B(x, r)."""
+        lo, hi, empty = self._interval(xs, r)
+        mass = np.where(empty, 0.0, self.cdf(hi) - self.cdf(lo))
+        return mass, np.where(empty, 0.0, self.eta_prefix(hi) - self.eta_prefix(lo))
 
-    def radius_breakpoints(self, x: float) -> np.ndarray:
-        ds = np.abs(np.asarray(self.x_breakpoints(), dtype=float) - x)
-        ds = np.unique(ds)
-        return ds[ds > 0.0]
+    def prob_radius_value(self, xs, p: float) -> np.ndarray:
+        # the candidate radii of a row are 0 and the distances to the
+        # breakpoints; 0 and 1 are breakpoints, so the last one is the reach
+        # max(x, 1 - x).  Ball mass is linear in r between candidates: find
+        # the first one holding p and interpolate on the piece it ends
+        xs = np.asarray(xs, dtype=float)
+        col = xs.reshape(-1, 1)
+        rads = np.concatenate([np.zeros_like(col), self.radius_breakpoints(col[:, 0])], axis=1)
+        mass = self.ball_mass_value(col, rads)
+        hit = mass >= p
+        rows, b = np.arange(col.shape[0]), hit.argmax(axis=1)
+        a, piece = np.maximum(b - 1, 0), b > 0
+        r_a, r_b, m_a, m_b = rads[rows, a], rads[rows, b], mass[rows, a], mass[rows, b]
+        step = np.divide((p - m_a) * (r_b - r_a), m_b - m_a, out=np.zeros_like(r_a), where=piece)
+        r = np.where(piece, r_a + step, r_b)
+        return np.where(hit.any(axis=1), r, rads[:, -1]).reshape(xs.shape)
+
+    def eta_closed(self, xs, r) -> np.ndarray:
+        return _ball_average(*self.ball_sums(xs, r))
+
+    def radius_breakpoints(self, xs) -> np.ndarray:
+        """Each point's distances to every breakpoint, ascending along the last axis."""
+        xs = np.asarray(xs, dtype=float)
+        return np.sort(np.abs(xs[..., None] - self.x_breakpoints()), axis=-1)
 
 
 class PiecewiseUniform1D(_Interval1D):
@@ -406,9 +423,10 @@ class PiecewiseUniform1D(_Interval1D):
 
     # -- segment lookup ----------------------------------------------------
 
-    def _seg(self, x: float) -> int:
-        j = int(np.searchsorted(self.breaks, x, side="right")) - 1
-        return min(max(j, 0), self.f.size - 1)
+    def _seg(self, t) -> np.ndarray:
+        # the number of interior breaks at or below t: searchsorted's segment
+        # index, clipped to the first and last segment
+        return self.breaks[1:-1].searchsorted(t, side="right")
 
     @staticmethod
     def _count_cuts(cuts: np.ndarray, keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -451,23 +469,15 @@ class PiecewiseUniform1D(_Interval1D):
     def point_value(self, x: np.ndarray) -> object:
         return float(x)
 
-    def cdf(self, t: float) -> float:
-        t = min(max(t, 0.0), 1.0)
+    def cdf(self, t) -> np.ndarray:
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
         j = self._seg(t)
-        return float(self._mass_prefix[j] + self.f[j] * (t - self.breaks[j]))
+        return self._mass_prefix[j] + self.f[j] * (t - self.breaks[j])
 
-    def eta_prefix(self, t: float) -> float:
-        t = min(max(t, 0.0), 1.0)
+    def eta_prefix(self, t) -> np.ndarray:
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
         j = self._seg(t)
-        return float(self._eta_mass_prefix[j] + self.g[j] * (t - self.breaks[j]))
-
-    def bayes_one_cdf(self, t: float) -> float:
-        t = min(max(t, 0.0), 1.0)
-        j = self._seg(t)
-        base = self._bayes_one_prefix[j]
-        if self.f[j] > 0.0 and self.seg_eta[j] >= 0.5:
-            base = base + self.f[j] * (t - self.breaks[j])
-        return float(base)
+        return self._eta_mass_prefix[j] + self.g[j] * (t - self.breaks[j])
 
     def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
         # the clipped ts ascend, so segment j's ts form one slice; on it
@@ -488,37 +498,25 @@ class PiecewiseUniform1D(_Interval1D):
                 ones[lo:hi] = self._bayes_one_prefix[j] + 0.0
             run += self._mass_prefix[j]
 
-    def density_at(self, t: float) -> float:
-        if t < 0.0 or t > 1.0:
-            return 0.0
-        return float(self.f[self._seg(t)])
+    def density_at(self, t) -> np.ndarray:
+        return np.where((t < 0.0) | (t > 1.0), 0.0, self.f[self._seg(t)])
 
     def x_breakpoints(self) -> np.ndarray:
         return self.breaks
 
-    def eta_point_value(self, x: float) -> float:
-        j = self._seg(x)
-        if self.f[j] > 0.0:
-            return float(self.seg_eta[j])
-        # zero-density point: report the nearest positive segment, left on ties
-        pos = np.where(self.f > 0.0)[0]
-        best = None
-        best_d = math.inf
-        for i in pos:
-            lo, hi = self.breaks[i], self.breaks[i + 1]
-            d = max(lo - x, x - hi, 0.0)
-            if d < best_d:
-                best_d, best = d, i
-        if best is None:
-            raise ZeroMassError("distribution has no positive-density segment")
-        return float(self.seg_eta[best])
+    def eta_point_value(self, xs) -> np.ndarray:
+        # a zero-density point reports the nearest positive segment, left on ties
+        xs = np.asarray(xs, dtype=float)[..., None]
+        j = self._seg(xs[..., 0])
+        pos = np.flatnonzero(self.f > 0.0)
+        gap = np.maximum(np.maximum(self.breaks[pos] - xs, xs - self.breaks[pos + 1]), 0.0)
+        return self.seg_eta[np.where(self.f[j] > 0.0, j, pos[gap.argmin(axis=-1)])]
 
-    def in_support_value(self, x: float) -> bool:
-        j = self._seg(x)
-        if self.f[j] > 0.0:
-            return True
+    def in_support_value(self, xs) -> np.ndarray:
         # a gap's left edge touches the previous segment
-        return x == self.breaks[j] and j >= 1 and self.f[j - 1] > 0.0
+        j = self._seg(xs)
+        left_edge = (xs == self.breaks[j]) & (j >= 1) & (self.f[j - 1] > 0.0)
+        return (self.f[j] > 0.0) | left_edge
 
     def bayes_risk_value(self) -> float:
         risk = np.minimum(self.g, self.f - self.g) * self.widths
@@ -531,21 +529,17 @@ class PiecewiseUniform1D(_Interval1D):
         mask = (self.f > 0.0) & (np.abs(np.nan_to_num(self.seg_eta, nan=2.0) - 0.5) <= t)
         return float((self.f * self.widths)[mask].sum())
 
-    def eta_small_radius_limit(self, x: float) -> float:
-        jr = self._seg(x)
-        f_r = self.f[jr] if x < 1.0 else 0.0
-        g_r = self.g[jr] if x < 1.0 else 0.0
-        if x > 0.0:
-            jl = jr - 1 if (x == self.breaks[jr] and jr >= 1) else jr
-            if x == 1.0:
-                jl = self.f.size - 1
-            f_l, g_l = self.f[jl], self.g[jl]
-        else:
-            f_l = g_l = 0.0
-        denom = f_l + f_r
-        if denom <= 0.0:
-            raise ZeroMassError(f"no mass adjacent to {x}")
-        return float((g_l + g_r) / denom)
+    def eta_small_radius_limit(self, xs) -> np.ndarray:
+        # density-weighted average of the segments on either side of x
+        xs = np.asarray(xs, dtype=float)
+        jr = self._seg(xs)
+        jl = np.where((xs == self.breaks[jr]) & (jr >= 1), jr - 1, jr)
+        jl = np.where(xs == 1.0, self.f.size - 1, jl)
+        right, left = xs < 1.0, xs > 0.0
+        denom = np.where(left, self.f[jl], 0.0) + np.where(right, self.f[jr], 0.0)
+        if np.any(denom <= 0.0):
+            raise ZeroMassError("a point has no mass adjacent to it")
+        return (np.where(left, self.g[jl], 0.0) + np.where(right, self.g[jr], 0.0)) / denom
 
 
 class PowerMargin1D(_Interval1D):
@@ -561,6 +555,8 @@ class PowerMargin1D(_Interval1D):
             raise ValueError(f"gamma must be positive, got {gamma}")
         self.gamma = float(gamma)
         self.space = IntervalMetric(0.0, 1.0)
+        self._odd_at_zero = self._odd_antideriv(0.0)
+        self._breaks = np.array([0.0, 0.5, 1.0])
 
     def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
         # the marginal is uniform: a location is its own uniform
@@ -583,37 +579,37 @@ class PowerMargin1D(_Interval1D):
     def point_value(self, x: np.ndarray) -> object:
         return float(x)
 
-    def cdf(self, t: float) -> float:
-        return min(max(t, 0.0), 1.0)
+    def cdf(self, t) -> np.ndarray:
+        return np.minimum(np.maximum(t, 0.0), 1.0)
 
     def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
         np.clip(ts, 0.0, 1.0, out=cdf)
         np.subtract(cdf, 0.5, out=ones)
         np.maximum(0.0, ones, out=ones)
 
-    def _odd_antideriv(self, t: float) -> float:
+    # float_power calls the C library's pow, as Python's float ** does;
+    # np.power may take a SIMD approximation that differs in the last bit
+
+    def _odd_antideriv(self, t) -> np.ndarray:
         # antiderivative of sign(2s - 1) * |2s - 1|**gamma
-        return abs(2.0 * t - 1.0) ** (self.gamma + 1.0) / (2.0 * (self.gamma + 1.0))
+        return np.float_power(np.abs(2.0 * t - 1.0), self.gamma + 1.0) / (2.0 * (self.gamma + 1.0))
 
-    def eta_prefix(self, t: float) -> float:
-        t = min(max(t, 0.0), 1.0)
-        return 0.5 * t + 0.5 * (self._odd_antideriv(t) - self._odd_antideriv(0.0))
+    def eta_prefix(self, t) -> np.ndarray:
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
+        return 0.5 * t + 0.5 * (self._odd_antideriv(t) - self._odd_at_zero)
 
-    def bayes_one_cdf(self, t: float) -> float:
-        return max(0.0, min(t, 1.0) - 0.5)
-
-    def density_at(self, t: float) -> float:
-        return 1.0 if 0.0 <= t <= 1.0 else 0.0
+    def density_at(self, t) -> np.ndarray:
+        return np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0)
 
     def x_breakpoints(self) -> np.ndarray:
-        return np.array([0.0, 0.5, 1.0])
+        return self._breaks
 
-    def eta_point_value(self, x: float) -> float:
-        s = 2.0 * x - 1.0
-        return 0.5 + 0.5 * math.copysign(abs(s) ** self.gamma, s) if s != 0.0 else 0.5
+    def eta_point_value(self, xs) -> np.ndarray:
+        s = 2.0 * np.asarray(xs, dtype=float) - 1.0
+        return 0.5 + 0.5 * np.copysign(np.float_power(np.abs(s), self.gamma), s)
 
-    def in_support_value(self, x: float) -> bool:
-        return True
+    def in_support_value(self, xs) -> np.ndarray:
+        return np.ones(np.shape(xs), dtype=bool)
 
     def bayes_risk_value(self) -> float:
         return 0.5 - 0.5 / (self.gamma + 1.0)
@@ -626,8 +622,8 @@ class PowerMargin1D(_Interval1D):
             return 1.0
         return min(1.0, (2.0 * t) ** (1.0 / self.gamma))
 
-    def eta_small_radius_limit(self, x: float) -> float:
-        return self.eta_point_value(x)
+    def eta_small_radius_limit(self, xs) -> np.ndarray:
+        return self.eta_point_value(xs)
 
 
 Distribution = FiniteAtomic | PiecewiseUniform1D | PowerMargin1D
@@ -653,7 +649,7 @@ def ball_mass(dist: Distribution, x, r: float, kind: str = "closed") -> MassQuer
         raise ValueError(f"kind must be 'open' or 'closed', got {kind!r}")
     dist.space.check_point(x)
     _check_radius(r)
-    return MassQueryResult(dist.ball_mass_value(x, r, kind), 0.0)
+    return MassQueryResult(float(dist.ball_mass_value(x, r, kind)), 0.0)
 
 
 def prob_radius(dist: Distribution, x, p: float) -> float:
@@ -688,15 +684,8 @@ def eta_ball(
     elif z_cut is not None:
         raise ValueError("z_cut only applies to augmented queries")
 
-    if isinstance(dist, FiniteAtomic):
-        m_closed, s_closed = dist._eta_sum(x, r, "closed")
-        m_open, s_open = dist._eta_sum(x, r, "open")
-    else:
-        lo, hi = dist._interval(x, r)
-        m_closed = dist.cdf(hi) - dist.cdf(lo) if hi > lo else 0.0
-        s_closed = dist.eta_prefix(hi) - dist.eta_prefix(lo) if hi > lo else 0.0
-        m_open, s_open = m_closed, s_closed  # no atoms: spheres carry no mass
-
+    m_closed, s_closed = dist.ball_sums(x, r, "closed")
+    m_open, s_open = dist.ball_sums(x, r, "open")
     if kind == "closed":
         mass, total = m_closed, s_closed
     elif kind == "open":
@@ -706,7 +695,7 @@ def eta_ball(
         total = z_cut * s_closed + (1.0 - z_cut) * s_open
     if mass <= 0.0:
         raise ZeroMassError(f"{kind} ball of radius {r} at {x} has zero mass")
-    return MassQueryResult(total / mass, 0.0)
+    return MassQueryResult(float(total / mass), 0.0)
 
 
 def in_support(dist: Distribution, x) -> bool:

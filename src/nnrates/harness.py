@@ -415,6 +415,15 @@ def _vote_pmf_for_occupancy(dist: FiniteAtomic, query: int, counts: Sequence[int
     return pmf
 
 
+def _check_enumeration(m: int, n: int) -> None:
+    """Refuse an occupancy enumeration of n draws over m atoms past the limit."""
+    count = math.comb(n + m - 1, m - 1)
+    if count > _ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"occupancy enumeration needs {count} vectors (limit {_ENUMERATION_LIMIT})"
+        )
+
+
 def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
     """Exact expected Bayes-disagreement mass over all training draws.
 
@@ -428,11 +437,7 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     m = dist.space.size
-    count = math.comb(n + m - 1, m - 1)
-    if count > _ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"occupancy enumeration needs {count} vectors (limit {_ENUMERATION_LIMIT})"
-        )
+    _check_enumeration(m, n)
     log_masses = [math.log(v) if v > 0.0 else -math.inf for v in dist.masses]
     threshold = (k + 1) // 2
     bayes = dist.etas >= 0.5

@@ -239,6 +239,53 @@ def test_run_resource_limit_exit(tmp_path):
     assert run_cli(["run", str(cfg)]) == 3
 
 
+THREE_ATOMS = {
+    "family": "finite_atomic",
+    "metric_file": "m.txt",
+    "masses": [0.2, 0.3, 0.5],
+    "etas": [0.9, 0.2, 0.6],
+}
+
+
+def test_run_refuses_an_oversized_enumeration_before_running(tmp_path):
+    # the lower bound's exact oracle would need 4,504,501 occupancy vectors;
+    # the refusal comes at validation, so the upper bound before it never
+    # runs and no output directory appears
+    (tmp_path / "m.txt").write_text("3\n0 1 1\n1 0 2\n1 2 0\n")
+    cfg = write_config(tmp_path, {
+        "distribution": THREE_ATOMS,
+        "output_dir": "out",
+        "experiments": [
+            {"type": "upper_bound", "n": 200, "k": 13, "delta": 0.1, "trials": 20},
+            {"type": "lower_bound", "n": 3000, "k": 13},
+        ],
+    })
+    assert run_cli(["run", str(cfg)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "m.txt"]
+
+
+def test_run_failing_late_publishes_nothing(tmp_path, monkeypatch):
+    # an error in the second experiment, after the first has run, leaves
+    # neither a report nor a staging directory behind
+    import nnrates.cli
+    from nnrates.errors import ResourceLimitError
+
+    def refuse(*args, **kwargs):
+        raise ResourceLimitError("refused for the test")
+
+    monkeypatch.setattr(nnrates.cli, "estimate_expected_excess", refuse)
+    cfg = write_config(tmp_path, {
+        "distribution": POWER_DIST,
+        "output_dir": "out",
+        "experiments": [
+            {"type": "upper_bound", "n": 200, "k": 16, "delta": 0.4, "trials": 3},
+            {"type": "excess", "n": 100, "k": 5, "trials": 3, "mc_points": 50},
+        ],
+    })
+    assert run_cli(["run", str(cfg)]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_run_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path, {
         "distribution": POWER_DIST,

@@ -30,6 +30,7 @@ from nnrates.distributions import (
 from nnrates._rng import mix64
 from nnrates.errors import DomainError, UnsupportedMethodError, ZeroMassError
 from nnrates.metric import FiniteMetric
+from references import bayes_one_cdf
 
 
 def two_atoms(etas=(1.0, 0.0), masses=(0.5, 0.5)):
@@ -143,7 +144,7 @@ def test_cdf_pair_array_matches_scalar_queries():
     for dist in (make_piecewise(), PowerMargin1D(1.0)):
         cdf, ones = dist.cdf_pair_array(ts)
         assert cdf.tolist() == [dist.cdf(t) for t in ts.tolist()]
-        assert ones.tolist() == [dist.bayes_one_cdf(t) for t in ts.tolist()]
+        assert ones.tolist() == [bayes_one_cdf(dist, t) for t in ts.tolist()]
 
 
 def test_piecewise_eta_and_bayes_risk():

@@ -37,6 +37,7 @@ from nnrates.harness import (
     wilson_interval,
 )
 from nnrates.metric import FiniteMetric
+from references import bayes_one_cdf
 
 
 def brute_force_expected_mistake(matrix, masses, etas, n, k):
@@ -127,7 +128,7 @@ def reference_disagreement(dist, n, k, seed):
     switches, preds = reference_window(*dist.sample_arrays(seed, n), k)
     edges = [0.0, *np.clip(switches, 0.0, 1.0).tolist(), 1.0]
     mass = np.diff([dist.cdf(e) for e in edges])
-    ones_mass = np.diff([dist.bayes_one_cdf(e) for e in edges])
+    ones_mass = np.diff([bayes_one_cdf(dist, e) for e in edges])
     return float(np.where(preds == 1, mass - ones_mass, ones_mass).sum())
 
 

@@ -1,3 +1,19 @@
+"""Metric spaces, and the augmented-ball semantics the classifier relies on.
+
+The augmented point and ball, the box space and the neighbor ordering
+below are spec oracles: the library ranks neighbors in bulk (see
+`nnrates.classifier`), and these spelled-out scalar forms state the
+convention it follows.  Each training point carries a tie-break draw z in
+[0, 1); neighbors are ordered by (distance, z, source index), which keeps
+the order total even when distances coincide.  An augmented ball pairs a
+closed ball with a z cutoff on its sphere, so "the first k points in
+neighbor order" and "the points inside the ball spanned by the k-th
+neighbor, plus that neighbor" describe the same set.
+"""
+
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +21,113 @@ from hypothesis import strategies as st
 
 from nnrates.errors import DomainError
 from nnrates.metric import (
-    AugmentedBall,
-    AugmentedPoint,
-    BoxMetric,
     FiniteMetric,
     IntervalMetric,
-    augmented_ball_contains,
+    MetricSpace,
+    Point,
     distance,
     load_finite_metric,
-    neighbor_order,
 )
+
+
+@dataclass(frozen=True)
+class AugmentedPoint:
+    """A location joined with its tie-breaking draw and provenance index."""
+
+    location: Point
+    z: float
+    source_index: int
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.z < 1.0:
+            raise ValueError(f"z must lie in [0, 1), got {self.z}")
+        if self.source_index < 0:
+            raise ValueError("source_index must be nonnegative")
+
+
+@dataclass(frozen=True)
+class AugmentedBall:
+    """Closed ball plus a z cutoff governing membership on the sphere.
+
+    ``z_cut`` may equal 1.0, in which case the whole sphere is included and
+    the augmented ball coincides with the closed ball.
+    """
+
+    center: Point
+    radius: float
+    z_cut: float
+
+    def __post_init__(self) -> None:
+        if self.radius < 0.0:
+            raise ValueError("radius must be nonnegative")
+        if not 0.0 <= self.z_cut <= 1.0:
+            raise ValueError(f"z_cut must lie in [0, 1], got {self.z_cut}")
+
+
+class BoxMetric(MetricSpace):
+    """Axis-aligned box in R^d under the Euclidean norm."""
+
+    def __init__(self, lows: Sequence[float], highs: Sequence[float]):
+        lo = np.asarray(lows, dtype=float)
+        hi = np.asarray(highs, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
+            raise ValueError("lows and highs must be equal-length 1-D sequences")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+            raise ValueError("box bounds must be finite with lows < highs")
+        self.lows = lo
+        self.highs = hi
+        self.dim = lo.size
+
+    def __repr__(self) -> str:
+        return f"BoxMetric(dim={self.dim})"
+
+    def contains(self, x: Point) -> bool:
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.dim,):
+            return False
+        return bool(np.all(np.isfinite(arr)) and np.all(arr >= self.lows) and np.all(arr <= self.highs))
+
+    def distance(self, a: Point, b: Point) -> float:
+        self.check_point(a)
+        self.check_point(b)
+        diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        return float(np.sqrt(np.dot(diff, diff)))
+
+    def distances_to(self, x: Point, xs: np.ndarray) -> np.ndarray:
+        self.check_point(x)
+        diff = np.asarray(xs, dtype=float) - np.asarray(x, dtype=float)[None, :]
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def neighbor_order(
+    space: MetricSpace, query: Point, training: Sequence[AugmentedPoint]
+) -> list[int]:
+    """Permutation of list positions sorted by (distance, z, source_index).
+
+    The returned list contains positions into ``training``, nearest first.
+    The ordering is total: exact distance ties fall back to the stored z
+    draws, and exact (distance, z) ties to the source index.
+    """
+    if len(training) == 0:
+        raise ValueError("training sequence must be nonempty")
+    space.check_point(query)
+    keys = [
+        (space.distance(query, p.location), p.z, p.source_index)
+        for p in training
+    ]
+    return sorted(range(len(training)), key=keys.__getitem__)
+
+
+def augmented_ball_contains(
+    ball: AugmentedBall, point: AugmentedPoint, space: MetricSpace
+) -> bool:
+    """Membership test: strictly inside, or on the sphere with z below the cutoff.
+
+    The comparison against the radius is exact on purpose; the augmented
+    semantics lose their meaning if sphere membership is fuzzed.
+    """
+    d = space.distance(ball.center, point.location)
+    return d < ball.radius or (d == ball.radius and point.z < ball.z_cut)
 
 
 def test_augmented_point_z_range():
