@@ -117,18 +117,24 @@ def _eta_extremes(dist, xs, r_lo, r_hi) -> tuple[np.ndarray, ...]:
     """Extremes of r -> eta(B(x, r)) over [r_lo, r_hi] with witness radii, per point.
 
     A row's candidate radii are r_lo, the breakpoint distances strictly
-    inside (r_lo, r_hi) in ascending order, and r_hi when r_hi > r_lo.
-    Masked lanes are evaluated at radius inf (a ball holding everything)
-    and never win; ties go to the first candidate.  Radius 0 evaluates to
-    the small-radius limit (the atom's own value for atomic families, the
-    side-averaged density limit for continuous ones).  Returns
-    (min_value, min_radius, max_value, max_radius).
+    inside (r_lo, r_hi) in ascending order, and r_hi when r_hi > r_lo,
+    less any whose ball holds no mass.  Masked lanes are evaluated at
+    radius inf (a ball holding everything) and never win; ties go to the
+    first candidate.  Radius 0 evaluates to the small-radius limit (the
+    atom's own value for atomic families, the side-averaged density limit
+    for continuous ones).  Returns (min_value, min_radius, max_value,
+    max_radius).
     """
     d = dist.radius_breakpoints(xs)
     lo, hi = r_lo[:, None], r_hi[:, None]
     rads = np.concatenate([lo, d, hi], axis=1)
     live = np.concatenate([np.ones_like(lo, dtype=bool), (lo < d) & (d < hi), hi > lo], axis=1)
-    vals = dist.eta_closed(xs[:, None], np.where(live & (rads > 0.0), rads, np.inf))
+    mass, total = dist.ball_sums(xs[:, None], np.where(live & (rads > 0.0), rads, np.inf))
+    # a ball whose mass rounds to 0 (one double beside a low-density
+    # breakpoint) lies inside one segment, where the small-radius limit
+    # already stands for it
+    live &= mass > 0.0
+    vals = np.divide(total, mass, out=np.zeros_like(mass), where=live)
     at_zero = r_lo == 0.0
     if at_zero.any():
         vals[at_zero, 0] = dist.eta_small_radius_limit(xs[at_zero])

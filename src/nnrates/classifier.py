@@ -121,29 +121,46 @@ def _window_table(xs, zs, ys, k: int, packed: bool, switches, preds, scratch, fl
     that `_window_structure` returns; scratch (two float rows of at least
     n + 1) and flag (at least n bools) are overwritten.
 
-    With packed set (every location in [0, 2)), one sort of the int64 key
-    (x bits << 1) | y orders the points: the bits of such doubles sort as
-    the doubles do, a -0.0 packs as +0.0, and the low bit carries the label
-    along.  A repeated location, or packed unset, falls back to
+    With packed set (every location in [0, 2)), `_packed_sort` orders the
+    points.  A repeated location, or packed unset, falls back to
     lexsort((zs, xs)), the exact order by (location, tie-break draw).
     """
     n = xs.shape[0]
     t = scratch[0, :n]
     sums = scratch[1, : n + 1].view(np.int64)
-    labels = sums[1:]
-    if packed:
-        np.left_shift(xs.view(np.int64), 1, out=labels)
-        labels |= ys
-        labels.sort()
-        np.right_shift(labels, 1, out=t.view(np.int64))
-        labels &= 1
-    if not packed or np.equal(t[1:], t[:-1], out=flag[: n - 1]).any():
+    if not (packed and _packed_sort(xs, ys, t, sums[1:], flag)):
         # only a repeated location needs the tie-break draws to order it
         order = np.lexsort((zs, xs))
         t[:] = xs[order]
-        labels[:] = ys[order]
+        sums[1:] = ys[order]
+    _window_votes(t, sums, k, switches, preds)
+
+
+def _packed_sort(xs, ys, t, labels, flag) -> bool:
+    """Sort locations in [0, 2) with their labels into t and the int64 labels.
+
+    One sort of the key (x bits << 1) | y orders the points: the bits of
+    such doubles sort as the doubles do, a -0.0 packs as +0.0, and the low
+    bit carries the label along.  Returns False when a location repeats,
+    an order that only the tie-break draws decide; flag (at least n bools)
+    is overwritten.
+    """
+    np.left_shift(xs.view(np.int64), 1, out=labels)
+    labels |= ys
+    labels.sort()
+    np.right_shift(labels, 1, out=t.view(np.int64))
+    labels &= 1
+    return not np.equal(t[1:], t[:-1], out=flag[: t.size - 1]).any()
+
+
+def _window_votes(t, sums, k: int, switches, preds) -> None:
+    """The window table of ascending locations t whose labels are in sums[1:].
+
+    sums (n + 1 int64) becomes the label prefix sums, and t is overwritten.
+    """
+    n = t.shape[0]
     sums[0] = 0
-    np.cumsum(labels, out=labels)
+    np.cumsum(sums[1:], out=sums[1:])
     np.add(t[: n - k], t[k:], out=switches)
     switches /= 2.0
     votes = t.view(np.int64)[: n - k + 1]

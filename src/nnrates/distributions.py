@@ -219,6 +219,9 @@ class _Interval1D:
     """
 
     space: IntervalMetric
+    # pure-label (every eta a point can get is 0 or 1): trials can use
+    # `PiecewiseUniform1D._draw_sorted`
+    _pure = False
 
     def cdf(self, t) -> np.ndarray:
         raise NotImplementedError
@@ -256,16 +259,20 @@ class _Interval1D:
         """Draw len(xs) labeled points in place, as `sample_arrays` does.
 
         Locations go to xs, tie-break draws to zs and labels to the bool
-        array ys.  With zs None only the locations are drawn: they are the
-        first len(xs) numbers of the same stream.  scratch holds three float
-        rows of at least len(xs).
+        array ys.  With zs None the stream skips the tie-break draws instead
+        of making them; with ys None too only the locations are drawn: they
+        are the first len(xs) numbers of the stream.  scratch holds three
+        float rows of at least len(xs).
         """
         rng = generator(seed)
         rng.random(out=xs)
-        if zs is None:
+        if ys is None:
             self._place(xs, None, None, scratch[1:])
             return
-        rng.random(out=zs)
+        if zs is None:
+            rng.bit_generator.advance(xs.size)
+        else:
+            rng.random(out=zs)
         v = scratch[0, : xs.size]
         rng.random(out=v)
         self._place(xs, v, ys, scratch[1:])
@@ -376,6 +383,7 @@ class PiecewiseUniform1D(_Interval1D):
         with np.errstate(invalid="ignore", divide="ignore"):
             self.seg_eta = np.where(self.f > 0.0, self.g / np.where(self.f > 0.0, self.f, 1.0), np.nan)
         self._filled_eta = self._fill_gap_etas()
+        self._pure = bool(np.isin(self._filled_eta, (0.0, 1.0)).all())
         self._bayes_one = (self.f > 0.0) & (np.nan_to_num(self.seg_eta, nan=0.0) >= 0.5)
         self._bayes_one_prefix = self._restricted_prefix()
         self.space = IntervalMetric(0.0, 1.0)
@@ -461,6 +469,30 @@ class PiecewiseUniform1D(_Interval1D):
         np.divide(u, tmp, out=u)
         np.take(self.breaks, j, out=tmp, mode="clip")
         np.add(tmp, u, out=u)
+
+    def _draw_sorted(self, seed: int, u: np.ndarray, labels: np.ndarray) -> None:
+        """Draw a pure-label family's len(u) points into u in ascending order.
+
+        The inverse cdf is monotone, so placing the sorted location
+        uniforms gives the sorted locations, up to rounding at a segment
+        edge.  A pure label needs no uniform, so the stream stops after the
+        locations; the tie-break draws that follow them order only repeated
+        locations.  Labels go to the integer array labels.
+        """
+        generator(seed).random(out=u)
+        u.sort()
+        # mass segment j's uniforms form one slice, cut where `_count_cuts`
+        # cuts; each gets `_place`'s three operations, and the label v < eta
+        # that eta in {0, 1} decides for every v
+        cuts = u.searchsorted(self._mass_prefix[1:-1]).tolist()
+        for j, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, u.size])):
+            if lo == hi:
+                continue
+            run = u[lo:hi]
+            run -= self._mass_prefix[j]
+            run /= self.f[j]
+            run += self.breaks[j]
+            labels[lo:hi] = self._filled_eta[j] == 1.0
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         j = self._count_cuts(self.breaks[1:-1], xs, scratch)

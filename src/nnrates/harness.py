@@ -18,11 +18,14 @@ changes earlier trials.  Aggregation always reduces in trial order.
 
 Trials of the 1-D families run through one kernel, `_Trials1D`, that
 allocates nothing per trial.  Each chunk of trials sizes one set of
-buffers for its (n, k) and draws every trial into them; the window table
-comes from one in-place sort of a packed int64 key, and the disagreement
-integral from one slice of the sorted edges per density segment.  Fresh
-temporaries cost a trial at n = 5*10^4 about 1,300 page faults, as the
-allocator returned them to the system after every trial.
+buffers for its (n, k) and draws every trial into them; fresh temporaries
+cost a trial at n = 5*10^4 about 1,300 page faults, as the allocator
+returned them to the system after every trial.  A trial draws only the
+numbers it reads: on a pure-label family it sorts the location uniforms
+and places them one mass segment at a time, and elsewhere it skips the
+tie-break draws and sorts one packed int64 key of locations and labels.
+The disagreement integral takes one slice of the sorted edges per density
+segment.
 
 Those trials run on a pool of one thread per CPU only when each draws at
 least _POOL_MIN_POINTS points, the crossover measured on a 2-core
@@ -47,7 +50,14 @@ import numpy as np
 from ._rng import mix64
 from .boundary import boundary_measure, high_error_measure
 from .bounds import _binom_log_pmf, lower_bound_constants, upper_bound_params, zero_bayes_params
-from .classifier import _check_k, _window_table, fit_arrays, predict_batch
+from .classifier import (
+    _check_k,
+    _packed_sort,
+    _window_table,
+    _window_votes,
+    fit_arrays,
+    predict_batch,
+)
 from .distributions import FiniteAtomic
 from .errors import ResourceLimitError
 
@@ -72,12 +82,14 @@ __all__ = [
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK = 512
 # Points per trial from which 1-D trials use the pool.  One thread against
-# two on a 2-core machine, us/trial, medians of 4-6 alternating runs of
-# 1,536 trials: mc_expected_mistake on the disjoint family at n = 5,000 390
-# vs 580, 10^4 433-584 vs 503-688, 12,000 591 vs 596, 15,000 598-838 vs
-# 641-831, 18,000 814 vs 717, 3*10^4 1,455 vs 1,263; estimate_expected_excess
-# on power margin at n + mc_points = 3,000 455 vs 549, 6,000 638 vs 615,
-# 10^4 700-753 vs 607-801, 15,000 782-934 vs 715-839.
+# two on a 2-core machine, us/trial, medians of two sets of 6 and 4
+# alternating runs of 1,536 trials of mc_expected_mistake at k = 100: the
+# disjoint family (sorted draw) at n = 12,000 466-478 vs 460-608, 3*10^4
+# 1,115-1,137 vs 1,119-1,223, 5*10^4 1,556-1,640 vs 1,374-1,608; the
+# multi-segment family (packed sort) at 12,000 903 vs 967, 3*10^4 1,836 vs
+# 1,693, 5*10^4 3,212 vs 3,092.  estimate_expected_excess on power margin,
+# measured on an earlier kernel, at n + mc_points = 3,000 455 vs 549, 6,000
+# 638 vs 615, 10^4 700-753 vs 607-801, 15,000 782-934 vs 715-839.
 _POOL_MIN_POINTS = 12_000
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 _ENUMERATION_LIMIT = 1_000_000
@@ -230,9 +242,16 @@ class _Trials1D:
     the only array a trial allocates is an excess trial's query positions,
     since `np.searchsorted` takes no out.  Each `_indexed_map` chunk makes its
     own instance, so pool threads never share one, and the instance goes
-    when the chunk does.  A trial draws the same PCG64 stream as
-    `sample_arrays` and does the same floating-point operations as the
-    fit/predict path, so every value is bitwise that path's.
+    when the chunk does.
+
+    A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
+    its table, and no others: the location uniforms, then the label
+    uniforms unless the family is pure-label.  The tie-break draws order
+    only a repeated location; the trial then draws again in full and
+    orders by them.  A pure-label family's sorted draw also redraws on a
+    rounding inversion at a segment edge, so its row is the sorted one.
+    Each location gets the floating-point operations of the fit/predict
+    path, so every value is bitwise that path's.
     """
 
     def __init__(self, dist, n: int, k: int, queries: int = 0):
@@ -244,12 +263,26 @@ class _Trials1D:
 
     def _train(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw a training set; returns (edges, preds) with the switches in edges[1:-1]."""
-        n, k, rows, flags = self.n, self.k, self.rows, self.flags
-        xs, zs = rows[0, :n], rows[1, :n]
-        self.dist._draw(seed, xs, zs, flags[0, :n], rows[2:5, :n])
+        n, k, rows, flags, dist = self.n, self.k, self.rows, self.flags, self.dist
+        xs, ys, flag = rows[0, :n], flags[0, :n], flags[2]
+        t, sums = rows[2, :n], rows[3, : n + 1].view(np.int64)
         edges = rows[5, : n - k + 2]
         preds = flags[1, : n - k + 1]
-        _window_table(xs, zs, flags[0, :n], k, True, edges[1:-1], preds, rows[2:4], flags[2])
+        if dist._pure:
+            dist._draw_sorted(seed, xs, sums[1:])
+            t = xs
+            exact = not np.less_equal(t[1:], t[:-1], out=flag[: n - 1]).any()
+        else:
+            dist._draw(seed, xs, None, ys, rows[2:5, :n])
+            exact = _packed_sort(xs, ys, t, sums[1:], flag)
+        if exact:
+            _window_votes(t, sums, k, edges[1:-1], preds)
+            return edges, preds
+        # a repeated location, or a rounding inversion at a segment edge:
+        # redraw with the tie-break draws, and order by them
+        zs = rows[1, :n]
+        dist._draw(seed, xs, zs, ys, rows[2:5, :n])
+        _window_table(xs, zs, ys, k, True, edges[1:-1], preds, rows[2:4], flag)
         return edges, preds
 
     def disagreement(self, seed: int) -> float:

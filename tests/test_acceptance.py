@@ -118,6 +118,7 @@ def test_c02_boundary_nesting_and_closed_form():
     print("criterion 02 PASS: 10x10 grid monotone, 2*band*level exact at 20 points")
 
 
+@pytest.mark.slow
 def test_c03_classifier_matches_exact_oracle():
     """Monte Carlo over trials reproduces the exact expected disagreement."""
     start = time.perf_counter()
@@ -150,6 +151,7 @@ def test_c04_high_probability_bound_holds():
     )
 
 
+@pytest.mark.slow
 def test_c05_expected_mistake_lower_bound():
     """Mean disagreement dominates constant * high-error mass at tight stderr."""
     start = time.perf_counter()

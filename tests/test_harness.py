@@ -112,6 +112,28 @@ ONE_D_FAMILIES = {
     "power_margin_2": lambda: PowerMargin1D(2.0),
 }
 
+# pure-label families (every eta 0 or 1), whose trials draw sorted locations
+PURE_FAMILIES = {
+    "disjoint": disjoint_family,
+    # label 0 on [0, 0.3], no mass on (0.3, 0.6), label 1 on [0.6, 1]
+    "gapped": lambda: PiecewiseUniform1D(
+        [0.5, 0.5], ([0.0, 0.3, 1.0], [1.0 / 0.3, 0.0]), ([0.0, 0.6, 1.0], [0.0, 2.5])
+    ),
+    # labels 0, 1, 0, 1 on [0, 0.2], [0.3, 0.5], [0.5, 0.7], [0.8, 1]
+    "alternating": lambda: PiecewiseUniform1D(
+        [0.5, 0.5],
+        ([0.0, 0.2, 0.5, 0.7, 1.0], [2.5, 0.0, 2.5, 0.0]),
+        ([0.0, 0.3, 0.5, 0.8, 1.0], [0.0, 2.5, 0.0, 2.5]),
+    ),
+    # class 1 on the last 2^-40 of [0, 1], which holds about 8,192 doubles:
+    # a draw of a few thousand points repeats locations there
+    "dust": lambda: PiecewiseUniform1D(
+        [0.5, 0.5],
+        ([0.0, 1.0 - 2.0**-40, 1.0], [1.0 / (1.0 - 2.0**-40), 0.0]),
+        ([0.0, 1.0 - 2.0**-40, 1.0], [0.0, 2.0**40]),
+    ),
+}
+
 
 def reference_window(xs, zs, ys, k):
     """Sorted-window table spelled out: full lexsort, votes from a cumsum."""
@@ -158,6 +180,51 @@ def test_trial_kernel_matches_spelled_out_reference(family):
         assert _trial_values(dist, n, k, 9, 3, stop) == want[3:], (n, k)
         reused = _Trials1D(dist, n, k)
         assert [reused.disagreement(mix64(9, n, t)) for t in range(stop)] == want, (n, k)
+
+
+@pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
+def test_sorted_draws_match_spelled_out_reference(family):
+    # the sorted draw, its segment slices and its fallback to the exact
+    # order, against the full draw and lexsort of the reference
+    dist = PURE_FAMILIES[family]()
+    assert dist._pure
+    for n, k, stop in [(1, 1, 6), (2, 2, 6), (40, 7, 30), (300, 25, 12), (3000, 45, 3), (10_000, 100, 2)]:
+        want = [reference_disagreement(dist, n, k, mix64(9, n, t)) for t in range(stop)]
+        assert _trial_values(dist, n, k, 9, 0, stop) == want, (n, k)
+        reused = _Trials1D(dist, n, k)
+        assert [reused.disagreement(mix64(9, n, t)) for t in range(stop)] == want, (n, k)
+
+
+def test_trials_read_only_the_draws_they_need(monkeypatch):
+    # a pure-label trial leaves its generator n numbers in; any other trial
+    # skips the n tie-break draws and reads the labels, 3n in; a repeated
+    # location takes a second generator for the full draw
+    from nnrates import distributions
+
+    make = distributions.generator
+    handed = []
+
+    def recording(*parts):
+        handed.append((mix64(*parts), make(*parts)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(distributions, "generator", recording)
+
+    def numbers_in(seed, rng):
+        fresh = np.random.PCG64(seed)
+        for count in range(4):
+            if fresh.state == rng.bit_generator.state:
+                return count
+            fresh.advance(n)
+        return None
+
+    n = 3000
+    for family, per_trial in [("gapped", [1]), ("multi_segment", [3]), ("dust", [1, 3])]:
+        dist = {**ONE_D_FAMILIES, **PURE_FAMILIES}[family]()
+        handed.clear()
+        _trial_values(dist, n, 7, 9, 0, 4)
+        assert [numbers_in(seed, rng) for seed, rng in handed] == per_trial * 4, family
+        assert len({seed for seed, _ in handed}) == 4, family
 
 
 @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
