@@ -333,6 +333,9 @@ def _cmd_run(args) -> int:
     except ResourceLimitError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot read metric file: {exc}", file=sys.stderr)
+        return 4
 
     out_path = Path(out_dir)
     if not out_path.is_absolute():
@@ -479,6 +482,9 @@ def _cmd_analyze_boundary(args) -> int:
     except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot read metric file: {exc}", file=sys.stderr)
+        return 4
 
     if isinstance(dist, FiniteAtomic):
         probes = list(range(dist.space.size))

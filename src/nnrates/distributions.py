@@ -758,21 +758,34 @@ def load_distribution(config: dict, base_dir: str = ".") -> Distribution:
     if not isinstance(config, dict) or "family" not in config:
         raise ValueError("distribution config must be a dict with a 'family' tag")
     family = config["family"]
+
+    def field(key: str, kind, what: str):
+        value = config[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"distribution field {key!r} must be {what}")
+        return value
+
     try:
         if family == "finite_atomic":
-            path = config["metric_file"]
+            path = field("metric_file", (str, os.PathLike), "a file path")
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             space = load_finite_metric(path)
             return FiniteAtomic(space, config["masses"], config["etas"])
         if family == "piecewise_uniform_1d":
+            priors = field("priors", (list, tuple), "a list of two class probabilities")
+            if len(priors) != 2:
+                raise ValueError("distribution field 'priors' must hold two class probabilities")
+            class0, class1 = (field(key, dict, "an object") for key in ("class0", "class1"))
             return PiecewiseUniform1D(
-                config["priors"],
-                (config["class0"]["breaks"], config["class0"]["densities"]),
-                (config["class1"]["breaks"], config["class1"]["densities"]),
+                priors,
+                (class0["breaks"], class0["densities"]),
+                (class1["breaks"], class1["densities"]),
             )
         if family == "power_margin_1d":
-            return PowerMargin1D(config["gamma"])
+            return PowerMargin1D(field("gamma", (int, float), "a positive number"))
     except KeyError as exc:
         raise ValueError(f"distribution config missing field {exc}") from exc
+    except TypeError as exc:  # a list or object where a number belongs, and the like
+        raise ValueError(f"malformed {family} distribution config: {exc}") from exc
     raise UnsupportedMethodError(f"unknown distribution family {family!r}")

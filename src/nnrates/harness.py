@@ -12,12 +12,12 @@ label mistake probability.
 Reproducibility contract: every trial's generator seed is a documented
 64-bit mix of (master_seed, n, trial_index), with a fourth component
 tagging auxiliary streams (query draws).  Trials are therefore
-order-independent: the harness produces bitwise-identical results whether
-trials run in one thread or on a pool, and growing a trial budget never
-changes earlier trials.  Aggregation always reduces in trial order.
+order-independent: growing a trial budget never changes earlier trials,
+and a run from an offset start reproduces the same trials bit for bit.
+Aggregation always reduces in trial order.
 
 Trials of the 1-D families run through one kernel, `_Trials1D`, that
-allocates nothing per trial.  Each chunk of trials sizes one set of
+allocates nothing per trial.  Each run of trials sizes one set of
 buffers for its (n, k) and draws every trial into them; fresh temporaries
 cost a trial at n = 5*10^4 about 1,300 page faults, as the allocator
 returned them to the system after every trial.  A trial draws only the
@@ -25,39 +25,33 @@ numbers it reads: on a pure-label family it sorts the location uniforms
 and places them one mass segment at a time, and elsewhere it skips the
 tie-break draws and sorts one packed int64 key of locations and labels.
 The disagreement integral takes one slice of the sorted edges per density
-segment.
+segment.  Finite-atomic trials rank a block of draws at a time in one
+kernel, `_atomic_wrong`, that both the disagreement and the excess
+statistics read.
 
-Those trials run on a pool of one thread per CPU only when each draws at
-least _POOL_MIN_POINTS points, the crossover measured on a 2-core
-machine, and fill more than one chunk of trial indices.  Smaller trials
-hold the GIL between short numpy calls, and two threads ran them slower
-than one.  Chunks are concatenated in order, so scheduling cannot reorder
-results.  Finite-atomic trials run in fixed blocks in the calling thread:
-their cost is dominated by building each trial's generator, which holds
-the GIL, and threads measured slower than one thread on that path.
+Every trial runs in the calling thread.  A trial holds the GIL between
+short numpy calls, so a second thread pays only on large runs: on a
+2-core machine at n = 3*10^4, k = 173 and 1,536 trials, two threads took
+1,179-1,296 us/trial against one thread's 1,413-1,692 on the
+multi-segment family, and 692-761 against 837-932 on the disjoint family
+(medians of two sets of 6 pairs), while below 12,000 points per trial
+two threads ran slower than one.  No experiment the library is checked
+with, and no benchmark workload, runs more than 512 trials of 12,000
+points or more.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._rng import mix64
 from .boundary import boundary_measure, high_error_measure
 from .bounds import _binom_log_pmf, lower_bound_constants, upper_bound_params, zero_bayes_params
-from .classifier import (
-    _check_k,
-    _packed_sort,
-    _window_table,
-    _window_votes,
-    fit_arrays,
-    predict_batch,
-)
+from .classifier import _check_k, _packed_sort, _window_table, _window_votes
 from .distributions import FiniteAtomic
 from .errors import ResourceLimitError
 
@@ -80,17 +74,7 @@ __all__ = [
 ]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK = 512
-# Points per trial from which 1-D trials use the pool.  One thread against
-# two on a 2-core machine, us/trial, medians of two sets of 6 and 4
-# alternating runs of 1,536 trials of mc_expected_mistake at k = 100: the
-# disjoint family (sorted draw) at n = 12,000 466-478 vs 460-608, 3*10^4
-# 1,115-1,137 vs 1,119-1,223, 5*10^4 1,556-1,640 vs 1,374-1,608; the
-# multi-segment family (packed sort) at 12,000 903 vs 967, 3*10^4 1,836 vs
-# 1,693, 5*10^4 3,212 vs 3,092.  estimate_expected_excess on power margin,
-# measured on an earlier kernel, at n + mc_points = 3,000 455 vs 549, 6,000
-# 638 vs 615, 10^4 700-753 vs 607-801, 15,000 782-934 vs 715-839.
-_POOL_MIN_POINTS = 12_000
+_BLOCK_TRIALS = 512  # trials ranked at once by one finite-atomic block, at most
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 _ENUMERATION_LIMIT = 1_000_000
 
@@ -213,24 +197,6 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return (low, high)
 
 
-def _indexed_map(fn: Callable[[int, int], list], start: int, stop: int, points: int) -> list:
-    """fn(lo, hi) lists the results for indices [lo, hi); concatenate them over [start, stop).
-
-    Chunks of _CHUNK indices run on a pool of one thread per CPU only when
-    one index draws ``points`` >= _POOL_MIN_POINTS points and there are two
-    or more chunks and CPUs; otherwise one call covers the whole range in
-    the calling thread.  Chunks are concatenated in order, so output is
-    identical on either path.
-    """
-    spans = [(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK)]
-    workers = os.cpu_count() or 1
-    if points < _POOL_MIN_POINTS or len(spans) < 2 or workers < 2:
-        return fn(start, stop)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda span: fn(*span), spans)
-        return [item for part in parts for item in part]
-
-
 # -- per-trial statistics ------------------------------------------------------
 
 
@@ -240,9 +206,8 @@ class _Trials1D:
     Six float rows and three flag rows of max(n, queries) + 2 entries
     (2.5 MB at n = 5*10^4) hold a trial's draw, window table and integral;
     the only array a trial allocates is an excess trial's query positions,
-    since `np.searchsorted` takes no out.  Each `_indexed_map` chunk makes its
-    own instance, so pool threads never share one, and the instance goes
-    when the chunk does.
+    since `np.searchsorted` takes no out.  One instance serves a whole run
+    of trials, and goes when the run does.
 
     A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
     its table, and no others: the location uniforms, then the label
@@ -318,34 +283,21 @@ class _Trials1D:
         return float(np.mean(weight))
 
 
-def _trial_disagreement(dist: FiniteAtomic, n: int, k: int, seed: int) -> float:
-    """Exact Bayes-disagreement mass of one freshly trained finite-atomic rule.
+def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: int, stop: int):
+    """Per trial in [start, stop), in order, the bool row of atoms where its rule is not Bayes.
 
-    This is the reference that the blocked path in `_atomic_disagreements`
-    is tested against.
-    """
-    xs, zs, ys = dist.sample_arrays(seed, n)
-    preds = predict_batch(fit_arrays(dist.space, xs, zs, ys, k), np.arange(dist.space.size))
-    return float(dist.masses[preds != (dist.etas >= 0.5)].sum())
-
-
-def _atomic_disagreements(
-    dist: FiniteAtomic, n: int, k: int, master_seed: int, start: int, stop: int
-) -> list[float]:
-    """Disagreement masses of finite-atomic trials [start, stop), in trial order.
-
-    Trial by trial these equal `_trial_disagreement` bit for bit: each
-    trial keeps its own mix64 seed, and one stable lexsort per query atom
-    over a block of draws ranks neighbors by (distance, tie-break draw)
-    with remaining ties falling to the training index, as `predict` does.
+    Trial by trial these rows equal the fit/predict path's bit for bit:
+    each trial keeps its own mix64 seed, and one stable lexsort per query
+    atom over a block of draws ranks neighbors by (distance, tie-break
+    draw) with remaining ties falling to the training index, as `predict`
+    does.
     """
     _check_k(k, n)
     # rank[q, a]: atom a's distance group as seen from atom q; equal
     # distances share a rank, so ranks order neighbors as distances do
     rank = np.array([np.unique(row, return_inverse=True)[1] for row in dist.space.matrix])
     bayes = dist.etas >= 0.5
-    rows = max(1, min(_CHUNK, _BLOCK_POINTS // n))
-    values = []
+    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_POINTS // n))
     for lo in range(start, stop, rows):
         draws = [
             dist.sample_arrays(mix64(master_seed, n, t), n) for t in range(lo, min(lo + rows, stop))
@@ -356,24 +308,16 @@ def _atomic_disagreements(
             nearest = np.lexsort((zs, rank[q][xs]), axis=-1)[:, :k]
             votes = np.take_along_axis(ys, nearest, axis=-1).sum(axis=-1, dtype=np.int64)
             wrong[:, q] = (2 * votes >= k) != bayes[q]
-        values.extend(float(dist.masses[row].sum()) for row in wrong)
-    return values
+        yield from wrong
 
 
 def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int) -> list[float]:
-    """Per-trial disagreement masses for trials [start, stop), in trial order.
-
-    Finite-atomic trials run in blocks in the calling thread; the 1-D
-    families go through `_indexed_map`, one `_Trials1D` per chunk.
-    """
+    """Per-trial disagreement masses for trials [start, stop), in trial order."""
     if isinstance(dist, FiniteAtomic):
-        return _atomic_disagreements(dist, n, k, master_seed, start, stop)
-
-    def chunk(lo: int, hi: int) -> list[float]:
-        trials = _Trials1D(dist, n, k)
-        return [trials.disagreement(mix64(master_seed, n, t)) for t in range(lo, hi)]
-
-    return _indexed_map(chunk, start, stop, n)
+        wrong = _atomic_wrong(dist, n, k, master_seed, start, stop)
+        return [float(dist.masses[row].sum()) for row in wrong]
+    trials = _Trials1D(dist, n, k)
+    return [trials.disagreement(mix64(master_seed, n, t)) for t in range(start, stop)]
 
 
 # -- exact oracle --------------------------------------------------------------
@@ -593,16 +537,6 @@ def run_lower_bound_trials(
     )
 
 
-def _atomic_excess(dist: FiniteAtomic, n: int, k: int, mc_points: int, master_seed: int, t: int):
-    xs, zs, ys = dist.sample_arrays(mix64(master_seed, n, t), n)
-    model = fit_arrays(dist.space, xs, zs, ys, k)
-    xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), mc_points)
-    preds = predict_batch(model, xq)
-    etas = dist.eta_values(xq)
-    disagree = preds != (etas >= 0.5)
-    return float(np.mean(np.abs(1.0 - 2.0 * etas) * disagree))
-
-
 def estimate_expected_excess(
     dist, n: int, k: int, trials: int, mc_points: int, master_seed: int = 0
 ) -> ExcessEstimate:
@@ -615,15 +549,17 @@ def estimate_expected_excess(
     """
     if trials < 1 or mc_points < 1:
         raise ValueError("trials and mc_points must be positive")
-
-    def chunk(lo: int, hi: int) -> list[float]:
-        if isinstance(dist, FiniteAtomic):
-            return [_atomic_excess(dist, n, k, mc_points, master_seed, t) for t in range(lo, hi)]
-        trials = _Trials1D(dist, n, k, mc_points)
-        seeds = ((mix64(master_seed, n, t), mix64(master_seed, n, t, 1)) for t in range(lo, hi))
-        return [trials.excess(seed, query_seed, mc_points) for seed, query_seed in seeds]
-
-    values = _indexed_map(chunk, 0, trials, n + mc_points)
+    if isinstance(dist, FiniteAtomic):
+        # the excess of a query atom, where the rule gets it wrong
+        weight = np.abs(1.0 - 2.0 * dist.etas)
+        values = []
+        for t, wrong in enumerate(_atomic_wrong(dist, n, k, master_seed, 0, trials)):
+            xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), mc_points)
+            values.append(float(np.mean(weight[xq] * wrong[xq])))
+    else:
+        kernel = _Trials1D(dist, n, k, mc_points)
+        seeds = ((mix64(master_seed, n, t), mix64(master_seed, n, t, 1)) for t in range(trials))
+        values = [kernel.excess(seed, query_seed, mc_points) for seed, query_seed in seeds]
     mean, var = _mean_var(values)
     return ExcessEstimate(n, k, mean, math.sqrt(var / trials), tuple(values))
 

@@ -352,6 +352,45 @@ def test_analyze_boundary_finite_atoms(tmp_path, capsys):
     assert report["summary"]["mass_error_bound"] == 0.0
 
 
+PIECEWISE_DIST = {
+    "family": "piecewise_uniform_1d",
+    "priors": [0.5, 0.5],
+    "class0": {"breaks": [0.0, 0.5, 1.0], "densities": [2.0, 0.0]},
+    "class1": {"breaks": [0.0, 0.5, 1.0], "densities": [0.0, 2.0]},
+}
+PURE_ATOMS = {"family": "finite_atomic", "metric_file": "m.txt", "masses": [0.5, 0.5], "etas": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "dist, code",
+    [
+        ({**POWER_DIST, "gamma": "x"}, 2),
+        ({**PIECEWISE_DIST, "class0": [0, 1]}, 2),
+        ({**PIECEWISE_DIST, "priors": [1.0]}, 2),
+        ({**PIECEWISE_DIST, "priors": [None, 1.0]}, 2),
+        ({**PURE_ATOMS, "metric_file": 3}, 2),
+        ({**PURE_ATOMS, "metric_file": "missing.txt"}, 4),
+    ],
+    ids=["gamma_string", "class_list", "one_prior", "null_prior", "metric_file_number", "metric_file_missing"],
+)
+def test_malformed_distribution_exits_with_its_code(tmp_path, capsys, dist, code):
+    # a malformed distribution field is a config error and an unreadable
+    # metric file an I/O failure, on both commands that load a distribution,
+    # with a message and no traceback
+    (tmp_path / "m.txt").write_text("2\n0 1\n1 0\n")
+    cfg = write_config(tmp_path, {
+        "distribution": dist,
+        "output_dir": "out",
+        "experiments": [{"type": "excess", "n": 20, "k": 3, "trials": 2, "mc_points": 5}],
+    })
+    assert run_cli(["run", str(cfg)]) == code
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.startswith("error: ")
+    path = write_config(tmp_path, dist, name="dist.json")
+    assert run_cli(["analyze", "boundary", "--dist", str(path), "--p", "0.2", "--delta", "0.1"]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_boundary_bad_params(tmp_path):
     dist = write_config(tmp_path, POWER_DIST, name="dist.json")
     assert run_cli(["analyze", "boundary", "--dist", str(dist), "--p", "1.5", "--delta", "0.1"]) == 2

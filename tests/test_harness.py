@@ -8,8 +8,6 @@ against convolved label counts), so agreement is meaningful evidence.
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -20,12 +18,9 @@ from nnrates._rng import mix64
 from nnrates.distributions import FiniteAtomic, PiecewiseUniform1D, PowerMargin1D
 from nnrates.errors import ResourceLimitError
 from nnrates.harness import (
-    _CHUNK,
-    _POOL_MIN_POINTS,
+    _BLOCK_TRIALS,
     KRule,
-    _indexed_map,
     _Trials1D,
-    _trial_disagreement,
     _trial_values,
     consistency_sweep,
     estimate_expected_excess,
@@ -37,7 +32,7 @@ from nnrates.harness import (
     wilson_interval,
 )
 from nnrates.metric import FiniteMetric
-from references import bayes_one_cdf
+from references import atomic_excess, bayes_one_cdf, trial_disagreement
 
 
 def brute_force_expected_mistake(matrix, masses, etas, n, k):
@@ -235,6 +230,9 @@ def test_excess_kernel_matches_spelled_out_reference(family):
         want = [reference_excess(dist, n, k, queries, 4, t) for t in range(10)]
         got = estimate_expected_excess(dist, n, k, 10, queries, master_seed=4).per_trial
         assert list(got) == want, (n, k, queries)
+        # growing the budget leaves the earlier trials as they were
+        longer = estimate_expected_excess(dist, n, k, 15, queries, master_seed=4).per_trial
+        assert longer[:10] == got, (n, k, queries)
 
 
 def test_one_dimensional_trials_reuse_their_buffers():
@@ -303,59 +301,37 @@ def test_mc_matches_exact_within_error():
     assert abs(mean - exact) < 4.0 * stderr
 
 
-def test_pooled_and_serial_trials_are_bitwise_equal(monkeypatch):
-    # 1-D trials reach the pool only from _POOL_MIN_POINTS points per trial;
-    # move the threshold to force each path on the same inputs, and report
-    # four CPUs so that the pool runs on a one-core machine too
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    pools = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
-    dist = disjoint_family()
-    stop = 3 * _CHUNK + 5
-
-    def run():
-        return (
-            _trial_values(dist, 60, 7, 3, 0, stop),
-            _trial_values(dist, 60, 7, 3, 40, stop),
-            estimate_expected_excess(PowerMargin1D(1.0), 40, 5, stop, 20, master_seed=3).per_trial,
-        )
-
-    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 1 << 62)
-    serial = run()
-    assert pools == []
-    monkeypatch.setattr(harness, "_POOL_MIN_POINTS", 1)
-    pooled = run()
-    assert pools == [4, 4, 4]
-    assert pooled == serial
-    assert serial[1] == serial[0][40:]
-
-
-def test_indexed_map_preserves_order(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    got = _indexed_map(lambda lo, hi: [i * i for i in range(lo, hi)], 0, 1200, _POOL_MIN_POINTS)
-    assert got == [i * i for i in range(1200)]
-    assert _indexed_map(lambda lo, hi: list(range(lo, hi)), 5, 5, _POOL_MIN_POINTS) == []
-
-
 def test_blocked_atomic_trials_match_single_trial_path():
     # finite-atomic trials are ranked a block of draws at a time; each value
     # must still be the single-trial statistic bit for bit.  Seen from atom 0,
     # k=2 and k=3 at n=5 cut through the atom-1/atom-2 distance tie; the
     # trial count leaves a partial last block, and start=100 an offset one.
     fa = tied_three_atoms()
-    stop = _CHUNK + 37
+    stop = _BLOCK_TRIALS + 37
     for n, k in [(5, 2), (5, 3), (5, 5), (1, 1)]:
-        want = [_trial_disagreement(fa, n, k, mix64(9, n, t)) for t in range(stop)]
+        want = [trial_disagreement(fa, n, k, mix64(9, n, t)) for t in range(stop)]
         assert _trial_values(fa, n, k, 9, 0, stop) == want, (n, k)
         assert _trial_values(fa, n, k, 9, 100, stop) == want[100:], (n, k)
     with pytest.raises(ValueError):
         _trial_values(fa, 3, 4, 9, 0, 10)
+
+
+def test_blocked_atomic_excess_matches_fit_predict_reference(monkeypatch):
+    # the excess reads the blocked kernel's rows of wrong atoms; each trial
+    # must still be the fit/predict value bit for bit.  23 trials leave a
+    # partial last block; with 200 points a block, n = 40 runs in blocks of
+    # five trials
+    trials = 23
+    for block_points in (harness._BLOCK_POINTS, 200):
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
+        for fa in (tied_three_atoms(), pure_atoms()):
+            for n, k in [(1, 1), (5, 2), (5, 5), (40, 13)]:
+                for mc_points in (1, 7, 500):
+                    want = [atomic_excess(fa, n, k, mc_points, 3, t) for t in range(trials)]
+                    got = estimate_expected_excess(fa, n, k, trials, mc_points, master_seed=3)
+                    assert list(got.per_trial) == want, (block_points, n, k, mc_points)
+    with pytest.raises(ValueError):
+        estimate_expected_excess(tied_three_atoms(), 3, 4, 5, 7)
 
 
 # -- upper bound runner ----------------------------------------------------------
