@@ -139,9 +139,16 @@ class FiniteAtomic:
     # -- sampling ---------------------------------------------------------
 
     def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rng = generator(seed)
-        u = rng.random(n)
-        xs = np.minimum(np.searchsorted(self._cum, u, side="right"), self.space.size - 1)
+        return self._draw(generator(seed), n)
+
+    def _atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The atoms of n draws on rng: they read the stream's first n numbers."""
+        atoms = np.searchsorted(self._cum, rng.random(n), side="right")
+        return np.minimum(atoms, self.space.size - 1)
+
+    def _draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`sample_arrays` drawn on rng."""
+        xs = self._atoms(rng, n)
         zs = rng.random(n)
         ys = (rng.random(n) < self.etas[xs]).astype(np.int8)
         return xs.astype(np.intp), zs, ys
@@ -252,11 +259,11 @@ class _Interval1D:
     def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs, zs = np.empty((2, n))
         ys = np.empty(n, dtype=bool)
-        self._draw(seed, xs, zs, ys, np.empty((3, n)))
+        self._draw(generator(seed), xs, zs, ys, np.empty((3, n)))
         return xs, zs, ys.view(np.int8)
 
-    def _draw(self, seed: int, xs: np.ndarray, zs, ys, scratch: np.ndarray) -> None:
-        """Draw len(xs) labeled points in place, as `sample_arrays` does.
+    def _draw(self, rng: np.random.Generator, xs: np.ndarray, zs, ys, scratch: np.ndarray) -> None:
+        """Draw len(xs) labeled points on rng in place, as `sample_arrays` does.
 
         Locations go to xs, tie-break draws to zs and labels to the bool
         array ys.  With zs None the stream skips the tie-break draws instead
@@ -264,7 +271,6 @@ class _Interval1D:
         are the first len(xs) numbers of the stream.  scratch holds three
         float rows of at least len(xs).
         """
-        rng = generator(seed)
         rng.random(out=xs)
         if ys is None:
             self._place(xs, None, None, scratch[1:])
@@ -470,16 +476,19 @@ class PiecewiseUniform1D(_Interval1D):
         np.take(self.breaks, j, out=tmp, mode="clip")
         np.add(tmp, u, out=u)
 
-    def _draw_sorted(self, seed: int, u: np.ndarray, labels: np.ndarray) -> None:
-        """Draw a pure-label family's len(u) points into u in ascending order.
+    def _draw_sorted(self, rng: np.random.Generator, u: np.ndarray, labels: np.ndarray) -> bool:
+        """Draw a pure-label family's len(u) points on rng into u in ascending order.
 
         The inverse cdf is monotone, so placing the sorted location
         uniforms gives the sorted locations, up to rounding at a segment
         edge.  A pure label needs no uniform, so the stream stops after the
         locations; the tie-break draws that follow them order only repeated
-        locations.  Labels go to the integer array labels.
+        locations.  Labels go to the integer array labels.  Returns whether
+        the row is the tie-break order's: a segment's slice is placed by
+        monotone operations and shares one label, so only a repeat or an
+        inversion across a cut can change it.
         """
-        generator(seed).random(out=u)
+        rng.random(out=u)
         u.sort()
         # mass segment j's uniforms form one slice, cut where `_count_cuts`
         # cuts; each gets `_place`'s three operations, and the label v < eta
@@ -493,6 +502,7 @@ class PiecewiseUniform1D(_Interval1D):
             run /= self.f[j]
             run += self.breaks[j]
             labels[lo:hi] = self._filled_eta[j] == 1.0
+        return all(u[c - 1] < u[c] for c in cuts if 0 < c < u.size)
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         j = self._count_cuts(self.breaks[1:-1], xs, scratch)

@@ -14,7 +14,10 @@ Reproducibility contract: every trial's generator seed is a documented
 tagging auxiliary streams (query draws).  Trials are therefore
 order-independent: growing a trial budget never changes earlier trials,
 and a run from an offset start reproduces the same trials bit for bit.
-Aggregation always reduces in trial order.
+Aggregation always reduces in trial order.  `_states` derives the PCG64
+states of `generator(seed)` for a block of trials at once, and a run sets
+them in turn on the one generator it owns: a fresh generator per trial
+cost 20 us, a third of a finite-atomic trial at n = 40.
 
 Trials of the 1-D families run through one kernel, `_Trials1D`, that
 allocates nothing per trial.  Each run of trials sizes one set of
@@ -42,13 +45,14 @@ points or more.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import mix64
+from ._rng import block_states, mix64
 from .boundary import boundary_measure, high_error_measure
 from .bounds import _binom_log_pmf, lower_bound_constants, upper_bound_params, zero_bayes_params
 from .classifier import _check_k, _packed_sort, _window_table, _window_votes
@@ -74,7 +78,7 @@ __all__ = [
 ]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-_BLOCK_TRIALS = 512  # trials ranked at once by one finite-atomic block, at most
+_BLOCK_TRIALS = 512  # trials whose streams are derived at once, or ranked by one atomic block
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 _ENUMERATION_LIMIT = 1_000_000
 
@@ -207,16 +211,18 @@ class _Trials1D:
     (2.5 MB at n = 5*10^4) hold a trial's draw, window table and integral;
     the only array a trial allocates is an excess trial's query positions,
     since `np.searchsorted` takes no out.  One instance serves a whole run
-    of trials, and goes when the run does.
+    of trials, and goes when the run does; so does its one generator, on
+    which each trial sets its stream's PCG64 state.
 
     A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
     its table, and no others: the location uniforms, then the label
     uniforms unless the family is pure-label.  The tie-break draws order
-    only a repeated location; the trial then draws again in full and
-    orders by them.  A pure-label family's sorted draw also redraws on a
-    rounding inversion at a segment edge, so its row is the sorted one.
-    Each location gets the floating-point operations of the fit/predict
-    path, so every value is bitwise that path's.
+    only a repeated location; the trial then sets the state again, draws
+    in full and orders by them.  A pure-label family's sorted draw needs
+    them only for a repeat or a rounding inversion across a segment cut,
+    since the points of one segment share a label.  Each location gets the
+    floating-point operations of the fit/predict path, so every value is
+    bitwise that path's.
     """
 
     def __init__(self, dist, n: int, k: int, queries: int = 0):
@@ -225,20 +231,21 @@ class _Trials1D:
         size = max(n, queries) + 2
         self.rows = np.empty((6, size))
         self.flags = np.empty((3, size), dtype=bool)
+        self.rng = np.random.Generator(np.random.PCG64(0))
 
-    def _train(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw a training set; returns (edges, preds) with the switches in edges[1:-1]."""
-        n, k, rows, flags, dist = self.n, self.k, self.rows, self.flags, self.dist
+    def _train(self, state: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Draw a training set on a stream's state; returns (edges, preds), switches in edges[1:-1]."""
+        n, k, rows, flags, dist, rng = self.n, self.k, self.rows, self.flags, self.dist, self.rng
         xs, ys, flag = rows[0, :n], flags[0, :n], flags[2]
         t, sums = rows[2, :n], rows[3, : n + 1].view(np.int64)
         edges = rows[5, : n - k + 2]
         preds = flags[1, : n - k + 1]
+        rng.bit_generator.state = state
         if dist._pure:
-            dist._draw_sorted(seed, xs, sums[1:])
+            exact = dist._draw_sorted(rng, xs, sums[1:])
             t = xs
-            exact = not np.less_equal(t[1:], t[:-1], out=flag[: n - 1]).any()
         else:
-            dist._draw(seed, xs, None, ys, rows[2:5, :n])
+            dist._draw(rng, xs, None, ys, rows[2:5, :n])
             exact = _packed_sort(xs, ys, t, sums[1:], flag)
         if exact:
             _window_votes(t, sums, k, edges[1:-1], preds)
@@ -246,17 +253,18 @@ class _Trials1D:
         # a repeated location, or a rounding inversion at a segment edge:
         # redraw with the tie-break draws, and order by them
         zs = rows[1, :n]
-        dist._draw(seed, xs, zs, ys, rows[2:5, :n])
+        rng.bit_generator.state = state
+        dist._draw(rng, xs, zs, ys, rows[2:5, :n])
         _window_table(xs, zs, ys, k, True, edges[1:-1], preds, rows[2:4], flag)
         return edges, preds
 
-    def disagreement(self, seed: int) -> float:
-        """Exact Bayes-disagreement mass of the rule trained on draw ``seed``.
+    def disagreement(self, state: dict) -> float:
+        """Exact Bayes-disagreement mass of the rule trained on the stream of ``state``.
 
         The mass between consecutive edges [0, switches, 1] is predicted
         wrong where the window votes 1 on Bayes label 0 and the reverse.
         """
-        edges, preds = self._train(seed)
+        edges, preds = self._train(state)
         edges[0], edges[-1] = 0.0, 1.0
         cdf, ones, mass, ones_mass = (row[: edges.size] for row in self.rows[:4])
         self.dist._cdf_pair_into(edges, cdf, ones)
@@ -267,11 +275,12 @@ class _Trials1D:
         np.subtract(mass, ones_mass, out=ones_mass, where=preds)
         return float(ones_mass.sum())
 
-    def excess(self, seed: int, query_seed: int, queries: int) -> float:
+    def excess(self, state: dict, query_state: dict, queries: int) -> float:
         """Mean excess |1 - 2 eta| over ``queries`` query draws where the rule is not Bayes."""
-        edges, preds = self._train(seed)
+        edges, preds = self._train(state)
         xq, etas, weight = self.rows[:3, :queries]
-        self.dist._draw(query_seed, xq, None, None, self.rows[2:5, :queries])
+        self.rng.bit_generator.state = query_state
+        self.dist._draw(self.rng, xq, None, None, self.rows[2:5, :queries])
         predicted = np.take(preds, np.searchsorted(edges[1:-1], xq), out=self.flags[0, :queries])
         self.dist._eta_into(xq, etas, self.rows[3:5, :queries])
         disagree = np.greater_equal(etas, 0.5, out=self.flags[2, :queries])
@@ -298,10 +307,13 @@ def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: i
     rank = np.array([np.unique(row, return_inverse=True)[1] for row in dist.space.matrix])
     bayes = dist.etas >= 0.5
     rows = max(1, min(_BLOCK_TRIALS, _BLOCK_POINTS // n))
+    prefix = mix64(master_seed, n)
+    rng = np.random.Generator(np.random.PCG64(0))
     for lo in range(start, stop, rows):
-        draws = [
-            dist.sample_arrays(mix64(master_seed, n, t), n) for t in range(lo, min(lo + rows, stop))
-        ]
+        draws = []
+        for state in block_states(prefix, lo, min(lo + rows, stop)):
+            rng.bit_generator.state = state
+            draws.append(dist._draw(rng, n))
         xs, zs, ys = (np.stack(parts) for parts in zip(*draws))
         wrong = np.empty((len(draws), bayes.size), dtype=bool)
         for q in range(bayes.size):
@@ -311,13 +323,20 @@ def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: i
         yield from wrong
 
 
+def _states(master_seed: int, n: int, start: int, stop: int, tag=None):
+    """The PCG64 state of each trial's stream in [start, stop), derived a block at a time."""
+    prefix = mix64(master_seed, n)
+    for lo in range(start, stop, _BLOCK_TRIALS):
+        yield from block_states(prefix, lo, min(lo + _BLOCK_TRIALS, stop), tag)
+
+
 def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int) -> list[float]:
     """Per-trial disagreement masses for trials [start, stop), in trial order."""
     if isinstance(dist, FiniteAtomic):
         wrong = _atomic_wrong(dist, n, k, master_seed, start, stop)
         return [float(dist.masses[row].sum()) for row in wrong]
     trials = _Trials1D(dist, n, k)
-    return [trials.disagreement(mix64(master_seed, n, t)) for t in range(start, stop)]
+    return [trials.disagreement(state) for state in _states(master_seed, n, start, stop)]
 
 
 # -- exact oracle --------------------------------------------------------------
@@ -343,7 +362,9 @@ def _compositions(total: int, caps: Sequence[int]):
             yield (first, *rest)
 
 
-def _vote_pmf_for_occupancy(dist: FiniteAtomic, query: int, counts: Sequence[int], k: int) -> np.ndarray:
+def _vote_pmf_for_occupancy(
+    dist: FiniteAtomic, query: int, counts: Sequence[int], k: int, binom_pmf
+) -> np.ndarray:
     """pmf of the k nearest neighbors' label sum, given per-atom counts.
 
     Atoms are consumed in distance order from the query.  Which points of
@@ -352,6 +373,7 @@ def _vote_pmf_for_occupancy(dist: FiniteAtomic, query: int, counts: Sequence[int
     matters: a fully consumed atom contributes Bin(count, eta); a distance
     group that overflows the remaining slots contributes a uniformly
     random split (multivariate hypergeometric) across its atoms.
+    binom_pmf(m, eta) is `_binom_pmf`, or a memo of it.
     """
     row = dist.space.matrix[query]
     order = np.argsort(row, kind="stable")
@@ -371,7 +393,7 @@ def _vote_pmf_for_occupancy(dist: FiniteAtomic, query: int, counts: Sequence[int
         if total <= remaining:
             for atom, have in zip(group, available):
                 if have > 0:
-                    pmf = np.convolve(pmf, _binom_pmf(have, float(dist.etas[atom])))
+                    pmf = np.convolve(pmf, binom_pmf(have, float(dist.etas[atom])))
             remaining -= total
         else:
             mix = np.zeros(remaining + pmf.size)
@@ -383,7 +405,7 @@ def _vote_pmf_for_occupancy(dist: FiniteAtomic, query: int, counts: Sequence[int
                 branch = pmf
                 for atom, t in zip(group, taken):
                     if t > 0:
-                        branch = np.convolve(branch, _binom_pmf(t, float(dist.etas[atom])))
+                        branch = np.convolve(branch, binom_pmf(t, float(dist.etas[atom])))
                 padded = np.zeros(mix.size)
                 padded[: branch.size] = branch
                 mix += (weight / denom) * padded
@@ -418,6 +440,8 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
     log_masses = [math.log(v) if v > 0.0 else -math.inf for v in dist.masses]
     threshold = (k + 1) // 2
     bayes = dist.etas >= 0.5
+    # a few hundred (m, eta) pmfs recur in thousands of occupancy vectors
+    binom_pmf = functools.cache(_binom_pmf)
     total = 0.0
     for counts in _compositions(n, [n] * m):
         log_w = math.lgamma(n + 1)
@@ -434,7 +458,7 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
         for query in range(m):
             if dist.masses[query] <= 0.0:
                 continue
-            pmf = _vote_pmf_for_occupancy(dist, query, counts, k)
+            pmf = _vote_pmf_for_occupancy(dist, query, counts, k, binom_pmf)
             predict_one = float(pmf[threshold:].sum())
             p_disagree = 1.0 - predict_one if bayes[query] else predict_one
             total += weight * float(dist.masses[query]) * p_disagree
@@ -552,14 +576,17 @@ def estimate_expected_excess(
     if isinstance(dist, FiniteAtomic):
         # the excess of a query atom, where the rule gets it wrong
         weight = np.abs(1.0 - 2.0 * dist.etas)
+        rng = np.random.Generator(np.random.PCG64(0))
         values = []
-        for t, wrong in enumerate(_atomic_wrong(dist, n, k, master_seed, 0, trials)):
-            xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), mc_points)
+        rows = _atomic_wrong(dist, n, k, master_seed, 0, trials)
+        for wrong, state in zip(rows, _states(master_seed, n, 0, trials, 1)):
+            rng.bit_generator.state = state
+            xq = dist._atoms(rng, mc_points)
             values.append(float(np.mean(weight[xq] * wrong[xq])))
     else:
         kernel = _Trials1D(dist, n, k, mc_points)
-        seeds = ((mix64(master_seed, n, t), mix64(master_seed, n, t, 1)) for t in range(trials))
-        values = [kernel.excess(seed, query_seed, mc_points) for seed, query_seed in seeds]
+        states = zip(_states(master_seed, n, 0, trials), _states(master_seed, n, 0, trials, 1))
+        values = [kernel.excess(state, query_state, mc_points) for state, query_state in states]
     mean, var = _mean_var(values)
     return ExcessEstimate(n, k, mean, math.sqrt(var / trials), tuple(values))
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nnrates import harness
-from nnrates._rng import mix64
+from nnrates._rng import block_states, generator, mix64
 from nnrates.distributions import FiniteAtomic, PiecewiseUniform1D, PowerMargin1D
 from nnrates.errors import ResourceLimitError
 from nnrates.harness import (
@@ -127,6 +127,13 @@ PURE_FAMILIES = {
         ([0.0, 1.0 - 2.0**-40, 1.0], [1.0 / (1.0 - 2.0**-40), 0.0]),
         ([0.0, 1.0 - 2.0**-40, 1.0], [0.0, 2.0**40]),
     ),
+    # label 0 on [0.5 - 2^-50, 0.5] and 1 on [0.5, 0.5 + 2^-50], 16 and 8
+    # doubles wide: both labels put points at 0.5, across the segment cut
+    "knife": lambda: PiecewiseUniform1D(
+        [0.5, 0.5],
+        ([0.0, 0.5 - 2.0**-50, 0.5, 1.0], [0.0, 2.0**50, 0.0]),
+        ([0.0, 0.5, 0.5 + 2.0**-50, 1.0], [0.0, 2.0**50, 0.0]),
+    ),
 }
 
 
@@ -174,7 +181,7 @@ def test_trial_kernel_matches_spelled_out_reference(family):
         assert _trial_values(dist, n, k, 9, 0, stop) == want, (n, k)
         assert _trial_values(dist, n, k, 9, 3, stop) == want[3:], (n, k)
         reused = _Trials1D(dist, n, k)
-        assert [reused.disagreement(mix64(9, n, t)) for t in range(stop)] == want, (n, k)
+        assert [reused.disagreement(s) for s in block_states(mix64(9, n), 0, stop)] == want, (n, k)
 
 
 @pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
@@ -183,43 +190,58 @@ def test_sorted_draws_match_spelled_out_reference(family):
     # order, against the full draw and lexsort of the reference
     dist = PURE_FAMILIES[family]()
     assert dist._pure
-    for n, k, stop in [(1, 1, 6), (2, 2, 6), (40, 7, 30), (300, 25, 12), (3000, 45, 3), (10_000, 100, 2)]:
+    # (40, 2) is where the knife family's tie order at 0.5 moves a value
+    cases = [(1, 1, 6), (2, 2, 6), (40, 2, 30), (40, 7, 30), (300, 25, 12), (3000, 45, 3), (10_000, 100, 2)]
+    for n, k, stop in cases:
         want = [reference_disagreement(dist, n, k, mix64(9, n, t)) for t in range(stop)]
         assert _trial_values(dist, n, k, 9, 0, stop) == want, (n, k)
         reused = _Trials1D(dist, n, k)
-        assert [reused.disagreement(mix64(9, n, t)) for t in range(stop)] == want, (n, k)
+        assert [reused.disagreement(s) for s in block_states(mix64(9, n), 0, stop)] == want, (n, k)
 
 
-def test_trials_read_only_the_draws_they_need(monkeypatch):
-    # a pure-label trial leaves its generator n numbers in; any other trial
-    # skips the n tie-break draws and reads the labels, 3n in; a repeated
-    # location takes a second generator for the full draw
-    from nnrates import distributions
+class RecordingPCG64(np.random.PCG64):
+    """A PCG64 that records every state set on it."""
 
-    make = distributions.generator
-    handed = []
+    def __init__(self):
+        super().__init__(0)
+        self.sets = []
 
-    def recording(*parts):
-        handed.append((mix64(*parts), make(*parts)))
-        return handed[-1][1]
+    @property
+    def state(self):
+        return np.random.PCG64.state.__get__(self)
 
-    monkeypatch.setattr(distributions, "generator", recording)
+    @state.setter
+    def state(self, value):
+        self.sets.append(value)
+        # numpy checks the name a state carries against the class's
+        np.random.PCG64.state.__set__(self, {**value, "bit_generator": "RecordingPCG64"})
 
-    def numbers_in(seed, rng):
-        fresh = np.random.PCG64(seed)
-        for count in range(4):
-            if fresh.state == rng.bit_generator.state:
-                return count
-            fresh.advance(n)
-        return None
 
+def test_trials_read_only_the_draws_they_need():
+    # a trial sets its own stream's state on the run's one bit generator.  A
+    # pure-label trial then leaves it n numbers in; any other trial skips the
+    # n tie-break draws and reads the labels, 3n in.  A pure-label trial sets
+    # the state again for the full draw only on a repeat or an inversion
+    # across a segment cut: every dust trial repeats locations, inside its
+    # class-1 segment, and draws once; every knife trial puts both labels
+    # at 0.5 and draws again
     n = 3000
-    for family, per_trial in [("gapped", [1]), ("multi_segment", [3]), ("dust", [1, 3])]:
-        dist = {**ONE_D_FAMILIES, **PURE_FAMILIES}[family]()
-        handed.clear()
-        _trial_values(dist, n, 7, 9, 0, 4)
-        assert [numbers_in(seed, rng) for seed, rng in handed] == per_trial * 4, family
-        assert len({seed for seed, _ in handed}) == 4, family
+    for t in range(4):
+        xs, _, _ = PURE_FAMILIES["dust"]().sample_arrays(mix64(9, n, t), n)
+        assert np.unique(xs).size < n
+    cases = [("gapped", 1, 1), ("multi_segment", 1, 3), ("dust", 1, 1), ("knife", 2, 3)]
+    for family, sets, numbers in cases:
+        trials = _Trials1D({**ONE_D_FAMILIES, **PURE_FAMILIES}[family](), n, 7)
+        bits = RecordingPCG64()
+        trials.rng = np.random.Generator(bits)
+        for t, state in enumerate(block_states(mix64(9, n), 0, 4)):
+            bits.sets.clear()
+            trials.disagreement(state)
+            assert bits.sets == [generator(mix64(9, n, t)).bit_generator.state] * sets, family
+            fresh = np.random.PCG64(0)
+            fresh.state = state
+            fresh.advance(numbers * n)
+            assert bits.state["state"] == fresh.state["state"], family
 
 
 @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
