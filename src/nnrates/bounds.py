@@ -20,6 +20,7 @@ Numeric conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -121,11 +122,27 @@ class ExponentialRegime(NamedTuple):
     bound: float
 
 
+def _infeasible_on_overflow(schedule):
+    """Refuse, as infeasible, parameters whose schedule arithmetic leaves the float range."""
+
+    @functools.wraps(schedule)
+    def checked(*args, **kwargs):
+        try:
+            return schedule(*args, **kwargs)
+        except ArithmeticError as exc:  # overflow, or a power that underflows into a divisor
+            raise InfeasibleParametersError(
+                f"{schedule.__qualname__} leaves the float range: {exc}"
+            ) from exc
+
+    return checked
+
+
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+@_infeasible_on_overflow
 def upper_bound_params(n: int, k: int, delta: float) -> UpperBoundParams:
     """Mass level and band for the delta-confidence misclassification bound.
 
@@ -201,6 +218,7 @@ def holder_translate(
     return SmoothnessSpec(exponent, constant)
 
 
+@_infeasible_on_overflow
 def margin_rate(
     n: int,
     s: SmoothnessSpec,
@@ -221,8 +239,8 @@ def margin_rate(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not (k_scale > 0.0 and c_scale > 0.0):
-        raise ValueError("k_scale and c_scale must be positive")
+    if not (0.0 < k_scale < math.inf and 0.0 < c_scale < math.inf):
+        raise ValueError("k_scale and c_scale must be positive and finite")
     a, b = s.exponent, m.exponent
     denom = 2.0 * a + 1.0
     if delta is not None:
@@ -268,6 +286,7 @@ def pointwise_risk_bound(k: int, point_margin: float, ball_drift: float) -> floa
     return math.exp(-k / 8.0) + 4.0 * point_margin * math.exp(-2.0 * k * gap * gap)
 
 
+@_infeasible_on_overflow
 def exponential_regime(margin_floor: float, s: SmoothnessSpec, n: int) -> ExponentialRegime:
     """Schedule achieving an exponential excess-risk rate under a hard margin.
 
@@ -292,6 +311,7 @@ def exponential_regime(margin_floor: float, s: SmoothnessSpec, n: int) -> Expone
     return ExponentialRegime(int(k), delta, rate_constant, bound)
 
 
+@_infeasible_on_overflow
 def zero_bayes_params(n: int, k: int, delta: float) -> float:
     """Mass level for the zero-noise boundary: k/n + (2 ln(2/d)/n)(1 + sqrt(1 + k/ln(2/d)))."""
     _check_delta(delta)
@@ -369,6 +389,7 @@ def slud_bound(n: int, q: float, count: int) -> tuple[float, str]:
     return max(candidates, key=lambda c: c[0])
 
 
+@_infeasible_on_overflow
 def lower_bound_constants(k: int) -> LowerBoundConstants:
     """Constants multiplying the high-error mass in the expected-mistake lower bound.
 

@@ -5,9 +5,13 @@ Subcommands:
   bounds eval --theorem T  evaluate closed-form guarantee parameters
   analyze boundary ...     classify probe points and report boundary mass
 
-Exit codes: 0 success, 2 argument/config validation failure (nothing is
-written), 3 resource-limit refusal, 4 I/O failure.  Observed bound
-violations are data, never an exit code.
+Every refusal takes one path: a command raises, and `main` prints one
+`error: ` line and maps the exception to an exit code.  0 is success; 2 an
+invalid argument, config or parameter (any `ValueError`: the library's
+refusals, undecodable JSON, a config error); 3 a resource limit
+(`ResourceLimitError`) or exhausted memory; 4 an I/O failure (`OSError`).
+A refusal that comes up mid-run exits the same way, and a run that fails
+publishes nothing.  Observed bound violations are data, never an exit code.
 
 All numbers in reports are canonicalized to 12 significant digits at
 report construction, so CSV and JSON renderings of a run agree exactly
@@ -33,10 +37,12 @@ import numpy as np
 from . import bounds
 from .boundary import boundary_measure, region_verdicts
 from .distributions import FiniteAtomic, load_distribution
-from .errors import DomainError, InapplicableError, InfeasibleParametersError, ResourceLimitError
+from .errors import ResourceLimitError
 from .harness import (
     KRule,
     _check_enumeration,
+    _check_grid,
+    _upper_schedule,
     consistency_sweep,
     estimate_expected_excess,
     rate_sweep,
@@ -116,8 +122,8 @@ def _require(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
     value = mapping[key]
-    if kind is float and _is_int(value):
-        value = float(value)
+    if kind is float and _is_int(value) and abs(value) <= sys.float_info.max:
+        value = float(value)  # an integer past the float range stays one, and is refused
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
@@ -148,35 +154,29 @@ def _parse_k_rule(raw, where: str) -> KRule:
 
         return KRule(
             "rate_optimal",
-            k_scale=number("k_scale", 1.0, math.inf, "> 0 and finite"),
-            alpha=number("alpha", 1.0, math.inf, "> 0 and finite"),
+            k_scale=number("k_scale", 1.0, sys.float_info.max, "> 0 and finite"),
+            alpha=number("alpha", 1.0, sys.float_info.max, "> 0 and finite"),
             delta=number("delta", None, 1.0, "in (0, 1)"),
         )
     raise ConfigError(f"{where}: unknown k rule kind {kind!r}")
 
 
 def _parse_n_grid(raw, where: str) -> list[int]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{where}: n_grid must be a nonempty list")
-    grid = []
-    for v in raw:
-        if not _is_int(v) or v < 2:
-            raise ConfigError(f"{where}: n_grid entries must be integers >= 2")
-        grid.append(v)
-    return grid
+    if not isinstance(raw, list) or not all(_is_int(v) and v >= 2 for v in raw):
+        raise ConfigError(f"{where}: n_grid must be a list of integers >= 2")
+    return raw
 
 
-@dataclass
-class _Plan:
-    """A fully validated experiment, ready to execute."""
-
-    index: int
-    kind: str
-    runner: object  # zero-argument callable producing (Report, summary_status)
-    filename: str
+def _read_json(path: Path, what: str):
+    """The JSON document in ``path``; a file that is not UTF-8 JSON is a ConfigError."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
+def _validate_experiment(i: int, block, dist, defaults: dict):
+    """(type, runner) of one experiment block, checked before anything runs; runner() reports."""
     where = f"experiments[{i}]"
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: must be an object")
@@ -191,18 +191,37 @@ def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
     if not _is_int(mc_points) or mc_points < 1:
         raise ConfigError(f"{where}: mc_points must be a positive integer")
 
+    if kind in ("rate_sweep", "consistency"):
+        n_grid = _parse_n_grid(block.get("n_grid"), where)
+        _check_grid(n_grid, "rate" if kind == "rate_sweep" else "consistency")
+        rule = _parse_k_rule(block.get("k_rule", {"kind": "sqrt"}), where)
+        for n in n_grid:
+            rule.k_for(n)  # raises on an out-of-range k before anything runs
+
+        def run_sweep():
+            if kind == "rate_sweep":
+                sweep = rate_sweep(dist, n_grid, rule, trials, mc_points, seed)
+                summary = {
+                    "slope": sweep.slope,
+                    "intercept": sweep.intercept,
+                    "excluded": ";".join(str(n) for n in sweep.excluded) or "none",
+                }
+            else:
+                sweep = consistency_sweep(dist, n_grid, rule, trials, mc_points, seed)
+                summary = {"spearman": sweep.spearman}
+                summary.update((f"median_{r.n}", r.median_excess) for r in sweep.rows)
+            rows = [[r.n, r.k, r.mean_excess, r.stderr] for r in sweep.rows]
+            return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
+
+        return kind, run_sweep
+
+    n = _require(block, "n", int, where)
+    k = _parse_k_rule(block.get("k", block.get("k_rule")), where).k_for(n)
+
     if kind == "upper_bound":
-        n = _require(block, "n", int, where)
-        k = _parse_k_rule(block.get("k", block.get("k_rule")), where).k_for(n)
         delta = _require(block, "delta", float, where)
         schedule = block.get("schedule", "confidence")
-        if schedule not in ("confidence", "zero_bayes"):
-            raise ConfigError(f"{where}: schedule must be 'confidence' or 'zero_bayes'")
-        # surface infeasible (n, k, delta) now, before any output exists
-        if schedule == "confidence":
-            bounds.upper_bound_params(n, k, delta)
-        else:
-            bounds.zero_bayes_params(n, k, delta)
+        _upper_schedule(n, k, delta, schedule)  # the run's own refusal, before any output exists
 
         def run_upper():
             rep = run_upper_bound_trials(dist, n, k, delta, trials, seed, schedule)
@@ -220,14 +239,10 @@ def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
             cols = ["trial", "n", "k", "delta", "mistake_prob", "bound", "violated"]
             return _report(cols, rows, summary)
 
-        return _Plan(i, kind, run_upper, f"{i:02d}_upper_bound")
+        return kind, run_upper
 
     if kind == "lower_bound":
-        n = _require(block, "n", int, where)
-        k = _parse_k_rule(block.get("k", block.get("k_rule")), where).k_for(n)
-        cap = block.get("trials")
-        if cap is not None and (not _is_int(cap) or cap < 1):
-            raise ConfigError(f"{where}: trials must be a positive integer")
+        cap = block.get("trials")  # validated above; absent, the harness sizes the run
         if isinstance(dist, FiniteAtomic):
             _check_enumeration(dist.space.size, n)  # the exact oracle's budget, before anything runs
 
@@ -245,48 +260,15 @@ def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
             }
             return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
 
-        return _Plan(i, kind, run_lower, f"{i:02d}_lower_bound")
+        return kind, run_lower
 
-    if kind == "excess":
-        n = _require(block, "n", int, where)
-        k = _parse_k_rule(block.get("k", block.get("k_rule")), where).k_for(n)
-
-        def run_excess():
-            est = estimate_expected_excess(dist, n, k, trials, mc_points, seed)
-            rows = [[est.n, est.k, est.mean, est.stderr]]
-            summary = {"trials": trials, "mc_points": mc_points}
-            return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
-
-        return _Plan(i, kind, run_excess, f"{i:02d}_excess")
-
-    n_grid = _parse_n_grid(block.get("n_grid"), where)
-    rule = _parse_k_rule(block.get("k_rule", {"kind": "sqrt"}), where)
-    for n in n_grid:
-        rule.k_for(n)  # raises on an out-of-range k before anything runs
-
-    if kind == "rate_sweep":
-
-        def run_rate():
-            sweep = rate_sweep(dist, n_grid, rule, trials, mc_points, seed)
-            rows = [[r.n, r.k, r.mean_excess, r.stderr] for r in sweep.rows]
-            summary = {
-                "slope": sweep.slope,
-                "intercept": sweep.intercept,
-                "excluded": ";".join(str(n) for n in sweep.excluded) or "none",
-            }
-            return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
-
-        return _Plan(i, kind, run_rate, f"{i:02d}_rate_sweep")
-
-    def run_consistency():
-        sweep = consistency_sweep(dist, n_grid, rule, trials, mc_points, seed)
-        rows = [[r.n, r.k, r.mean_excess, r.stderr] for r in sweep.rows]
-        summary = {"spearman": sweep.spearman}
-        for r in sweep.rows:
-            summary[f"median_{r.n}"] = r.median_excess
+    def run_excess():
+        est = estimate_expected_excess(dist, n, k, trials, mc_points, seed)
+        rows = [[est.n, est.k, est.mean, est.stderr]]
+        summary = {"trials": trials, "mc_points": mc_points}
         return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
 
-    return _Plan(i, kind, run_consistency, f"{i:02d}_consistency")
+    return kind, run_excess
 
 
 # -- subcommand: run -----------------------------------------------------------
@@ -294,48 +276,25 @@ def _validate_experiment(i: int, block, dist, defaults: dict) -> _Plan:
 
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
-    try:
-        text = config_path.read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 4
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if not isinstance(config, dict):
-            raise ConfigError("config root must be an object")
-        dist_cfg = config.get("distribution")
-        if not isinstance(dist_cfg, dict):
-            raise ConfigError("config: missing 'distribution' object")
-        dist = load_distribution(dist_cfg, base_dir=config_path.parent)
-        seed = args.master_seed if args.master_seed is not None else config.get("seed", 0)
-        if not _is_int(seed):
-            raise ConfigError("config: 'seed' must be an integer")
-        out_dir = args.output_dir or config.get("output_dir", "reports")
-        if not isinstance(out_dir, str):
-            raise ConfigError("config: 'output_dir' must be a string")
-        blocks = config.get("experiments")
-        if not isinstance(blocks, list) or not blocks:
-            raise ConfigError("config: 'experiments' must be a nonempty list")
-        defaults = {
-            "trials": args.trials if args.trials is not None else 400,
-            "mc_points": args.mc_points if args.mc_points is not None else 2000,
-            "master_seed": seed,
-        }
-        plans = [_validate_experiment(i, b, dist, defaults) for i, b in enumerate(blocks)]
-    except (ConfigError, ValueError, DomainError, InfeasibleParametersError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: resource limit: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: cannot read metric file: {exc}", file=sys.stderr)
-        return 4
+    config = _read_json(config_path, "config")
+    if not isinstance(config, dict):
+        raise ConfigError("config root must be an object")
+    dist = load_distribution(config.get("distribution"), base_dir=config_path.parent)
+    seed = args.master_seed if args.master_seed is not None else config.get("seed", 0)
+    if not _is_int(seed):
+        raise ConfigError("config: 'seed' must be an integer")
+    out_dir = args.output_dir or config.get("output_dir", "reports")
+    if not isinstance(out_dir, str):
+        raise ConfigError("config: 'output_dir' must be a string")
+    blocks = config.get("experiments")
+    if not isinstance(blocks, list) or not blocks:
+        raise ConfigError("config: 'experiments' must be a nonempty list")
+    defaults = {
+        "trials": args.trials if args.trials is not None else 400,
+        "mc_points": args.mc_points if args.mc_points is not None else 2000,
+        "master_seed": seed,
+    }
+    plans = [_validate_experiment(i, b, dist, defaults) for i, b in enumerate(blocks)]
 
     out_path = Path(out_dir)
     if not out_path.is_absolute():
@@ -349,30 +308,23 @@ def _cmd_run(args) -> int:
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=f".{out_path.name}-", dir=out_path.parent))
-        names, statuses = [], []
-        for plan in plans:
-            report = plan.runner()
-            names.append(f"{plan.filename}.{ext}")
-            (staging / names[-1]).write_text(report.render(ext))
-            statuses.append({"index": plan.index, "type": plan.kind, "status": "ok"})
+        names = [f"{i:02d}_{kind}.{ext}" for i, (kind, _) in enumerate(plans)]
+        for name, (_, runner) in zip(names, plans):
+            (staging / name).write_text(runner().render(ext))
         manifest = {
             "config": config,
             "master_seed": seed,
             "started": started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "outputs": [str(out_path / name) for name in names],
-            "experiments": statuses,
+            "experiments": [
+                {"index": i, "type": kind, "status": "ok"} for i, (kind, _) in enumerate(plans)
+            ],
         }
         (staging / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
         out_path.mkdir(exist_ok=True)
         for name in [*names, "manifest.json"]:
             os.replace(staging / name, out_path / name)
-    except ResourceLimitError as exc:
-        print(f"error: resource limit: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 4
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
@@ -383,8 +335,21 @@ def _cmd_run(args) -> int:
 # -- subcommand: bounds eval ---------------------------------------------------
 
 
+# the flags each theorem's evaluation reads, and may not do without
+_THEOREM_FLAGS = {
+    "1": ("n", "k", "delta"),
+    "3": ("k",),
+    "4": ("n", "smooth_exponent", "smooth_constant", "margin_exponent", "margin_constant"),
+    "exp": ("n", "margin_floor", "smooth_exponent", "smooth_constant"),
+    "zero": ("n", "k", "delta"),
+}
+
+
 def _bounds_pairs(args) -> list[tuple[str, object]]:
     kind = args.theorem
+    missing = [f"--{flag}" for flag in _THEOREM_FLAGS[kind] if getattr(args, flag) is None]
+    if missing:
+        raise ConfigError(f"theorem {kind}: {', '.join(missing)} required")
     if kind == "1":
         params = bounds.upper_bound_params(args.n, args.k, args.delta)
         return [
@@ -396,8 +361,6 @@ def _bounds_pairs(args) -> list[tuple[str, object]]:
             ("chernoff_slack", params.chernoff_slack),
         ]
     if kind == "3":
-        if args.k is None:
-            raise ConfigError("--k is required for the lower-bound constants")
         c = bounds.lower_bound_constants(args.k)
         return [
             ("k", args.k),
@@ -406,11 +369,6 @@ def _bounds_pairs(args) -> list[tuple[str, object]]:
             ("product", c.product),
         ]
     if kind == "4":
-        if None in (args.n, args.smooth_exponent, args.smooth_constant, args.margin_exponent, args.margin_constant):
-            raise ConfigError(
-                "--n, --smooth_exponent, --smooth_constant, --margin_exponent and "
-                "--margin_constant are required for the margin rate"
-            )
         result = bounds.margin_rate(
             args.n,
             bounds.SmoothnessSpec(args.smooth_exponent, args.smooth_constant),
@@ -421,11 +379,6 @@ def _bounds_pairs(args) -> list[tuple[str, object]]:
         )
         return [("n", args.n), ("k", result.k), ("bound", result.bound), ("mode", result.mode)]
     if kind == "exp":
-        if None in (args.n, args.margin_floor, args.smooth_exponent, args.smooth_constant):
-            raise ConfigError(
-                "--n, --margin_floor, --smooth_exponent and --smooth_constant are "
-                "required for the exponential regime"
-            )
         regime = bounds.exponential_regime(
             args.margin_floor,
             bounds.SmoothnessSpec(args.smooth_exponent, args.smooth_constant),
@@ -439,18 +392,12 @@ def _bounds_pairs(args) -> list[tuple[str, object]]:
             ("bound", regime.bound),
         ]
     # kind == "zero"
-    if None in (args.n, args.k, args.delta):
-        raise ConfigError("--n, --k and --delta are required for the zero-noise level")
     level = bounds.zero_bayes_params(args.n, args.k, args.delta)
     return [("n", args.n), ("k", args.k), ("delta", args.delta), ("mass_level", level)]
 
 
 def _cmd_bounds_eval(args) -> int:
-    try:
-        pairs = [(k, _canon(v)) for k, v in _bounds_pairs(args)]
-    except (ConfigError, ValueError, DomainError, InfeasibleParametersError, InapplicableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pairs = [(k, _canon(v)) for k, v in _bounds_pairs(args)]
     if args.format == "csv":
         print(",".join(k for k, _ in pairs))
         print(",".join(_fmt(v) for _, v in pairs))
@@ -465,26 +412,7 @@ def _cmd_bounds_eval(args) -> int:
 
 def _cmd_analyze_boundary(args) -> int:
     dist_path = Path(args.dist)
-    try:
-        text = dist_path.read_text()
-    except OSError as exc:
-        print(f"error: cannot read distribution file: {exc}", file=sys.stderr)
-        return 4
-    try:
-        cfg = json.loads(text)
-        if not isinstance(cfg, dict):
-            raise ValueError("distribution file must hold a JSON object")
-        dist = load_distribution(cfg, base_dir=dist_path.parent)
-        if not 0.0 < args.p <= 1.0:
-            raise ValueError("--p must lie in (0, 1]")
-        if not 0.0 <= args.delta <= 0.5:
-            raise ValueError("--delta must lie in [0, 1/2]")
-    except (ValueError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read metric file: {exc}", file=sys.stderr)
-        return 4
+    dist = load_distribution(_read_json(dist_path, "distribution file"), base_dir=dist_path.parent)
 
     if isinstance(dist, FiniteAtomic):
         probes = list(range(dist.space.size))
@@ -505,13 +433,9 @@ def _cmd_analyze_boundary(args) -> int:
     rendered = report.render(args.format)
     if args.output_dir:
         out_path = Path(args.output_dir)
-        try:
-            out_path.mkdir(parents=True, exist_ok=True)
-            target = out_path / f"boundary_verdicts.{args.format}"
-            target.write_text(rendered)
-        except OSError as exc:
-            print(f"error: I/O failure: {exc}", file=sys.stderr)
-            return 4
+        out_path.mkdir(parents=True, exist_ok=True)
+        target = out_path / f"boundary_verdicts.{args.format}"
+        target.write_text(rendered)
         print(str(target))
     else:
         sys.stdout.write(rendered)
@@ -540,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds_p = sub.add_parser("bounds", help="closed-form guarantee evaluation")
     bounds_sub = bounds_p.add_subparsers(dest="bounds_command", required=True)
     eval_p = bounds_sub.add_parser("eval", help="print guarantee parameters as key=value")
-    eval_p.add_argument("--theorem", required=True, choices=("1", "3", "4", "exp", "zero"))
+    eval_p.add_argument("--theorem", required=True, choices=tuple(_THEOREM_FLAGS))
     eval_p.add_argument("--n", type=int, default=None)
     eval_p.add_argument("--k", type=int, default=None)
     eval_p.add_argument("--delta", type=float, default=None)
@@ -570,7 +494,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     # argparse exits 2 on bad arguments, which matches the contract
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        code, text = 2, str(exc)
+    except (ResourceLimitError, MemoryError) as exc:
+        code, text = 3, f"resource limit: {str(exc) or 'out of memory'}"
+    except OSError as exc:
+        code, text = 4, f"I/O failure: {exc}"
+    print(f"error: {text}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -796,6 +796,6 @@ def load_distribution(config: dict, base_dir: str = ".") -> Distribution:
             return PowerMargin1D(field("gamma", (int, float), "a positive number"))
     except KeyError as exc:
         raise ValueError(f"distribution config missing field {exc}") from exc
-    except TypeError as exc:  # a list or object where a number belongs, and the like
+    except (TypeError, OverflowError) as exc:  # a list for a number, an int no float holds
         raise ValueError(f"malformed {family} distribution config: {exc}") from exc
     raise UnsupportedMethodError(f"unknown distribution family {family!r}")

@@ -54,7 +54,13 @@ import numpy as np
 
 from ._rng import block_states, mix64
 from .boundary import boundary_measure, high_error_measure
-from .bounds import _binom_log_pmf, lower_bound_constants, upper_bound_params, zero_bayes_params
+from .bounds import (
+    _binom_log_pmf,
+    _infeasible_on_overflow,
+    lower_bound_constants,
+    upper_bound_params,
+    zero_bayes_params,
+)
 from .classifier import _check_k, _packed_sort, _window_table, _window_votes
 from .distributions import FiniteAtomic
 from .errors import ResourceLimitError
@@ -81,6 +87,7 @@ _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK_TRIALS = 512  # trials whose streams are derived at once, or ranked by one atomic block
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 _ENUMERATION_LIMIT = 1_000_000
+_GRID_LEAST = {"rate": 4, "consistency": 2}  # sample sizes a sweep's statistic needs
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,7 @@ class KRule:
     alpha: float = 1.0
     delta: Optional[float] = None
 
+    @_infeasible_on_overflow
     def k_for(self, n: int) -> int:
         if self.kind == "fixed":
             k = self.k
@@ -487,6 +495,16 @@ def mc_expected_mistake(
 # -- experiment runners --------------------------------------------------------
 
 
+def _upper_schedule(n: int, k: int, delta: float, schedule: str) -> tuple[float, float]:
+    """The (mass level, band) at which an upper-bound run measures the boundary."""
+    if schedule == "confidence":
+        params = upper_bound_params(n, k, delta)
+        return min(1.0, params.mass_level), params.band
+    if schedule == "zero_bayes":
+        return min(1.0, zero_bayes_params(n, k, delta)), 0.5
+    raise ValueError(f"unknown schedule {schedule!r}")
+
+
 def run_upper_bound_trials(
     dist,
     n: int,
@@ -507,14 +525,7 @@ def run_upper_bound_trials(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if schedule == "confidence":
-        params = upper_bound_params(n, k, delta)
-        level, band = min(1.0, params.mass_level), params.band
-    elif schedule == "zero_bayes":
-        level, band = min(1.0, zero_bayes_params(n, k, delta)), 0.5
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
-    term = boundary_measure(dist, level, band)
+    term = boundary_measure(dist, *_upper_schedule(n, k, delta, schedule))
     bound = delta + term.value
     cutoff = bound + term.error_bound
     probs = _trial_values(dist, n, k, master_seed, 0, trials)
@@ -591,6 +602,14 @@ def estimate_expected_excess(
     return ExcessEstimate(n, k, mean, math.sqrt(var / trials), tuple(values))
 
 
+def _check_grid(n_grid: Sequence[int], sweep: str) -> list[int]:
+    """The sample sizes of a 'rate' or 'consistency' sweep, refused unless enough and increasing."""
+    n_grid, least = [int(n) for n in n_grid], _GRID_LEAST[sweep]
+    if len(n_grid) < least or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError(f"{sweep} sweeps need at least {least} strictly increasing sample sizes")
+    return n_grid
+
+
 def _sweep_rows(dist, n_grid, k_rule: KRule, trials: int, mc_points: int, master_seed: int):
     rows = []
     for n in n_grid:
@@ -616,9 +635,7 @@ def rate_sweep(
     mean excess carry no log and are excluded from the fit but flagged in
     the result.
     """
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("rate sweeps need at least 4 strictly increasing sample sizes")
+    n_grid = _check_grid(n_grid, "rate")
     rows = _sweep_rows(dist, n_grid, k_rule, trials, mc_points, master_seed)
     included = [(math.log(r.n), math.log(r.mean_excess)) for r in rows if r.mean_excess > 0.0]
     excluded = tuple(r.n for r in rows if r.mean_excess <= 0.0)
@@ -661,9 +678,7 @@ def consistency_sweep(
     k/n vanishes.  The trend statistic is the Spearman rank correlation
     between the per-n median excess and n (strict decay gives -1).
     """
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("consistency sweeps need at least 2 strictly increasing sample sizes")
+    n_grid = _check_grid(n_grid, "consistency")
     rows = _sweep_rows(dist, n_grid, k_rule or KRule("sqrt"), trials, mc_points, master_seed)
     med_ranks = _average_ranks([r.median_excess for r in rows])
     n_ranks = _average_ranks([float(r.n) for r in rows])

@@ -139,6 +139,27 @@ def test_margin_rate_expected_mode():
     assert scaled.bound == pytest.approx(3.0 * 1000.0 ** (-2.0 / 3.0), rel=1e-15)
 
 
+def test_schedules_past_the_float_range_refuse_as_value_errors():
+    # each of these leaked an OverflowError (a traceback at the CLI)
+    s, m = SmoothnessSpec(1.0, 1.0), MarginSpec(1.0, 1.0)
+    for scale in ({"k_scale": math.inf}, {"c_scale": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            margin_rate(1000, s, m, **scale)
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        margin_rate(1000, s, m, delta=1e-320)  # 1/delta overflows to inf
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        exponential_regime(0.5, SmoothnessSpec(1e-300, 1e-300), 10_000)
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        exponential_regime(0.5, SmoothnessSpec(1.0 / 6000.0, 0.225), 10)  # (2L)**(1/a) underflows to 0
+    big = 10**400  # an int no float holds
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        upper_bound_params(10 * big, big, 0.1)
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        zero_bayes_params(10 * big, big, 0.1)
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        lower_bound_constants(big)
+
+
 def test_margin_rate_k_floor():
     got = margin_rate(2, SmoothnessSpec(1.0, 1.0), MarginSpec(1.0, 1.0), k_scale=1e-9)
     assert got.k == 1

@@ -1,7 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nnrates.cli import main
 
@@ -67,6 +71,14 @@ def test_bounds_eval_missing_required(capsys):
     rc = run_cli(["bounds", "eval", "--theorem", "3"])
     assert rc == 2
     assert "required" in capsys.readouterr().err
+    # theorem 1 read its flags unchecked: a missing one ended in a traceback
+    given = {"--n": "100", "--k": "20", "--delta": "0.1"}
+    for flag in given:
+        argv = [part for f, v in given.items() if f != flag for part in (f, v)]
+        assert run_cli(["bounds", "eval", "--theorem", "1", *argv]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, flag
+        assert flag in err and "required" in err, flag
 
 
 def test_bounds_eval_infeasible(capsys):
@@ -184,6 +196,7 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
         {"experiments": [{**excess, "trials": True}]},
         {"experiments": [{**excess, "mc_points": True}]},
         {"experiments": [{**lower, "trials": True}]},
+        {"experiments": [{"type": "upper_bound", "n": 100, "k": 30, "delta": 10**400}]},  # no float holds it
     ):
         cfg = write_config(tmp_path, {"distribution": POWER_DIST, "output_dir": "out", **body})
         assert run_cli(["run", str(cfg)]) == 2, body
@@ -194,6 +207,7 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     for key, value in (
         ("delta", True), ("alpha", True), ("k_scale", True), ("delta", 0), ("delta", 1),
         ("delta", -1), ("alpha", -0.5), ("alpha", 0), ("k_scale", 0.0), ("k_scale", float("inf")),
+        ("k_scale", 10**400),
     ):
         rule = {"kind": "rate_optimal", "delta": 0.1, key: value}
         body = {"experiments": [{**excess, "n": 200, "k": rule}]}
@@ -201,6 +215,18 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
         assert run_cli(["run", str(cfg)]) == 2, (key, value)
         assert not (tmp_path / "out").exists(), (key, value)
         assert repr(key) in capsys.readouterr().err, (key, value)
+    # a sweep grid that is too short or does not increase is refused before
+    # the block ahead of it runs, and so is a config file that is not UTF-8
+    for kind, grid in (("rate_sweep", [20]), ("rate_sweep", [100, 50, 200, 400]), ("consistency", [100])):
+        sweep = {"type": kind, "n_grid": grid, "trials": 2, "mc_points": 20}
+        cfg = write_config(tmp_path, {"distribution": POWER_DIST, "output_dir": "out", "experiments": [excess, sweep]})
+        assert run_cli(["run", str(cfg)]) == 2, (kind, grid)
+        assert not (tmp_path / "out").exists(), (kind, grid)
+        assert "strictly increasing" in capsys.readouterr().err
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert run_cli(["run", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON")
 
 
 def test_run_validation_failure_writes_nothing(tmp_path):
@@ -286,6 +312,28 @@ def test_run_failing_late_publishes_nothing(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def test_run_out_of_memory_publishes_nothing(tmp_path, monkeypatch, capsys):
+    # a runner that runs out of memory exits 3 like any resource limit; the
+    # MemoryError is raised, never allocated
+    import nnrates.cli
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(nnrates.cli, "estimate_expected_excess", exhaust)
+    cfg = write_config(tmp_path, {
+        "distribution": POWER_DIST,
+        "output_dir": "out",
+        "experiments": [
+            {"type": "upper_bound", "n": 200, "k": 16, "delta": 0.4, "trials": 3},
+            {"type": "excess", "n": 100, "k": 5, "trials": 3, "mc_points": 50},
+        ],
+    })
+    assert run_cli(["run", str(cfg)]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    assert capsys.readouterr().err == "error: resource limit: out of memory\n"
+
+
 def test_run_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path, {
         "distribution": POWER_DIST,
@@ -369,9 +417,13 @@ PURE_ATOMS = {"family": "finite_atomic", "metric_file": "m.txt", "masses": [0.5,
         ({**PIECEWISE_DIST, "priors": [1.0]}, 2),
         ({**PIECEWISE_DIST, "priors": [None, 1.0]}, 2),
         ({**PURE_ATOMS, "metric_file": 3}, 2),
+        ({**PURE_ATOMS, "masses": [10**400, 0.5]}, 2),
         ({**PURE_ATOMS, "metric_file": "missing.txt"}, 4),
     ],
-    ids=["gamma_string", "class_list", "one_prior", "null_prior", "metric_file_number", "metric_file_missing"],
+    ids=[
+        "gamma_string", "class_list", "one_prior", "null_prior", "metric_file_number",
+        "mass_past_float", "metric_file_missing",
+    ],
 )
 def test_malformed_distribution_exits_with_its_code(tmp_path, capsys, dist, code):
     # a malformed distribution field is a config error and an unreadable
@@ -396,9 +448,171 @@ def test_analyze_boundary_bad_params(tmp_path):
     assert run_cli(["analyze", "boundary", "--dist", str(dist), "--p", "1.5", "--delta", "0.1"]) == 2
     assert run_cli(["analyze", "boundary", "--dist", str(dist), "--p", "0.2", "--delta", "0.7"]) == 2
     assert run_cli(["analyze", "boundary", "--dist", str(tmp_path / "nope.json"), "--p", "0.2", "--delta", "0.1"]) == 4
+    dist.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert run_cli(["analyze", "boundary", "--dist", str(dist), "--p", "0.2", "--delta", "0.1"]) == 2
 
 
 def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- fuzzing the refusal path ----------------------------------------------------
+#
+# Whatever a config, a distribution file or a flag set holds, `main` returns
+# one of the documented exit codes, and a run that fails publishes nothing.
+# Sizes stay small (n <= 60, trials <= 3, mc_points <= 20) so every input
+# that passes validation runs in milliseconds.
+
+TWO_ATOMS = {"family": "finite_atomic", "metric_file": "m.txt", "masses": [0.5, 0.5], "etas": [0.9, 0.2]}
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3), st.just([]), st.just({"kind": "fixed"})
+)
+NUMBERS = st.one_of(
+    st.floats(), st.sampled_from([0.0, 0.5, 1.0, 1e10, 1e308, 1e-320, -1.0, 10**400]), st.integers(-2, 3)
+)
+K_RULES = st.one_of(
+    st.integers(-2, 60),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["fixed", "power", "sqrt", "rate_optimal", "cube"])},
+        optional={
+            "k": st.one_of(st.integers(-2, 60), JUNK),
+            **{key: st.one_of(NUMBERS, JUNK) for key in ("exponent", "k_scale", "alpha", "delta")},
+        },
+    ),
+    JUNK,
+)
+BLOCK_FIELDS = {
+    "type": st.one_of(st.sampled_from(["upper_bound", "lower_bound", "excess", "rate_sweep", "consistency"]), JUNK),
+    "n": st.one_of(st.integers(-2, 60), JUNK),
+    "k": K_RULES,
+    "k_rule": K_RULES,
+    "delta": st.one_of(NUMBERS, JUNK),
+    "schedule": st.one_of(st.sampled_from(["confidence", "zero_bayes", "other"]), JUNK),
+    "trials": st.one_of(st.integers(-1, 3), JUNK),
+    "mc_points": st.one_of(st.integers(-1, 20), JUNK),
+    "n_grid": st.one_of(st.lists(st.integers(-2, 60), max_size=5), JUNK),
+}
+SKELETONS = [
+    {"type": "upper_bound", "n": 40, "k": 9, "delta": 0.3, "trials": 2},
+    {"type": "lower_bound", "n": 30, "k": 3, "trials": 2},
+    {"type": "excess", "n": 30, "k": 3, "trials": 2, "mc_points": 10},
+    {"type": "rate_sweep", "n_grid": [10, 20, 30, 40], "trials": 2, "mc_points": 10},
+    {"type": "consistency", "n_grid": [10, 20], "trials": 2, "mc_points": 10},
+]
+
+
+@st.composite
+def fuzzed_blocks(draw):
+    block = dict(draw(st.sampled_from(SKELETONS)))
+    for key in draw(st.sets(st.sampled_from(sorted(BLOCK_FIELDS)), max_size=3)):
+        # any key but trials may go missing: a lower bound without it sizes its own run
+        if key != "trials" and draw(st.integers(0, 4)) == 0:
+            block.pop(key, None)
+        else:
+            block[key] = draw(BLOCK_FIELDS[key])
+    return block
+
+
+RUN_CONFIGS = st.fixed_dictionaries(
+    {
+        "distribution": st.sampled_from([POWER_DIST, PIECEWISE_DIST, TWO_ATOMS]),
+        "output_dir": st.just("out"),
+        "experiments": st.lists(fuzzed_blocks(), min_size=1, max_size=2),
+    },
+    optional={"seed": st.one_of(st.integers(), JUNK)},
+)
+
+
+def sweep_config(kind, grid):
+    block = {"type": kind, "n_grid": grid, "trials": 2, "mc_points": 10}
+    return {"distribution": POWER_DIST, "output_dir": "out", "experiments": [block]}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(config=st.one_of(RUN_CONFIGS, st.binary(max_size=6)))
+@example(config=b"\xff\xfe{}")
+@example(config=sweep_config("rate_sweep", [100, 50, 200]))
+@example(config=sweep_config("consistency", [100]))
+@example(config={
+    "distribution": POWER_DIST,
+    "output_dir": "out",
+    "experiments": [{"type": "excess", "n": 1000, "k": {"kind": "power", "exponent": 1e10}, "trials": 2}],
+})
+def test_fuzzed_run_configs_exit_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "m.txt").write_text("2\n0 1\n1 0\n")
+        path = root / "config.json"
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        code = run_cli(["run", str(path)])
+        assert code in (0, 2, 3, 4)
+        if code:  # neither the output directory nor a staging directory
+            assert sorted(p.name for p in root.iterdir()) == ["config.json", "m.txt"]
+
+
+FLAG_VALUES = {
+    "n": st.one_of(st.integers(-2, 10**6), st.just(10**400)),
+    "k": st.one_of(st.integers(-2, 10**6), st.just(10**400)),
+    **{
+        flag: st.one_of(st.floats(), NUMBERS)
+        for flag in (
+            "delta", "smooth_exponent", "smooth_constant", "margin_exponent",
+            "margin_constant", "margin_floor", "k_scale", "c_scale",
+        )
+    },
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    theorem=st.sampled_from(["1", "3", "4", "exp", "zero"]),
+    flags=st.fixed_dictionaries({}, optional=FLAG_VALUES),
+)
+@example(theorem="1", flags={"n": 100, "k": 20})
+@example(theorem="4", flags={
+    "n": 1000, "smooth_exponent": 1, "smooth_constant": 1, "margin_exponent": 1,
+    "margin_constant": 1, "k_scale": math.inf,
+})
+@example(theorem="exp", flags={"n": 10000, "margin_floor": 0.5, "smooth_exponent": 1e-300, "smooth_constant": 1e-300})
+def test_fuzzed_bounds_flags_exit_cleanly(theorem, flags):
+    argv = [f"--{flag}={value!r}" for flag, value in flags.items()]
+    assert run_cli(["bounds", "eval", "--theorem", theorem, *argv]) in (0, 2)
+
+
+@st.composite
+def fuzzed_distributions(draw):
+    family = draw(st.sampled_from(["power", "piecewise", "atoms"]))
+    if family == "power":
+        dist, fuzz = dict(POWER_DIST), {"gamma": st.one_of(st.floats(0.0, 50.0), NUMBERS, JUNK)}
+    elif family == "piecewise":
+        cut, weight = draw(st.floats(0.01, 0.99)), draw(st.floats(0.0, 1.0))
+        spec = {"breaks": [0.0, cut, 1.0], "densities": [weight / cut, (1.0 - weight) / (1.0 - cut)]}
+        dist = {**PIECEWISE_DIST, "class1": spec}
+        fuzz = {"class1": JUNK, "priors": st.one_of(st.lists(NUMBERS, max_size=3), JUNK)}
+    else:
+        mass = draw(st.floats(0.0, 1.0))
+        etas = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+        dist = {**TWO_ATOMS, "masses": [mass, 1.0 - mass], "etas": etas}
+        fuzz = {"masses": st.lists(NUMBERS, max_size=3), "etas": st.lists(NUMBERS, max_size=3), "metric_file": JUNK}
+    for key in draw(st.sets(st.sampled_from(sorted(fuzz)))):
+        dist[key] = draw(fuzz[key])
+    return dist
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dist=st.one_of(fuzzed_distributions(), st.binary(max_size=6)),
+    p=st.one_of(st.floats(0.0, 1.0), NUMBERS),
+    band=st.one_of(st.floats(0.0, 0.5), NUMBERS),
+)
+@example(dist=b"\xff\xfe{}", p=0.2, band=0.1)
+def test_fuzzed_distribution_files_exit_cleanly(dist, p, band):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "m.txt").write_text("2\n0 1\n1 0\n")
+        path = root / "dist.json"
+        path.write_bytes(dist if isinstance(dist, bytes) else json.dumps(dist).encode())
+        argv = ["analyze", "boundary", "--dist", str(path), f"--p={p!r}", f"--delta={band!r}"]
+        assert run_cli(argv) in (0, 2, 3, 4)

@@ -16,7 +16,7 @@ import pytest
 from nnrates import harness
 from nnrates._rng import block_states, generator, mix64
 from nnrates.distributions import FiniteAtomic, PiecewiseUniform1D, PowerMargin1D
-from nnrates.errors import ResourceLimitError
+from nnrates.errors import InfeasibleParametersError, ResourceLimitError
 from nnrates.harness import (
     _BLOCK_TRIALS,
     KRule,
@@ -447,6 +447,21 @@ def test_k_rules():
         KRule("fixed", k=0).k_for(100)
     with pytest.raises(ValueError):
         KRule("cube").k_for(100)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        KRule("power", exponent=1e10),
+        KRule("rate_optimal", k_scale=1e308),
+        KRule("rate_optimal", delta=1e-320, k_scale=1e300),
+    ],
+    ids=["power", "k_scale", "delta"],
+)
+def test_k_rule_past_the_float_range_is_infeasible(rule):
+    # these schedules used to overflow inside k_for and leak an OverflowError
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        rule.k_for(1000)
 
 
 def test_rate_sweep_shape_and_fit():
