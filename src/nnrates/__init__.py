@@ -30,28 +30,21 @@ from .bounds import (
     SmoothnessSpec,
     UpperBoundParams,
     binomial_tail,
-    concentration_bounds,
     expected_risk_bound,
     exponential_regime,
     holder_translate,
     lower_bound_constants,
     margin_rate,
-    misclassification_upper_bound,
     normal_cdf,
-    pointwise_risk_bound,
     slud_bound,
     smooth_thresholds,
     upper_bound_params,
     zero_bayes_params,
 )
 from .classifier import (
-    RiskReport,
     TrainedModel,
-    bayes_predict,
-    conditional_risk,
     fit,
     fit_arrays,
-    mistake_probability,
     predict,
     predict_batch,
 )
@@ -73,7 +66,6 @@ from .distributions import (
 )
 from .errors import (
     DomainError,
-    InapplicableError,
     InfeasibleParametersError,
     ResourceLimitError,
     UnsupportedMethodError,

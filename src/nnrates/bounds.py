@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InapplicableError, InfeasibleParametersError
+from .errors import InfeasibleParametersError
 
 __all__ = [
     "ExponentialRegime",
@@ -35,15 +35,12 @@ __all__ = [
     "SmoothnessSpec",
     "UpperBoundParams",
     "binomial_tail",
-    "concentration_bounds",
     "expected_risk_bound",
     "exponential_regime",
     "holder_translate",
     "lower_bound_constants",
     "margin_rate",
-    "misclassification_upper_bound",
     "normal_cdf",
-    "pointwise_risk_bound",
     "slud_bound",
     "smooth_thresholds",
     "upper_bound_params",
@@ -142,6 +139,14 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _log_over(c: float, delta: float) -> float:
+    """ln(c/delta), kept finite where c/delta overflows (a subnormal delta)."""
+    ratio = c / delta
+    if ratio < math.inf:
+        return math.log(ratio)
+    return math.log(c) - math.log(delta)
+
+
 @_infeasible_on_overflow
 def upper_bound_params(n: int, k: int, delta: float) -> UpperBoundParams:
     """Mass level and band for the delta-confidence misclassification bound.
@@ -153,7 +158,7 @@ def upper_bound_params(n: int, k: int, delta: float) -> UpperBoundParams:
     _check_delta(delta)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    log_term = math.log(2.0 / delta)
+    log_term = _log_over(2.0, delta)
     slack_sq = 4.0 * log_term / k
     if slack_sq >= 1.0:
         raise InfeasibleParametersError(
@@ -163,24 +168,6 @@ def upper_bound_params(n: int, k: int, delta: float) -> UpperBoundParams:
     mass_level = (k / n) / (1.0 - slack)
     band = min(0.5, math.sqrt(log_term / k))
     return UpperBoundParams(int(n), int(k), float(delta), mass_level, band, slack)
-
-
-def misclassification_upper_bound(dist, n: int, k: int, delta: float) -> float:
-    """delta + boundary mass at the schedule's (mass_level, band), clamped to 1.
-
-    The boundary term is exact on finite-atomic families.  On the 1-D
-    families it comes from a grid scan, and its error_bound, which is
-    added here, covers only the bisection widths: a boundary piece
-    narrower than one scan cell is missed (see `nnrates.boundary`).  A mass
-    level above 1 quantifies over every radius, which coincides with the
-    level-1 boundary because balls past full support share their average.
-    """
-    from .boundary import boundary_measure
-
-    params = upper_bound_params(n, k, delta)
-    level = min(1.0, params.mass_level)
-    term = boundary_measure(dist, level, params.band)
-    return min(1.0, delta + term.value + term.error_bound)
 
 
 def smooth_thresholds(
@@ -199,6 +186,7 @@ def smooth_thresholds(
     return upper, lower
 
 
+@_infeasible_on_overflow
 def holder_translate(
     holder_exponent: float, dim: int, holder_constant: float, density_floor: float
 ) -> SmoothnessSpec:
@@ -206,13 +194,17 @@ def holder_translate(
 
     exponent = holder_exponent / dim; constant = holder_constant /
     (density_floor * v)**(holder_exponent/dim) with v the Euclidean unit-ball
-    volume pi**(d/2) / Gamma(d/2 + 1).
+    volume pi**(d/2) / Gamma(d/2 + 1).  v comes from the recurrence
+    V_d = (2 pi/d) V_(d-2) with V_0 = 1 and V_1 = 2, which gives exactly 2
+    at d = 1 and pi at d = 2.
     """
     if not (holder_exponent > 0.0 and holder_constant > 0.0 and density_floor > 0.0):
         raise ValueError("holder_exponent, holder_constant, density_floor must be positive")
     if not (isinstance(dim, (int,)) and dim >= 1):
         raise ValueError(f"dim must be a positive integer, got {dim}")
-    unit_ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    unit_ball = 2.0 if dim % 2 else 1.0
+    for d in range(2 + dim % 2, dim + 1, 2):
+        unit_ball *= 2.0 * math.pi / d
     exponent = holder_exponent / dim
     constant = holder_constant / (density_floor * unit_ball) ** exponent
     return SmoothnessSpec(exponent, constant)
@@ -245,7 +237,7 @@ def margin_rate(
     denom = 2.0 * a + 1.0
     if delta is not None:
         _check_delta(delta)
-        log_term = math.log(1.0 / delta)
+        log_term = _log_over(1.0, delta)
         k = max(1, round(k_scale * n ** (2.0 * a / denom) * log_term ** (1.0 / denom)))
         bound = delta + c_scale * (log_term / n) ** (a * b / denom)
         return MarginRateResult(int(k), float(bound), "highprob")
@@ -262,28 +254,6 @@ def expected_risk_bound(n: int, k: int, s: SmoothnessSpec, m: MarginSpec) -> flo
     b, cmul = m.exponent, m.constant
     spread = max(2.0 * level * (2.0 * k / n) ** a, math.sqrt(8.0 * (b + 2.0) / k))
     return math.exp(-k / 8.0) + 6.0 * cmul * spread ** (b + 1.0)
-
-
-def pointwise_risk_bound(k: int, point_margin: float, ball_drift: float) -> float:
-    """exp(-k/8) + 4 * point_margin * exp(-2k (point_margin - ball_drift)**2).
-
-    ``point_margin`` is |eta(x) - 1/2| at the query; ``ball_drift`` bounds
-    how far ball averages near x can drift from eta(x).  Requires
-    point_margin > ball_drift, else the exponent is vacuous and
-    :class:`InapplicableError` raises.
-    """
-    if not 0.0 < point_margin <= 0.5:
-        raise ValueError(f"point_margin must lie in (0, 1/2], got {point_margin}")
-    if ball_drift < 0.0:
-        raise ValueError(f"ball_drift must be nonnegative, got {ball_drift}")
-    if point_margin <= ball_drift:
-        raise InapplicableError(
-            f"point_margin {point_margin} must exceed ball_drift {ball_drift}"
-        )
-    if k < 1:
-        raise ValueError("k must be positive")
-    gap = point_margin - ball_drift
-    return math.exp(-k / 8.0) + 4.0 * point_margin * math.exp(-2.0 * k * gap * gap)
 
 
 @_infeasible_on_overflow
@@ -317,8 +287,24 @@ def zero_bayes_params(n: int, k: int, delta: float) -> float:
     _check_delta(delta)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    log_term = math.log(2.0 / delta)
+    log_term = _log_over(2.0, delta)
     return k / n + (2.0 * log_term / n) * (1.0 + math.sqrt(1.0 + k / log_term))
+
+
+def _upper_schedule(n: int, k: int, delta: float, schedule: str) -> tuple[float, float]:
+    """The (mass level, band) at which an upper-bound run measures the boundary.
+
+    schedule 'confidence' takes both from `upper_bound_params`; 'zero_bayes'
+    takes the zero-noise mass level and pins the band at 1/2.  A mass level
+    above 1 quantifies over every radius, which coincides with the level-1
+    boundary because balls past full support share their average.
+    """
+    if schedule == "confidence":
+        params = upper_bound_params(n, k, delta)
+        return min(1.0, params.mass_level), params.band
+    if schedule == "zero_bayes":
+        return min(1.0, zero_bayes_params(n, k, delta)), 0.5
+    raise ValueError(f"unknown schedule {schedule!r}")
 
 
 def _binom_log_pmf(n: int, q: float, j: int) -> float:
@@ -402,16 +388,3 @@ def lower_bound_constants(k: int) -> LowerBoundConstants:
     wrong_vote = 0.5 - normal_cdf(-1.0 / math.sqrt(3.0))
     count_tail = 1.0 - normal_cdf(2.0 + 2.0 / math.sqrt(k))
     return LowerBoundConstants(wrong_vote, count_tail, wrong_vote * count_tail)
-
-
-def concentration_bounds(kind: str, k: int, x: float) -> float:
-    """Building-block tails: 'chernoff_ball' exp(-k x^2/2); 'hoeffding_dev' 2 exp(-2k x^2)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if kind == "chernoff_ball":
-        return math.exp(-k * x * x / 2.0)
-    if kind == "hoeffding_dev":
-        return 2.0 * math.exp(-2.0 * k * x * x)
-    raise ValueError(f"unknown kind {kind!r}")

@@ -6,12 +6,6 @@ draws, labels).  Neighbors of a query are ranked lexicographically by
 uniquely determined even when distances collide; the predicted label is 1
 exactly when at least half of the k neighbor labels are 1.
 
-Risk queries against a known distribution come in two flavors.  The exact
-path enumerates atoms of a finite-atomic distribution.  The Monte Carlo
-path draws fresh query points, evaluates the conditional mistake
-probability eta / (1 - eta) at each (never the sampled label, which would
-only add noise), and reports a one-sigma error bound.
-
 Batch prediction over interval spaces uses the sorted-window identity: the
 k nearest neighbors of any query on the line form a contiguous block of
 the location-sorted training set, and the block boundary moves exactly at
@@ -27,18 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AugmentedSample, FiniteAtomic, MassQueryResult
-from .errors import UnsupportedMethodError
+from .distributions import AugmentedSample
 from .metric import FiniteMetric, IntervalMetric, MetricSpace
 
 __all__ = [
-    "RiskReport",
     "TrainedModel",
-    "bayes_predict",
-    "conditional_risk",
     "fit",
     "fit_arrays",
-    "mistake_probability",
     "predict",
     "predict_batch",
 ]
@@ -59,20 +48,6 @@ class TrainedModel:
         return self.xs.shape[0]
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    """Pointwise risk of a trained rule at one query.
-
-    ``excess`` is conditional_risk - bayes_pointwise, which equals
-    |1 - 2*eta| exactly when the rule disagrees with the Bayes label
-    and zero otherwise.
-    """
-
-    conditional_risk: float
-    bayes_pointwise: float
-    excess: float
-
-
 def _check_k(k, n: int) -> None:
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise ValueError(f"k must be an integer in [1, n={n}], got {k}")
@@ -81,7 +56,7 @@ def _check_k(k, n: int) -> None:
 def fit_arrays(
     space: MetricSpace, xs: np.ndarray, zs: np.ndarray, ys: np.ndarray, k: int
 ) -> TrainedModel:
-    """Wrap pre-validated training arrays; the fast path for harness loops."""
+    """A model on training arrays taken as given: only k is checked (`fit` checks each entry)."""
     _check_k(k, xs.shape[0])
     return TrainedModel(space, int(k), xs, np.asarray(zs, float), np.asarray(ys, np.int8))
 
@@ -196,54 +171,3 @@ def predict_batch(model: TrainedModel, queries: np.ndarray) -> np.ndarray:
         labels = np.array([predict(model, int(q)) for q in uniq], dtype=np.int8)
         return labels[inverse]
     return np.array([predict(model, q) for q in queries], dtype=np.int8)
-
-
-def bayes_predict(dist, x) -> int:
-    """The Bayes label: 1 whenever the label frequency reaches 1/2."""
-    dist.space.check_point(x)
-    return 1 if dist.eta_point_value(x) >= 0.5 else 0
-
-
-def conditional_risk(model: TrainedModel, dist, query) -> RiskReport:
-    """Exact pointwise mistake probability of the fitted rule at a query."""
-    pred = predict(model, query)
-    eta = float(dist.eta_point_value(query))
-    cond = (1.0 - eta) if pred == 1 else eta
-    bayes_pt = min(eta, 1.0 - eta)
-    return RiskReport(cond, bayes_pt, cond - bayes_pt)
-
-
-def mistake_probability(
-    model: TrainedModel,
-    dist,
-    method: str = "exact",
-    mc_points: int = 100_000,
-    seed: int = 0,
-) -> MassQueryResult:
-    """Overall mistake probability P(predicted label != Y) of a fitted rule.
-
-    ``method='exact'`` enumerates atoms and is available for finite-atomic
-    distributions only.  ``method='monte_carlo'`` averages the conditional
-    mistake probability over ``mc_points`` fresh queries; its error_bound
-    is the larger of the one-sigma binomial width and 1/mc_points.
-    """
-    if method == "exact":
-        if not isinstance(dist, FiniteAtomic):
-            raise UnsupportedMethodError(
-                "exact mistake probability needs a finite-atomic distribution"
-            )
-        atoms = np.arange(dist.space.size)
-        preds = predict_batch(model, atoms)
-        cond = np.where(preds == 1, 1.0 - dist.etas, dist.etas)
-        return MassQueryResult(float((dist.masses * cond).sum()), 0.0)
-    if method == "monte_carlo":
-        if mc_points < 1:
-            raise ValueError("mc_points must be positive")
-        xq, _, _ = dist.sample_arrays(seed, mc_points)
-        preds = predict_batch(model, xq)
-        etas = dist.eta_values(xq)
-        cond = np.where(preds == 1, 1.0 - etas, etas)
-        p_hat = float(cond.mean())
-        sigma = np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / mc_points)
-        return MassQueryResult(p_hat, float(max(sigma, 1.0 / mc_points)))
-    raise UnsupportedMethodError(f"unknown method {method!r}")

@@ -42,7 +42,6 @@ from .harness import (
     KRule,
     _check_enumeration,
     _check_grid,
-    _upper_schedule,
     consistency_sweep,
     estimate_expected_excess,
     rate_sweep,
@@ -221,7 +220,7 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
     if kind == "upper_bound":
         delta = _require(block, "delta", float, where)
         schedule = block.get("schedule", "confidence")
-        _upper_schedule(n, k, delta, schedule)  # the run's own refusal, before any output exists
+        bounds._upper_schedule(n, k, delta, schedule)  # the run's own refusal, before any output exists
 
         def run_upper():
             rep = run_upper_bound_trials(dist, n, k, delta, trials, seed, schedule)

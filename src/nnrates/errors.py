@@ -19,10 +19,6 @@ class InfeasibleParametersError(ValueError):
     for the requested confidence level)."""
 
 
-class InapplicableError(ValueError):
-    """A closed-form bound does not apply to the supplied arguments."""
-
-
 class UnsupportedMethodError(ValueError):
     """The requested evaluation method is not available for this family."""
 

@@ -55,11 +55,13 @@ import numpy as np
 from ._rng import block_states, mix64
 from .boundary import boundary_measure, high_error_measure
 from .bounds import (
+    MarginSpec,
+    SmoothnessSpec,
     _binom_log_pmf,
     _infeasible_on_overflow,
+    _upper_schedule,
     lower_bound_constants,
-    upper_bound_params,
-    zero_bayes_params,
+    margin_rate,
 )
 from .classifier import _check_k, _packed_sort, _window_table, _window_votes
 from .distributions import FiniteAtomic
@@ -95,9 +97,9 @@ class KRule:
     """Neighbor-count schedule: how k is chosen from n.
 
     kind 'fixed' uses ``k`` as given; 'power' uses ceil(n**exponent);
-    'sqrt' uses ceil(sqrt(n)); 'rate_optimal' uses the margin-rate
-    schedule k_scale * n**(2a/(2a+1)) (times ln(1/delta)**(1/(2a+1)) when
-    delta is set), rounded to the nearest integer.
+    'sqrt' uses ceil(sqrt(n)); 'rate_optimal' uses `margin_rate`'s k,
+    k_scale * n**(2a/(2a+1)) (times ln(1/delta)**(1/(2a+1)) when delta is
+    set), rounded to the nearest integer.
     """
 
     kind: str
@@ -116,11 +118,9 @@ class KRule:
         elif self.kind == "sqrt":
             k = math.ceil(math.sqrt(n))
         elif self.kind == "rate_optimal":
-            denom = 2.0 * self.alpha + 1.0
-            k = self.k_scale * n ** (2.0 * self.alpha / denom)
-            if self.delta is not None:
-                k *= math.log(1.0 / self.delta) ** (1.0 / denom)
-            k = max(1, round(k))
+            # k reads neither the smoothness constant nor the margin spec
+            s, m = SmoothnessSpec(self.alpha, 1.0), MarginSpec(0.0, 1.0)
+            k = margin_rate(n, s, m, self.delta, self.k_scale).k
         else:
             raise ValueError(f"unknown k rule kind {self.kind!r}")
         if not 1 <= k < n:
@@ -495,16 +495,6 @@ def mc_expected_mistake(
 # -- experiment runners --------------------------------------------------------
 
 
-def _upper_schedule(n: int, k: int, delta: float, schedule: str) -> tuple[float, float]:
-    """The (mass level, band) at which an upper-bound run measures the boundary."""
-    if schedule == "confidence":
-        params = upper_bound_params(n, k, delta)
-        return min(1.0, params.mass_level), params.band
-    if schedule == "zero_bayes":
-        return min(1.0, zero_bayes_params(n, k, delta)), 0.5
-    raise ValueError(f"unknown schedule {schedule!r}")
-
-
 def run_upper_bound_trials(
     dist,
     n: int,
@@ -522,6 +512,11 @@ def run_upper_bound_trials(
     disagreement mass against delta + boundary mass and flags violations;
     the report aggregates the violation frequency with a Wilson 95%
     interval.
+
+    The boundary mass is exact on finite-atomic families.  On the 1-D
+    families it comes from a grid scan, and the error_bound added to the
+    violation cutoff covers only the bisection widths: a boundary piece
+    narrower than one scan cell is missed (see `nnrates.boundary`).
     """
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -20,7 +20,6 @@ __all__ = [
     "IntervalMetric",
     "MetricSpace",
     "Point",
-    "distance",
     "load_finite_metric",
 ]
 
@@ -143,11 +142,6 @@ class IntervalMetric(MetricSpace):
     def distances_to(self, x: Point, xs: np.ndarray) -> np.ndarray:
         self.check_point(x)
         return np.abs(np.asarray(xs, dtype=float) - float(x))
-
-
-def distance(space: MetricSpace, a: Point, b: Point) -> float:
-    """Metric value between two domain points; raises DomainError otherwise."""
-    return space.distance(a, b)
 
 
 def load_finite_metric(path: str) -> FiniteMetric:

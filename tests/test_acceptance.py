@@ -22,6 +22,7 @@ from nnrates import (
     FiniteAtomic,
     FiniteMetric,
     KRule,
+    MarginSpec,
     PiecewiseUniform1D,
     PowerMargin1D,
     SmoothnessSpec,
@@ -31,9 +32,12 @@ from nnrates import (
     consistency_sweep,
     estimate_expected_excess,
     exact_expected_mistake,
+    expected_risk_bound,
     exponential_regime,
     high_error_classify,
+    holder_translate,
     lower_bound_constants,
+    margin_mass,
     mc_expected_mistake,
     prob_radius,
     rate_sweep,
@@ -173,10 +177,17 @@ def test_c05_expected_mistake_lower_bound():
 
 
 def test_c06_margin_rate_slope():
-    """Log-log excess-risk slope sits near -2/3 under the k ~ n^(2/3) schedule."""
+    """Log-log excess-risk slope sits near -2/3 under the k ~ n^(2/3) schedule,
+    and each mean excess stays under the expected-excess bound."""
+    dist = PowerMargin1D(1.0)
+    # eta(x) = x is 1-Lipschitz on a density floored at 1; mass{|eta - 1/2| <= t} = min(1, 2t)
+    smooth = holder_translate(1.0, 1, 1.0, 1.0)
+    for t in (0.0, 0.1, 0.25, 0.5, 0.75):
+        assert margin_mass(dist, t) == min(1.0, 2.0 * t)
+    margin = MarginSpec(1.0, 2.0)
     start = time.perf_counter()
     sweep = rate_sweep(
-        PowerMargin1D(1.0),
+        dist,
         [500, 1500, 5000, 15000, 50000],
         KRule("power", exponent=2.0 / 3.0),
         trials=64,
@@ -187,6 +198,11 @@ def test_c06_margin_rate_slope():
     assert sweep.excluded == ()
     assert -0.82 <= sweep.slope <= -0.52, f"slope {sweep.slope} outside [-0.82, -0.52]"
     assert elapsed < 1200.0, f"rate sweep took {elapsed:.1f}s"
+    for row in sweep.rows:
+        bound = expected_risk_bound(row.n, row.k, smooth, margin)
+        assert row.mean_excess <= bound + 3.0 * row.stderr, (
+            f"n={row.n}: mean excess {row.mean_excess} above bound {bound} + 3*{row.stderr}"
+        )
     print(f"criterion 06 PASS: slope {sweep.slope:.4f} in [-0.82, -0.52] in {elapsed:.1f}s")
 
 
@@ -256,7 +272,10 @@ def test_c10_smoothness_translation():
     """Certified ball-average smoothness pins Boundary verdicts to a pointwise band."""
     start = time.perf_counter()
     dist = PowerMargin1D(1.0)
-    exponent, constant = 1.0, 0.5
+    # eta(x) = x is 1-Lipschitz, and the density is floored at 1
+    spec = holder_translate(1.0, 1, 1.0, 1.0)
+    assert spec == SmoothnessSpec(1.0, 0.5)
+    exponent, constant = spec.exponent, spec.constant
     rng = np.random.default_rng(7)
     audit_probes = [
         (float(x), float(r))
@@ -265,9 +284,7 @@ def test_c10_smoothness_translation():
     assert smoothness_audit(dist, exponent, constant, audit_probes) is None
     n, k = 10_000, 100
     params = upper_bound_params(n, k, 0.1)
-    upper, lower = smooth_thresholds(
-        SmoothnessSpec(exponent, constant), params.mass_level, params.band, n, k
-    )
+    upper, lower = smooth_thresholds(spec, params.mass_level, params.band, n, k)
     assert upper == params.band + constant * params.mass_level**exponent
     probes = rng.uniform(1e-4, 1.0 - 1e-4, 1000)
     flagged = in_band = 0

@@ -15,22 +15,21 @@ from nnrates.bounds import (
     MarginSpec,
     SmoothnessSpec,
     binomial_tail,
-    concentration_bounds,
     expected_risk_bound,
     exponential_regime,
     holder_translate,
     lower_bound_constants,
     margin_rate,
-    misclassification_upper_bound,
     normal_cdf,
-    pointwise_risk_bound,
     slud_bound,
     smooth_thresholds,
     upper_bound_params,
     zero_bayes_params,
 )
+from nnrates.boundary import boundary_measure
 from nnrates.distributions import PiecewiseUniform1D
-from nnrates.errors import InapplicableError, InfeasibleParametersError
+from nnrates.errors import InfeasibleParametersError
+from nnrates.harness import run_upper_bound_trials
 
 
 def exact_tail_ge(n, q, count):
@@ -83,11 +82,12 @@ def test_misclassification_upper_bound_composition():
     )
     n, k, delta = 10**4, 100, 0.1
     params = upper_bound_params(n, k, delta)
-    want = delta + 2.0 * params.band * params.mass_level
-    got = misclassification_upper_bound(dist, n, k, delta)
-    assert got == pytest.approx(want, abs=1e-9)
-    # a huge delta drives the sum past 1; the reported bound clamps
-    assert misclassification_upper_bound(dist, 10**4, 200, 0.9) <= 1.0
+    term = boundary_measure(dist, params.mass_level, params.band)
+    report = run_upper_bound_trials(dist, n, k, delta, trials=2)
+    assert report.bound == delta + term.value
+    assert report.boundary_mass == term.value
+    # on this family the boundary is the band around the split at 1/2
+    assert report.bound == pytest.approx(delta + 2.0 * params.band * params.mass_level, abs=1e-9)
 
 
 # -- lower bound constants -------------------------------------------------------
@@ -146,8 +146,6 @@ def test_schedules_past_the_float_range_refuse_as_value_errors():
         with pytest.raises(ValueError, match="finite"):
             margin_rate(1000, s, m, **scale)
     with pytest.raises(InfeasibleParametersError, match="float range"):
-        margin_rate(1000, s, m, delta=1e-320)  # 1/delta overflows to inf
-    with pytest.raises(InfeasibleParametersError, match="float range"):
         exponential_regime(0.5, SmoothnessSpec(1e-300, 1e-300), 10_000)
     with pytest.raises(InfeasibleParametersError, match="float range"):
         exponential_regime(0.5, SmoothnessSpec(1.0 / 6000.0, 0.225), 10)  # (2L)**(1/a) underflows to 0
@@ -158,6 +156,24 @@ def test_schedules_past_the_float_range_refuse_as_value_errors():
         zero_bayes_params(10 * big, big, 0.1)
     with pytest.raises(InfeasibleParametersError, match="float range"):
         lower_bound_constants(big)
+    with pytest.raises(InfeasibleParametersError, match="float range"):
+        holder_translate(1.0, 5000, 1.0, 1.0)  # the unit-ball volume underflows to 0
+
+
+def test_subnormal_delta_keeps_a_finite_log():
+    # 2/delta and 1/delta overflow to inf here although their logs are finite
+    s, m = SmoothnessSpec(1.0, 1.0), MarginSpec(1.0, 1.0)
+    log_term = -math.log(1e-320)
+    got = margin_rate(1000, s, m, delta=1e-320)
+    assert got.k == round(100.0 * log_term ** (1.0 / 3.0))
+    assert got.k == 903
+    assert math.isfinite(got.bound)
+    params = upper_bound_params(10**5, 5000, 1e-320)
+    assert params.band == math.sqrt((math.log(2.0) + log_term) / 5000)
+    assert params.mass_level < 1.0
+    level = zero_bayes_params(10, 5, 5e-324)
+    log_term = math.log(2.0) - math.log(5e-324)
+    assert level == 0.5 + (2.0 * log_term / 10) * (1.0 + math.sqrt(1.0 + 5 / log_term))
 
 
 def test_margin_rate_k_floor():
@@ -188,9 +204,8 @@ def test_smooth_thresholds_frozen():
 
 
 def test_holder_translate():
-    spec = holder_translate(1.0, 1, 1.0, 1.0)
-    assert spec.exponent == pytest.approx(1.0)
-    assert spec.constant == pytest.approx(0.5)  # interval volume factor is 2
+    # an interval's unit ball has volume exactly 2
+    assert holder_translate(1.0, 1, 1.0, 1.0) == SmoothnessSpec(1.0, 0.5)
     spec = holder_translate(1.0, 2, 3.0, 0.5)
     v2 = float(mpmath.pi)
     assert spec.exponent == pytest.approx(0.5)
@@ -204,16 +219,6 @@ def test_expected_risk_bound_formula():
         2.0 * 0.5 * (2.0 * k / n) ** 1.0, math.sqrt(8.0 * (1.0 + 2.0) / k)
     ) ** (1.0 + 1.0)
     assert expected_risk_bound(n, k, s, m) == pytest.approx(want, rel=1e-15)
-
-
-def test_pointwise_risk_bound():
-    want = math.exp(-1.0) + 2.0 * math.exp(-4.0)
-    assert pointwise_risk_bound(8, 0.5, 0.0) == pytest.approx(want, rel=1e-15)
-    assert pointwise_risk_bound(8, 0.5, 0.0) == pytest.approx(0.4045107, abs=1e-7)
-    with pytest.raises(InapplicableError):
-        pointwise_risk_bound(8, 0.1, 0.2)  # drift at least as large as the margin
-    with pytest.raises(ValueError):
-        pointwise_risk_bound(8, 0.7, 0.0)
 
 
 def test_exponential_regime_frozen():
@@ -306,17 +311,3 @@ def test_binomial_median_fact_small():
     for n in range(2, 30):
         for k in range(1, n):
             assert binomial_tail(n, k / n, k + 1, direction="ge") <= 0.5 + 1e-12
-
-
-def test_concentration_bounds():
-    assert concentration_bounds("chernoff_ball", 100, 0.3) == pytest.approx(
-        math.exp(-100 * 0.09 / 2.0), rel=1e-15
-    )
-    # the deviation tail is two-sided by construction
-    assert concentration_bounds("hoeffding_dev", 50, 0.2) == pytest.approx(
-        2.0 * math.exp(-2 * 50 * 0.04), rel=1e-15
-    )
-    with pytest.raises(ValueError):
-        concentration_bounds("bernstein", 50, 0.2)
-    with pytest.raises(ValueError):
-        concentration_bounds("chernoff_ball", 50, 1.2)

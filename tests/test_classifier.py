@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +5,12 @@ from hypothesis import strategies as st
 
 from nnrates.classifier import (
     _window_structure,
-    bayes_predict,
-    conditional_risk,
     fit,
     fit_arrays,
-    mistake_probability,
     predict,
     predict_batch,
 )
-from nnrates.distributions import AugmentedSample, FiniteAtomic, PowerMargin1D
-from nnrates.errors import UnsupportedMethodError
+from nnrates.distributions import AugmentedSample
 from nnrates.metric import FiniteMetric, IntervalMetric
 
 
@@ -153,66 +147,3 @@ def test_batch_predict_matches_scalar_atomic():
         got = predict_batch(model, queries)
         want = np.array([predict(model, int(q)) for q in queries])
         assert np.array_equal(got, want)
-
-
-def test_bayes_predict_threshold():
-    pm = PowerMargin1D(1.0)
-    assert bayes_predict(pm, 0.6) == 1
-    assert bayes_predict(pm, 0.4) == 0
-    assert bayes_predict(pm, 0.5) == 1  # exactly 1/2 goes to 1
-
-
-def test_conditional_risk_identity():
-    pm = PowerMargin1D(1.0)
-    im = IntervalMetric(0.0, 1.0)
-    rng = np.random.default_rng(0)
-    xs, zs, ys = pm.sample_arrays(1, 200)
-    model = fit_arrays(im, xs, zs, ys, k=9)
-    for q in rng.random(50):
-        rep = conditional_risk(model, pm, q)
-        eta = q  # this family's conditional label frequency is the identity
-        assert rep.bayes_pointwise == pytest.approx(min(eta, 1 - eta), abs=1e-12)
-        assert rep.conditional_risk - rep.bayes_pointwise == pytest.approx(rep.excess, abs=1e-15)
-        assert rep.excess >= -1e-15
-
-
-def test_mistake_probability_exact_atomic():
-    fm = FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    fa = FiniteAtomic(fm, [0.25, 0.75], [0.9, 0.1])
-    xs = np.array([0, 0, 1])
-    zs = np.array([0.3, 0.6, 0.1])
-    ys = np.array([1, 1, 0])
-    model = fit_arrays(fm, xs, zs, ys, k=1)
-    got = mistake_probability(model, fa, method="exact")
-    # the 1-NN rule predicts 1 on atom 0 and 0 on atom 1
-    want = 0.25 * (1 - 0.9) + 0.75 * 0.1
-    assert got.value == pytest.approx(want, abs=1e-15)
-    assert got.error_bound == 0.0
-
-
-def test_mistake_probability_monte_carlo():
-    pm = PowerMargin1D(1.0)
-    im = IntervalMetric(0.0, 1.0)
-    xs, zs, ys = pm.sample_arrays(2, 500)
-    model = fit_arrays(im, xs, zs, ys, k=21)
-    with pytest.raises(UnsupportedMethodError):
-        mistake_probability(model, pm, method="exact")
-    got = mistake_probability(model, pm, method="monte_carlo", mc_points=4000, seed=9)
-    # the trained rule cannot beat the Bayes floor of 0.25, and with
-    # n=500, k=21 it should sit well under 0.35
-    assert 0.2 < got.value < 0.35
-    assert got.error_bound >= 1.0 / 4000
-    again = mistake_probability(model, pm, method="monte_carlo", mc_points=4000, seed=9)
-    assert got.value == again.value
-
-
-def test_mistake_probability_error_floor():
-    fm = FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    fa = FiniteAtomic(fm, [0.5, 0.5], [1.0, 0.0])
-    xs = np.array([0, 1])
-    zs = np.array([0.2, 0.8])
-    ys = np.array([1, 0])
-    model = fit_arrays(fm, xs, zs, ys, k=1)
-    got = mistake_probability(model, fa, method="monte_carlo", mc_points=100, seed=0)
-    assert got.error_bound == pytest.approx(1.0 / 100)  # perfect rule, floor applies
-    assert got.value == 0.0

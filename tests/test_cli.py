@@ -86,6 +86,17 @@ def test_bounds_eval_infeasible(capsys):
     assert rc == 2
 
 
+def test_bounds_eval_subnormal_delta(capsys):
+    # 2/delta overflowed to inf: theorem 1 refused with "need k > inf",
+    # and theorem zero printed mass_level=inf
+    rc = run_cli(["bounds", "eval", "--theorem", "1", "--n", "100000", "--k", "5000", "--delta", "1e-320"])
+    assert rc == 0
+    assert "mass_level=0.215633601655" in capsys.readouterr().out
+    rc = run_cli(["bounds", "eval", "--theorem", "zero", "--n", "10", "--k", "5", "--delta", "5e-324"])
+    assert rc == 0
+    assert "mass_level=299.052451667" in capsys.readouterr().out
+
+
 def test_run_excess_and_manifest(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "distribution": POWER_DIST,

@@ -441,6 +441,7 @@ def test_k_rules():
     rule = KRule("rate_optimal", k_scale=1.0, alpha=1.0, delta=0.1)
     assert rule.k_for(1000) == 132
     assert KRule("rate_optimal", k_scale=1.0, alpha=1.0).k_for(1000) == 100
+    assert KRule("rate_optimal", alpha=1.0, delta=1e-320).k_for(1000) == 903  # 1/delta overflows
     with pytest.raises(ValueError):
         KRule("fixed", k=100).k_for(100)
     with pytest.raises(ValueError):
@@ -454,7 +455,7 @@ def test_k_rules():
     [
         KRule("power", exponent=1e10),
         KRule("rate_optimal", k_scale=1e308),
-        KRule("rate_optimal", delta=1e-320, k_scale=1e300),
+        KRule("rate_optimal", delta=1e-320, k_scale=1e306),  # ln(1/delta)**(1/3) tips it over
     ],
     ids=["power", "k_scale", "delta"],
 )

@@ -25,7 +25,6 @@ from nnrates.metric import (
     IntervalMetric,
     MetricSpace,
     Point,
-    distance,
     load_finite_metric,
 )
 
@@ -143,7 +142,7 @@ def test_finite_metric_validation():
     good = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     fm = FiniteMetric(good)
     assert fm.size == 3
-    assert distance(fm, 0, 2) == 2.0
+    assert fm.distance(0, 2) == 2.0
 
     with pytest.raises(ValueError):
         FiniteMetric(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
@@ -169,12 +168,12 @@ def test_finite_metric_point_checks():
 def test_interval_and_box_metrics():
     im = IntervalMetric(0.0, 1.0)
     assert im.contains(0.0) and im.contains(1.0) and not im.contains(1.1)
-    assert distance(im, 0.2, 0.9) == pytest.approx(0.7)
+    assert im.distance(0.2, 0.9) == pytest.approx(0.7)
     with pytest.raises(DomainError):
         im.check_point(-0.5)
 
     bm = BoxMetric([0.0, 0.0], [1.0, 2.0])
-    assert distance(bm, (0.0, 0.0), (1.0, 2.0)) == pytest.approx(np.sqrt(5.0))
+    assert bm.distance((0.0, 0.0), (1.0, 2.0)) == pytest.approx(np.sqrt(5.0))
     assert bm.contains((0.5, 1.9)) and not bm.contains((0.5, 2.1))
 
 
@@ -237,4 +236,4 @@ def test_load_finite_metric(tmp_path):
     path.write_text("2\n0.0 1.25\n1.25 0.0\n")
     fm = load_finite_metric(path)
     assert fm.size == 2
-    assert distance(fm, 0, 1) == 1.25
+    assert fm.distance(0, 1) == 1.25
