@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -229,6 +229,9 @@ class _Interval1D:
     # pure-label (every eta a point can get is 0 or 1): trials can use
     # `PiecewiseUniform1D._draw_sorted`
     _pure = False
+    # a trial's disagreement is read off the windows near its label change
+    # (`PiecewiseUniform1D._draw_sorted` with a reach)
+    _cut_local = False
 
     def cdf(self, t) -> np.ndarray:
         raise NotImplementedError
@@ -392,6 +395,27 @@ class PiecewiseUniform1D(_Interval1D):
         self._pure = bool(np.isin(self._filled_eta, (0.0, 1.0)).all())
         self._bayes_one = (self.f > 0.0) & (np.nan_to_num(self.seg_eta, nan=0.0) >= 0.5)
         self._bayes_one_prefix = self._restricted_prefix()
+        # Every window away from the label change adds exactly +0.0 to a
+        # trial's disagreement integral when the one Bayes-1 segment is the
+        # last, [B, 1], of density 1 and mass prefix B >= 1/2:
+        # - left of B every segment is Bayes 0, so `_cdf_pair_into` writes
+        #   ones = 0.0 + 0.0 at every t < B, and (t - B) * 1 + 0.0 = +0.0 at B.
+        #   A window of k label-0 points votes 0 and adds ones[b] - ones[a],
+        #   which is +0.0 when both edges are <= B.
+        # - on [B, 1], t - B is exact by Sterbenz (B <= t <= 1 <= 2B), so
+        #   cdf = (t - B) + B = t and ones = (t - B) + 0.0 are exact.  The cdf
+        #   and ones differences between two such edges round the same real,
+        #   and a window of k label-1 points, which votes 1, adds their
+        #   difference, +0.0, when both edges are >= B.
+        # The same arithmetic places a label-1 uniform u >= B at u itself;
+        # `_draw_sorted` with a reach checks that the label-0 points stay <= B.
+        last = self.f.size - 1
+        self._cut_local = bool(
+            self._pure
+            and np.flatnonzero(self._bayes_one).tolist() == [last]
+            and self.f[last] == 1.0
+            and self._mass_prefix[last] == self.breaks[last] >= 0.5
+        )
         self.space = IntervalMetric(0.0, 1.0)
 
     @staticmethod
@@ -476,33 +500,57 @@ class PiecewiseUniform1D(_Interval1D):
         np.take(self.breaks, j, out=tmp, mode="clip")
         np.add(tmp, u, out=u)
 
-    def _draw_sorted(self, rng: np.random.Generator, u: np.ndarray, labels: np.ndarray) -> bool:
+    def _draw_sorted(
+        self, rng: np.random.Generator, u: np.ndarray, labels, reach: Optional[int] = None
+    ) -> Optional[int]:
         """Draw a pure-label family's len(u) points on rng into u in ascending order.
 
         The inverse cdf is monotone, so placing the sorted location
         uniforms gives the sorted locations, up to rounding at a segment
         edge.  A pure label needs no uniform, so the stream stops after the
         locations; the tie-break draws that follow them order only repeated
-        locations.  Labels go to the integer array labels.  Returns whether
-        the row is the tie-break order's: a segment's slice is placed by
-        monotone operations and shares one label, so only a repeat or an
-        inversion across a cut can change it.
+        locations.  Labels go to the integer array labels.  Returns c, the
+        number of points below the last segment, where the row is the
+        tie-break order's, and None where it may not be: a segment's slice
+        is placed by monotone operations and shares one label, so only a
+        repeat or an inversion across a cut can change it.
+
+        With reach set, on a family with `_cut_local`, only the label-0
+        points [c - reach, c) and the two either side of each cut below c
+        are placed, labels is not written, and a label-0 point that rounds
+        past the last segment's break also returns None.
         """
         rng.random(out=u)
         u.sort()
+        n = u.size
         # mass segment j's uniforms form one slice, cut where `_count_cuts`
         # cuts; each gets `_place`'s three operations, and the label v < eta
         # that eta in {0, 1} decides for every v
-        cuts = u.searchsorted(self._mass_prefix[1:-1]).tolist()
-        for j, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, u.size])):
-            if lo == hi:
-                continue
-            run = u[lo:hi]
-            run -= self._mass_prefix[j]
-            run /= self.f[j]
-            run += self.breaks[j]
-            labels[lo:hi] = self._filled_eta[j] == 1.0
-        return all(u[c - 1] < u[c] for c in cuts if 0 < c < u.size)
+        starts = [0, *u.searchsorted(self._mass_prefix[1:-1]).tolist()]
+        c, cuts = starts[-1], [q for q in starts if 0 < q < n]
+        spans = [[0, n]]
+        if reach is not None:
+            # the last segment places each uniform at itself (see __init__)
+            spans = []
+            for lo, hi in sorted([(c - reach, c), *((q - 1, q + 1) for q in cuts if q < c)]):
+                if spans and lo <= spans[-1][1]:
+                    spans[-1][1] = max(spans[-1][1], hi)
+                else:
+                    spans.append([max(lo, 0), hi])
+        for j, (lo, hi) in enumerate(zip(starts, [*starts[1:], n])):
+            for a, b in spans:
+                run = u[max(lo, a) : min(hi, b)]
+                if run.size:
+                    run -= self._mass_prefix[j]
+                    run /= self.f[j]
+                    run += self.breaks[j]
+            if reach is None:
+                labels[lo:hi] = self._filled_eta[j] == 1.0
+        if not all(u[q - 1] < u[q] for q in cuts):
+            return None
+        if reach is not None and c > 0 and u[c - 1] > self.breaks[-2]:
+            return None
+        return c
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         j = self._count_cuts(self.breaks[1:-1], xs, scratch)

@@ -244,6 +244,72 @@ def test_trials_read_only_the_draws_they_need():
             assert bits.state["state"] == fresh.state["state"], family
 
 
+def test_cut_local_trials_equal_the_full_sorted_path():
+    # a routed disjoint trial integrates only the windows near its label
+    # change c (the number of label-0 points); every value must be the full
+    # sorted path's, bit for bit.  The cases hold k = n, k = n - 1, n = 1,
+    # rows with no change, changes within k + 1 places of either end, and
+    # the trials_large and c05 sizes
+    routed, full = disjoint_family(), disjoint_family()
+    full._cut_local = False
+    assert routed._cut_local
+    cases = [(1, 1, 20), (2, 1, 40), (3, 3, 40), (5, 4, 100), (6, 2, 200), (40, 15, 200)]
+    cases += [(300, 25, 40), (10_000, 100, 12), (30_000, 173, 4), (50_000, 224, 4)]
+    seen = set()
+    for n, k, stop in cases:
+        for seed in (9, 2026):
+            states = list(block_states(mix64(seed, n), 0, stop))
+            got, want = _Trials1D(routed, n, k), _Trials1D(full, n, k)
+            assert [got.disagreement(s) for s in states] == [want.disagreement(s) for s in states]
+            if n > 300:
+                continue
+            for t in range(stop):
+                c = n - int(routed.sample_arrays(mix64(seed, n, t), n)[2].sum())
+                near_end = "start" if c <= k + 1 else "end" if c >= n - k - 1 else "inner"
+                seen.add("none" if c in (0, n) else near_end)
+    assert seen == {"none", "start", "end", "inner"}
+
+
+def same_label_knife():
+    # label 0 on the 2^-50 either side of 0.25 and label 1 on [0.5, 1]: the
+    # points either side of the label-0 mass cut at 0.25 round to 0.25, far
+    # from the label change at 0.5
+    return PiecewiseUniform1D(
+        [0.5, 0.5],
+        ([0.0, 0.25 - 2.0**-50, 0.25, 0.25 + 2.0**-50, 1.0], [0.0, 2.0**49, 2.0**49, 0.0]),
+        ([0.0, 0.5, 1.0], [0.0, 2.0]),
+    )
+
+
+def test_cut_local_trials_check_every_mass_cut():
+    # a routed trial places the two points either side of every mass cut,
+    # not only those near its label change: a repeat at a same-label cut
+    # still sets the state again and draws in full.  At n = 3000 about 12
+    # label-0 points on each side of 0.25 round to it, so every trial does
+    dist = same_label_knife()
+    assert dist._cut_local
+    for n, k, stop, state_sets in [(300, 25, 12, {1, 2}), (3000, 45, 6, {2})]:
+        want = [reference_disagreement(dist, n, k, mix64(9, n, t)) for t in range(stop)]
+        trials = _Trials1D(dist, n, k)
+        bits = RecordingPCG64()
+        trials.rng = np.random.Generator(bits)
+        sets = []
+        for t, state in enumerate(block_states(mix64(9, n), 0, stop)):
+            bits.sets.clear()
+            assert trials.disagreement(state) == want[t], (n, k, t)
+            sets.append(len(bits.sets))
+        assert set(sets) == state_sets, (n, k)
+
+
+def test_cut_local_route_admits_only_exact_families():
+    # the route is taken where every far window adds exactly +0.0.  The
+    # alternating family has two Bayes-1 segments, and the far windows of
+    # the gapped family add rounding residues: routed, their sums moved
+    assert same_label_knife()._cut_local
+    families = {**ONE_D_FAMILIES, **PURE_FAMILIES}
+    assert {name for name, family in families.items() if family()._cut_local} == {"disjoint"}
+
+
 @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
 def test_excess_kernel_matches_spelled_out_reference(family):
     # query sets smaller and larger than the training set share the buffers
