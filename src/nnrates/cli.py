@@ -56,6 +56,10 @@ _EXPERIMENT_TYPES = ("upper_bound", "lower_bound", "excess", "rate_sweep", "cons
 
 def _canon(value):
     """Canonical 12-significant-digit value for report payloads."""
+    if type(value) is float:
+        return float(f"{value:.12g}") if math.isfinite(value) else value
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, (int, np.integer)):
@@ -66,6 +70,30 @@ def _canon(value):
             return float(f"{v:.12g}")
         return v
     return value
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at indent pad.
+
+    With an indent, json encodes in pure Python, several calls a value.
+    Here a dict (with string keys) or a list is laid out as json lays it
+    out, and its finite floats and ints are written with ``repr``, as json
+    writes them; anything else goes to json itself.
+    """
+    inner = pad + "  "
+    if type(value) is dict and value:
+        items = [f"{json.dumps(key)}: {_json(v, inner)}" for key, v in value.items()]
+    elif type(value) is list and value:
+        items = [
+            repr(v) if type(v) is int or type(v) is float and math.isfinite(v) else _json(v, inner)
+            for v in value
+        ]
+    elif type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    else:
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    ends = "{}" if type(value) is dict else "[]"
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
 def _fmt(value) -> str:
@@ -93,7 +121,7 @@ class Report:
             },
             "summary": self.summary,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
 
     def render(self, fmt: str) -> str:
         return self.to_csv() if fmt == "csv" else self.to_json()

@@ -139,19 +139,24 @@ class FiniteAtomic:
     # -- sampling ---------------------------------------------------------
 
     def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._draw(generator(seed), n)
+        return self._draw(generator(seed).random((3, n)))
 
-    def _atoms(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """The atoms of n draws on rng: they read the stream's first n numbers."""
-        atoms = np.searchsorted(self._cum, rng.random(n), side="right")
-        return np.minimum(atoms, self.space.size - 1)
+    def _atoms(self, u: np.ndarray) -> np.ndarray:
+        """The atom each location uniform in u picks, lane by lane."""
+        atoms = np.searchsorted(self._cum, u, side="right")
+        return np.minimum(atoms, self.space.size - 1, out=atoms)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`sample_arrays` drawn on rng."""
-        xs = self._atoms(rng, n)
-        zs = rng.random(n)
-        ys = (rng.random(n) < self.etas[xs]).astype(np.int8)
-        return xs.astype(np.intp), zs, ys
+    def _draw(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The atoms, tie-break draws and int8 labels of draws made from the uniforms u.
+
+        A draw of n points reads the first 3n numbers of its stream: n
+        locations, n tie-breaks, then n label uniforms, so u[..., i, :] holds
+        the i-th run.  `sample_arrays` maps one stream's ``random((3, n))``;
+        the harness reads a block of streams into a (trials, 3, n) array and
+        maps it in one call.
+        """
+        xs = self._atoms(u[..., 0, :])
+        return xs, u[..., 1, :], (u[..., 2, :] < self.etas[xs]).astype(np.int8)
 
     def point_value(self, x: np.ndarray) -> object:
         return int(x)
@@ -256,7 +261,14 @@ class _Interval1D:
         raise NotImplementedError
 
     def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
-        """`cdf_pair_array` of the ascending ts, written into cdf and ones."""
+        """`cdf_pair_array` of the ascending ts, written into cdf and ones.
+
+        The ts are clipped to [0, 1] with maximum and minimum: on a
+        100-edge row they took 2.6 us where np.clip took 4.7.  The two differ
+        only at -0.0, which clip keeps and maximum turns into +0.0.  No trial
+        edge is -0.0: edges are locations, midpoints of locations, and the
+        0.0 and 1.0 ends, all >= +0.0.
+        """
         raise NotImplementedError
 
     def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,6 +401,11 @@ class PiecewiseUniform1D(_Interval1D):
         self.g = p1 * f1                     # eta * density per segment
         self._mass_prefix = np.concatenate([[0.0], np.cumsum(self.f * self.widths)])
         self._eta_mass_prefix = np.concatenate([[0.0], np.cumsum(self.g * self.widths)])
+        # the class densities may integrate to 1 - 1e-12, so the mass prefix
+        # can end below 1; a location uniform at or past its end is placed as
+        # the largest double below the end, in the last segment with mass
+        end = self._mass_prefix[-1]
+        self._u_top = float(np.nextafter(end, 0.0)) if end < 1.0 else None
         with np.errstate(invalid="ignore", divide="ignore"):
             self.seg_eta = np.where(self.f > 0.0, self.g / np.where(self.f > 0.0, self.f, 1.0), np.nan)
         self._filled_eta = self._fill_gap_etas()
@@ -488,6 +505,8 @@ class PiecewiseUniform1D(_Interval1D):
         # u lies in mass segment j when j interior mass prefixes are <= u;
         # the location is breaks[j] + (u - prefix[j]) / f[j].  Indices are
         # in range, so take's "clip" mode only spares it a copy of out.
+        if self._u_top is not None:
+            np.minimum(u, self._u_top, out=u)
         j = self._count_cuts(self._mass_prefix[1:-1], u, scratch)
         tmp = scratch[1, : u.size]
         if v is not None:
@@ -522,6 +541,8 @@ class PiecewiseUniform1D(_Interval1D):
         """
         rng.random(out=u)
         u.sort()
+        if self._u_top is not None:
+            np.minimum(u, self._u_top, out=u)
         n = u.size
         # mass segment j's uniforms form one slice, cut where `_count_cuts`
         # cuts; each gets `_place`'s three operations, and the label v < eta
@@ -573,7 +594,7 @@ class PiecewiseUniform1D(_Interval1D):
         # the clipped ts ascend, so segment j's ts form one slice; on it
         # cdf = prefix[j] + run and ones = ones_prefix[j] + (run or 0.0),
         # with run = f[j] * (t - breaks[j])
-        np.clip(ts, 0.0, 1.0, out=cdf)
+        np.minimum(np.maximum(ts, 0.0, out=cdf), 1.0, out=cdf)
         starts = np.searchsorted(cdf, self.breaks[1:-1])
         bounds = [0, *starts.tolist(), cdf.size]
         for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -673,7 +694,7 @@ class PowerMargin1D(_Interval1D):
         return np.minimum(np.maximum(t, 0.0), 1.0)
 
     def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
-        np.clip(ts, 0.0, 1.0, out=cdf)
+        np.minimum(np.maximum(ts, 0.0, out=cdf), 1.0, out=cdf)
         np.subtract(cdf, 0.5, out=ones)
         np.maximum(0.0, ones, out=ones)
 

@@ -17,7 +17,7 @@ and a run from an offset start reproduces the same trials bit for bit.
 Aggregation always reduces in trial order.  `_states` derives the PCG64
 states of `generator(seed)` for a block of trials at once, and a run sets
 them in turn on the one generator it owns: a fresh generator per trial
-cost 20 us, a third of a finite-atomic trial at n = 40.
+cost 20 us, more than a whole finite-atomic trial at n = 40 now takes.
 
 Trials of the 1-D families run through one kernel, `_Trials1D`, that
 allocates nothing per trial.  Each run of trials sizes one set of
@@ -34,9 +34,16 @@ family), a disagreement trial places, votes on and integrates only the
 window holds k points of one label, lies on that label's side of the
 change, and adds exactly +0.0; `PiecewiseUniform1D.__init__` proves this
 for the families the flag admits.  At n = 10^4 the route works on
-202 points in place of 10^4.  Finite-atomic trials rank a block of draws
-at a time in one kernel, `_atomic_wrong`, that both the disagreement and
-the excess statistics read.
+202 points in place of 10^4.
+
+Finite-atomic trials run a block at a time in one kernel, `_atomic_wrong`,
+that both the disagreement and the excess statistics read.  A draw of n
+points reads its stream's first 3n numbers in order, so each trial sets
+its state and makes one ``random`` call into its row of a (trials, 3, n)
+array (`_stream_blocks`); the atom lookup, the labels and the neighbor
+ranking then run once over the block.  Excess trials read their query
+draws the same way.  At n = 40 a trial took 13-18 us on a shared 2-core
+machine, of which deriving, setting and reading its stream took about 7.
 
 Every trial runs in the calling thread.  A trial holds the GIL between
 short numpy calls, so a second thread pays only on large runs: on a
@@ -93,7 +100,7 @@ __all__ = [
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK_TRIALS = 512  # trials whose streams are derived at once, or ranked by one atomic block
-_BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
+_BLOCK_POINTS = 1 << 20  # training or query points held at once by one finite-atomic block
 _ENUMERATION_LIMIT = 1_000_000
 _GRID_LEAST = {"rate": 4, "consistency": 2}  # sample sizes a sweep's statistic needs
 
@@ -390,21 +397,34 @@ def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: i
     # distances share a rank, so ranks order neighbors as distances do
     rank = np.array([np.unique(row, return_inverse=True)[1] for row in dist.space.matrix])
     bayes = dist.etas >= 0.5
-    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_POINTS // n))
-    prefix = mix64(master_seed, n)
-    rng = np.random.Generator(np.random.PCG64(0))
-    for lo in range(start, stop, rows):
-        draws = []
-        for state in block_states(prefix, lo, min(lo + rows, stop)):
-            rng.bit_generator.state = state
-            draws.append(dist._draw(rng, n))
-        xs, zs, ys = (np.stack(parts) for parts in zip(*draws))
-        wrong = np.empty((len(draws), bayes.size), dtype=bool)
+    for block in _stream_blocks(master_seed, n, start, stop, (3, n)):
+        xs, zs, ys = dist._draw(block)
+        wrong = np.empty((len(block), bayes.size), dtype=bool)
         for q in range(bayes.size):
             nearest = np.lexsort((zs, rank[q][xs]), axis=-1)[:, :k]
             votes = np.take_along_axis(ys, nearest, axis=-1).sum(axis=-1, dtype=np.int64)
             wrong[:, q] = (2 * votes >= k) != bayes[q]
         yield from wrong
+
+
+def _stream_blocks(master_seed: int, n: int, start: int, stop: int, shape, tag=None):
+    """Blocks of trials [start, stop), in order: each row holds the first numbers of its trial's stream.
+
+    One ``random(out=row)`` call fills a row of `shape`, in C order.  With
+    shape[-1] points a draw, a block holds at most `_BLOCK_TRIALS` rows and
+    `_BLOCK_POINTS` points, and at least one row.  Every block is a view of
+    one array: read it before asking for the next.
+    """
+    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_POINTS // shape[-1]))
+    buf = np.empty((rows, *shape))
+    states = _states(master_seed, n, start, stop, tag)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for lo in range(start, stop, rows):
+        block = buf[: min(rows, stop - lo)]
+        for row, state in zip(block, states):
+            rng.bit_generator.state = state
+            rng.random(out=row)
+        yield block
 
 
 def _states(master_seed: int, n: int, start: int, stop: int, tag=None):
@@ -658,13 +678,13 @@ def estimate_expected_excess(
     if isinstance(dist, FiniteAtomic):
         # the excess of a query atom, where the rule gets it wrong
         weight = np.abs(1.0 - 2.0 * dist.etas)
-        rng = np.random.Generator(np.random.PCG64(0))
-        values = []
         rows = _atomic_wrong(dist, n, k, master_seed, 0, trials)
-        for wrong, state in zip(rows, _states(master_seed, n, 0, trials, 1)):
-            rng.bit_generator.state = state
-            xq = dist._atoms(rng, mc_points)
-            values.append(float(np.mean(weight[xq] * wrong[xq])))
+        queries = _stream_blocks(master_seed, n, 0, trials, (mc_points,), 1)
+        values = [
+            float(np.mean(weight[xq] * wrong[xq]))
+            for block in queries
+            for xq, wrong in zip(dist._atoms(block), rows)
+        ]
     else:
         kernel = _Trials1D(dist, n, k, mc_points)
         states = zip(_states(master_seed, n, 0, trials), _states(master_seed, n, 0, trials, 1))

@@ -3,11 +3,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nnrates.cli import main
+from nnrates.cli import _report, main
 
 
 def run_cli(args):
@@ -95,6 +96,38 @@ def test_bounds_eval_subnormal_delta(capsys):
     rc = run_cli(["bounds", "eval", "--theorem", "zero", "--n", "10", "--k", "5", "--delta", "5e-324"])
     assert rc == 0
     assert "mass_level=299.052451667" in capsys.readouterr().out
+
+
+def json_payload(report):
+    columns = {name: [row[i] for row in report.rows] for i, name in enumerate(report.columns)}
+    return {"columns": columns, "summary": report.summary}
+
+
+def test_reports_render_as_json_and_csv_would():
+    # JSON reports are laid out without json's encoder and must still be its
+    # bytes: the values whose repr and 12-digit forms differ, an int past
+    # int64, canonicalized bools, quotes, a backslash and non-ASCII text
+    rows = [
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16],
+        [123456789012.0, 2**63, True, False, 'say "hi" \\ back', "naïve ü 中"],
+        [np.float64(1 / 3), np.int64(-7), 0.1, 1, 0.0, ""],
+    ]
+    summary = {
+        "schedule": "confidence", "n": 40, "rate": np.float64(0.25), "count": np.int64(7),
+        "passed": True, "none": None, "low": -math.inf, "big": 2**63,
+    }
+    report = _report(["a", "b", "c", "d", "e", "f"], rows, summary)
+    assert [type(v) for v in report.rows[1][2:4]] == [int, int]
+    assert report.to_json() == json.dumps(json_payload(report), indent=2) + "\n"
+    assert report.to_csv() == (
+        "a,b,c,d,e,f\n"
+        "nan,inf,-inf,-0,4.94065645841e-324,1e+16\n"
+        '123456789012,9223372036854775808,1,0,say "hi" \\ back,naïve ü 中\n'
+        "0.333333333333,-7,0.1,1,0,\n"
+        "# schedule=confidence n=40 rate=0.25 count=7 passed=1 none=None low=-inf big=9223372036854775808\n"
+    )
+    for empty in (_report(["a", "b"], [], {"trials": 0}), _report([], [], {})):
+        assert empty.to_json() == json.dumps(json_payload(empty), indent=2) + "\n"
 
 
 def test_run_excess_and_manifest(tmp_path, capsys):

@@ -244,6 +244,52 @@ def test_sample_arrays_match_inverse_cdf_reference():
             assert dist.eta_values(probes).tobytes() == want_eta.tobytes()
 
 
+class FixedUniforms:
+    """A stand-in generator: ``random(out=u)`` writes the given uniforms."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[:] = self.values
+
+
+def test_uniforms_past_a_short_mass_prefix_stay_in_the_last_segment_with_mass():
+    # both class densities integrate to 1 - 4e-13, which the constructor
+    # accepts, so the mass prefix ends below 1 and (0.5, 1] carries no mass.
+    # A location uniform at or past the prefix's end used to be placed at
+    # +inf, divided by that segment's zero density
+    short = 4.0 * (1.0 - 4e-13)
+    pure = PiecewiseUniform1D(
+        [0.5, 0.5], ([0.0, 0.25, 0.5, 1.0], [short, 0.0, 0.0]), ([0.0, 0.25, 0.5, 1.0], [0.0, short, 0.0])
+    )
+    mixed = PiecewiseUniform1D(
+        [0.5, 0.5], ([0.0, 0.5, 1.0], [short / 2, 0.0]), ([0.0, 0.5, 1.0], [short / 2, 0.0])
+    )
+    for dist in (pure, mixed):
+        end = dist._mass_prefix[-1]
+        assert end < 1.0
+        top = np.nextafter(end, 0.0)
+        u = np.array([0.0, 0.1, 0.3, 0.7, end, 1.0 - 1e-13, np.nextafter(1.0, 0.0)])
+        # the uniforms below the end are placed as before, the rest as the
+        # largest double below it
+        prefix = dist._mass_prefix
+        below = np.minimum(u, top)
+        j = np.searchsorted(prefix, below, side="right") - 1
+        want = dist.breaks[j] + (below - prefix[j]) / dist.f[j]
+        assert np.all(want <= 0.5)
+        v = np.full(u.size, 0.5)
+        got, labels = u.copy(), np.empty(u.size, dtype=bool)
+        dist._place(got, v, labels, np.empty((2, u.size)))
+        assert got.tobytes() == want.tobytes()
+        assert labels.tolist() == (v < dist._filled_eta[j]).tolist()
+        if dist is pure:
+            got, labels = np.empty(u.size), np.empty(u.size, dtype=np.int64)
+            assert dist._draw_sorted(FixedUniforms(u[::-1]), got, labels) is not None
+            assert got.tobytes() == want.tobytes()
+            assert labels.tolist() == [0, 0, 0, 1, 1, 1, 1]
+
+
 # -- power margin --------------------------------------------------------------
 
 

@@ -389,17 +389,35 @@ def test_mc_matches_exact_within_error():
     assert abs(mean - exact) < 4.0 * stderr
 
 
-def test_blocked_atomic_trials_match_single_trial_path():
+def test_blocked_atomic_trials_match_single_trial_path(monkeypatch):
     # finite-atomic trials are ranked a block of draws at a time; each value
     # must still be the single-trial statistic bit for bit.  Seen from atom 0,
     # k=2 and k=3 at n=5 cut through the atom-1/atom-2 distance tie; the
     # trial count leaves a partial last block, and start=100 an offset one.
+    # With 200 points a block, n = 40 runs in 110 blocks of five trials (a
+    # partial one last), and with 1 point a block every block holds one trial
     fa = tied_three_atoms()
     stop = _BLOCK_TRIALS + 37
-    for n, k in [(5, 2), (5, 3), (5, 5), (1, 1)]:
+    for n, k in [(5, 2), (5, 3), (5, 5), (1, 1), (40, 13)]:
         want = [trial_disagreement(fa, n, k, mix64(9, n, t)) for t in range(stop)]
-        assert _trial_values(fa, n, k, 9, 0, stop) == want, (n, k)
-        assert _trial_values(fa, n, k, 9, 100, stop) == want[100:], (n, k)
+        for block_points in (harness._BLOCK_POINTS, 200, 1):
+            monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
+            assert _trial_values(fa, n, k, 9, 0, stop) == want, (n, k, block_points)
+            assert _trial_values(fa, n, k, 9, 100, stop) == want[100:], (n, k, block_points)
+        monkeypatch.undo()
+        # a trial reads its n locations, n tie-breaks and n label uniforms
+        # from its stream in that order, and the block mapping reads them
+        # from one row of a block
+        for t in range(20):
+            seed = mix64(9, n, t)
+            rng = generator(seed)
+            u, zs, v = rng.random(n), rng.random(n), rng.random(n)
+            xs = np.minimum(np.searchsorted(np.cumsum(fa.masses), u, side="right"), 2)
+            spelled = (xs, zs, (v < fa.etas[xs]).astype(np.int8))
+            block = fa._draw(generator(seed).random((1, 3, n)))
+            for got, sampled, want in zip(block, fa.sample_arrays(seed, n), spelled):
+                assert got.shape == (1, n) and got.dtype == sampled.dtype == want.dtype
+                assert got[0].tobytes() == sampled.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         _trial_values(fa, 3, 4, 9, 0, 10)
 
