@@ -46,7 +46,6 @@ from .classifier import (
     fit,
     fit_arrays,
     predict,
-    predict_batch,
 )
 from .distributions import (
     AugmentedSample,

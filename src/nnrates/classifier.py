@@ -6,12 +6,8 @@ draws, labels).  Neighbors of a query are ranked lexicographically by
 uniquely determined even when distances collide; the predicted label is 1
 exactly when at least half of the k neighbor labels are 1.
 
-Batch prediction over interval spaces uses the sorted-window identity: the
-k nearest neighbors of any query on the line form a contiguous block of
-the location-sorted training set, and the block boundary moves exactly at
-midpoints (t[i] + t[i+k]) / 2.  That path is exact except on training sets
-with duplicate locations, which continuous sampling produces with
-probability on the order of n**2 * 2**-53 per draw.
+This is the rule as stated, one query at a time, and the reference that
+the trial kernels in `nnrates.harness` are tested against.
 """
 
 from __future__ import annotations
@@ -22,14 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import AugmentedSample
-from .metric import FiniteMetric, IntervalMetric, MetricSpace
+from .metric import FiniteMetric, MetricSpace
 
 __all__ = [
     "TrainedModel",
     "fit",
     "fit_arrays",
     "predict",
-    "predict_batch",
 ]
 
 
@@ -87,87 +82,3 @@ def predict(model: TrainedModel, query) -> int:
     order = np.lexsort((np.arange(model.n), model.zs, d))
     vote = int(model.ys[order[: model.k]].sum())
     return 1 if 2 * vote >= model.k else 0
-
-
-def _window_table(xs, zs, ys, k: int, packed: bool, switches, preds, scratch, flag) -> None:
-    """Fill the sorted-window table of n training points on the line, in place.
-
-    switches (n - k floats) and preds (n - k + 1 bools) receive the table
-    that `_window_structure` returns; scratch (two float rows of at least
-    n + 1) and flag (at least n bools) are overwritten.
-
-    With packed set (every location in [0, 2)), `_packed_sort` orders the
-    points.  A repeated location, or packed unset, falls back to
-    lexsort((zs, xs)), the exact order by (location, tie-break draw).
-    """
-    n = xs.shape[0]
-    t = scratch[0, :n]
-    sums = scratch[1, : n + 1].view(np.int64)
-    if not (packed and _packed_sort(xs, ys, t, sums[1:], flag)):
-        # only a repeated location needs the tie-break draws to order it
-        order = np.lexsort((zs, xs))
-        t[:] = xs[order]
-        sums[1:] = ys[order]
-    _window_votes(t, sums, k, switches, preds)
-
-
-def _packed_sort(xs, ys, t, labels, flag) -> bool:
-    """Sort locations in [0, 2) with their labels into t and the int64 labels.
-
-    One sort of the key (x bits << 1) | y orders the points: the bits of
-    such doubles sort as the doubles do, a -0.0 packs as +0.0, and the low
-    bit carries the label along.  Returns False when a location repeats,
-    an order that only the tie-break draws decide; flag (at least n bools)
-    is overwritten.
-    """
-    np.left_shift(xs.view(np.int64), 1, out=labels)
-    labels |= ys
-    labels.sort()
-    np.right_shift(labels, 1, out=t.view(np.int64))
-    labels &= 1
-    return not np.equal(t[1:], t[:-1], out=flag[: t.size - 1]).any()
-
-
-def _window_votes(t, sums, k: int, switches, preds) -> None:
-    """The window table of ascending locations t whose labels are in sums[1:].
-
-    sums (n + 1 int64) becomes the label prefix sums, and t is overwritten.
-    """
-    n = t.shape[0]
-    sums[0] = 0
-    np.cumsum(sums[1:], out=sums[1:])
-    np.add(t[: n - k], t[k:], out=switches)
-    switches /= 2.0
-    votes = t.view(np.int64)[: n - k + 1]
-    np.subtract(sums[k:], sums[: n + 1 - k], out=votes)
-    np.greater_equal(votes, (k + 1) // 2, out=preds)
-
-
-def _window_structure(model: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-window prediction table for interval spaces.
-
-    Returns (switches, preds): preds[i] labels queries falling between
-    switches[i-1] and switches[i] (with virtual switches at -inf/+inf).
-    """
-    n, k = model.n, model.k
-    packed = 0.0 <= model.space.low and model.space.high < 2.0 and model.xs.dtype == np.float64
-    switches = np.empty(n - k)
-    preds = np.empty(n - k + 1, dtype=bool)
-    scratch, flag = np.empty((2, n + 1)), np.empty(n, dtype=bool)
-    _window_table(model.xs, model.zs, model.ys, k, packed, switches, preds, scratch, flag)
-    return switches, preds.view(np.int8)
-
-
-def predict_batch(model: TrainedModel, queries: np.ndarray) -> np.ndarray:
-    """Label an array of queries, matching `predict` query by query."""
-    if isinstance(model.space, IntervalMetric):
-        switches, preds = _window_structure(model)
-        w = np.searchsorted(switches, np.asarray(queries, dtype=float), side="left")
-        return preds[w]
-    queries = np.asarray(queries)
-    if isinstance(model.space, FiniteMetric):
-        # queries repeat over few atoms: predict each distinct atom once
-        uniq, inverse = np.unique(queries, return_inverse=True)
-        labels = np.array([predict(model, int(q)) for q in uniq], dtype=np.int8)
-        return labels[inverse]
-    return np.array([predict(model, q) for q in queries], dtype=np.int8)

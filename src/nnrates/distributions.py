@@ -33,6 +33,12 @@ The geometry queries behind the public functions (``cdf``, ``eta_prefix``,
 ``in_support_value``, ...) are array-first: they take an array of points,
 atom indices for finite-atomic families, and answer lane by lane with the
 same float operations a one-point query performs.
+
+The trial kernels of `nnrates.harness` draw and query through private
+hooks that write into buffers the caller owns: `_draw`, `_place` and
+`PiecewiseUniform1D._draw_sorted` for samples, `_eta_into` for the label
+frequency that a sampled label reads, and `_cdf_pair_into` for masses.
+The draws are those of `sample_arrays`, bit for bit.
 """
 
 from __future__ import annotations
@@ -129,7 +135,7 @@ class FiniteAtomic:
             raise ValueError("masses must be nonnegative and finite")
         if abs(m.sum() - 1.0) > 1e-12:
             raise ValueError(f"masses must sum to 1, got {m.sum()!r}")
-        if np.any((e < 0.0) | (e > 1.0)):
+        if not np.all((e >= 0.0) & (e <= 1.0)):  # NaN fails both
             raise ValueError("etas must lie in [0, 1]")
         self.space = space
         self.masses = m
@@ -157,9 +163,6 @@ class FiniteAtomic:
         """
         xs = self._atoms(u[..., 0, :])
         return xs, u[..., 1, :], (u[..., 2, :] < self.etas[xs]).astype(np.int8)
-
-    def point_value(self, x: np.ndarray) -> object:
-        return int(x)
 
     # -- measures ---------------------------------------------------------
     # Geometry queries take an array of atom indices (a plain index too)
@@ -195,8 +198,6 @@ class FiniteAtomic:
     def eta_point_value(self, xs) -> np.ndarray:
         return self.etas[np.asarray(xs, dtype=np.intp)]
 
-    eta_values = eta_point_value  # a sampled atom reads the same table
-
     def in_support_value(self, xs) -> np.ndarray:
         return self.masses[np.asarray(xs, dtype=np.intp)] > 0.0
 
@@ -231,11 +232,8 @@ class _Interval1D:
     """
 
     space: IntervalMetric
-    # pure-label (every eta a point can get is 0 or 1): trials can use
-    # `PiecewiseUniform1D._draw_sorted`
-    _pure = False
     # a trial's disagreement is read off the windows near its label change
-    # (`PiecewiseUniform1D._draw_sorted` with a reach)
+    # (`PiecewiseUniform1D._draw_sorted`); set only on pure-label families
     _cut_local = False
 
     def cdf(self, t) -> np.ndarray:
@@ -261,13 +259,14 @@ class _Interval1D:
         raise NotImplementedError
 
     def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
-        """`cdf_pair_array` of the ascending ts, written into cdf and ones.
+        """Mass of [0, t] and the part of it where the Bayes label is 1, for the ascending ts.
 
-        The ts are clipped to [0, 1] with maximum and minimum: on a
-        100-edge row they took 2.6 us where np.clip took 4.7.  The two differ
-        only at -0.0, which clip keeps and maximum turns into +0.0.  No trial
-        edge is -0.0: edges are locations, midpoints of locations, and the
-        0.0 and 1.0 ends, all >= +0.0.
+        The two go to cdf and ones, one entry per t.  The ts are clipped to
+        [0, 1] with maximum and minimum: on a 100-edge row they took 2.6 us
+        where np.clip took 4.7.  The two differ only at -0.0, which clip
+        keeps and maximum turns into +0.0.  No trial edge is -0.0: edges are
+        locations, midpoints of locations, and the 0.0 and 1.0 ends, all
+        >= +0.0.
         """
         raise NotImplementedError
 
@@ -297,19 +296,6 @@ class _Interval1D:
         v = scratch[0, : xs.size]
         rng.random(out=v)
         self._place(xs, v, ys, scratch[1:])
-
-    def cdf_pair_array(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mass of [0, t] and the part of it where the Bayes label is 1, per t; ts ascend."""
-        ts = np.asarray(ts, dtype=float)
-        cdf, ones = np.empty((2, ts.size))
-        self._cdf_pair_into(ts, cdf, ones)
-        return cdf, ones
-
-    def eta_values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape)
-        self._eta_into(xs.ravel(), out.ravel(), np.empty((2, xs.size)))
-        return out
 
     def x_breakpoints(self) -> np.ndarray:
         """Locations where the density or eta formula changes."""
@@ -387,7 +373,7 @@ class PiecewiseUniform1D(_Interval1D):
         class1: tuple[Sequence[float], Sequence[float]],
     ):
         p0, p1 = float(priors[0]), float(priors[1])
-        if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
+        if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= 1e-12):  # NaN fails
             raise ValueError("priors must be nonnegative and sum to 1")
         b0, d0 = self._check_class(class0)
         b1, d1 = self._check_class(class1)
@@ -409,7 +395,6 @@ class PiecewiseUniform1D(_Interval1D):
         with np.errstate(invalid="ignore", divide="ignore"):
             self.seg_eta = np.where(self.f > 0.0, self.g / np.where(self.f > 0.0, self.f, 1.0), np.nan)
         self._filled_eta = self._fill_gap_etas()
-        self._pure = bool(np.isin(self._filled_eta, (0.0, 1.0)).all())
         self._bayes_one = (self.f > 0.0) & (np.nan_to_num(self.seg_eta, nan=0.0) >= 0.5)
         self._bayes_one_prefix = self._restricted_prefix()
         # Every window away from the label change adds exactly +0.0 to a
@@ -425,10 +410,11 @@ class PiecewiseUniform1D(_Interval1D):
         #   and a window of k label-1 points, which votes 1, adds their
         #   difference, +0.0, when both edges are >= B.
         # The same arithmetic places a label-1 uniform u >= B at u itself;
-        # `_draw_sorted` with a reach checks that the label-0 points stay <= B.
+        # `_draw_sorted` checks that the label-0 points stay <= B.
+        pure = np.isin(self._filled_eta, (0.0, 1.0)).all()  # every eta 0 or 1
         last = self.f.size - 1
         self._cut_local = bool(
-            self._pure
+            pure
             and np.flatnonzero(self._bayes_one).tolist() == [last]
             and self.f[last] == 1.0
             and self._mass_prefix[last] == self.breaks[last] >= 0.5
@@ -441,7 +427,7 @@ class PiecewiseUniform1D(_Interval1D):
         dens = np.asarray(spec[1], dtype=float)
         if breaks.ndim != 1 or breaks.size < 2 or dens.shape != (breaks.size - 1,):
             raise ValueError("class density needs k+1 breakpoints and k segment densities")
-        if breaks[0] != 0.0 or breaks[-1] != 1.0 or np.any(np.diff(breaks) <= 0.0):
+        if breaks[0] != 0.0 or breaks[-1] != 1.0 or not np.all(np.diff(breaks) > 0.0):  # NaN fails
             raise ValueError("breakpoints must increase strictly from 0.0 to 1.0")
         if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
             raise ValueError("densities must be nonnegative and finite")
@@ -519,25 +505,18 @@ class PiecewiseUniform1D(_Interval1D):
         np.take(self.breaks, j, out=tmp, mode="clip")
         np.add(tmp, u, out=u)
 
-    def _draw_sorted(
-        self, rng: np.random.Generator, u: np.ndarray, labels, reach: Optional[int] = None
-    ) -> Optional[int]:
-        """Draw a pure-label family's len(u) points on rng into u in ascending order.
+    def _draw_sorted(self, rng: np.random.Generator, u: np.ndarray, reach: int) -> Optional[int]:
+        """Draw a `_cut_local` family's len(u) location uniforms on rng into u, in ascending order.
 
-        The inverse cdf is monotone, so placing the sorted location
-        uniforms gives the sorted locations, up to rounding at a segment
-        edge.  A pure label needs no uniform, so the stream stops after the
-        locations; the tie-break draws that follow them order only repeated
-        locations.  Labels go to the integer array labels.  Returns c, the
-        number of points below the last segment, where the row is the
-        tie-break order's, and None where it may not be: a segment's slice
-        is placed by monotone operations and shares one label, so only a
-        repeat or an inversion across a cut can change it.
-
-        With reach set, on a family with `_cut_local`, only the label-0
-        points [c - reach, c) and the two either side of each cut below c
-        are placed, labels is not written, and a label-0 point that rounds
-        past the last segment's break also returns None.
+        The points below the last segment are the label-0 ones: a pure label
+        needs no uniform, so the stream stops after the locations.  Of them,
+        with c their number, only [c - reach, c) and the two either side of
+        each mass cut below c are placed; the last segment places each
+        uniform at itself (see `__init__`).  The inverse cdf is monotone, so
+        the placed points ascend, up to rounding at a segment edge.  Returns
+        c, or None where the tie-break draws that follow the locations may
+        order the row: a repeat or an inversion across a cut, or a label-0
+        point that rounds past the last segment's start.
         """
         rng.random(out=u)
         u.sort()
@@ -545,40 +524,31 @@ class PiecewiseUniform1D(_Interval1D):
             np.minimum(u, self._u_top, out=u)
         n = u.size
         # mass segment j's uniforms form one slice, cut where `_count_cuts`
-        # cuts; each gets `_place`'s three operations, and the label v < eta
-        # that eta in {0, 1} decides for every v
+        # cuts; each placed run gets `_place`'s three operations
         starts = [0, *u.searchsorted(self._mass_prefix[1:-1]).tolist()]
         c, cuts = starts[-1], [q for q in starts if 0 < q < n]
-        spans = [[0, n]]
-        if reach is not None:
-            # the last segment places each uniform at itself (see __init__)
-            spans = []
-            for lo, hi in sorted([(c - reach, c), *((q - 1, q + 1) for q in cuts if q < c)]):
-                if spans and lo <= spans[-1][1]:
-                    spans[-1][1] = max(spans[-1][1], hi)
-                else:
-                    spans.append([max(lo, 0), hi])
-        for j, (lo, hi) in enumerate(zip(starts, [*starts[1:], n])):
+        spans = []
+        for lo, hi in sorted([(c - reach, c), *((q - 1, q + 1) for q in cuts if q < c)]):
+            if spans and lo <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], hi)
+            else:
+                spans.append([max(lo, 0), hi])
+        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
             for a, b in spans:
                 run = u[max(lo, a) : min(hi, b)]
                 if run.size:
                     run -= self._mass_prefix[j]
                     run /= self.f[j]
                     run += self.breaks[j]
-            if reach is None:
-                labels[lo:hi] = self._filled_eta[j] == 1.0
         if not all(u[q - 1] < u[q] for q in cuts):
             return None
-        if reach is not None and c > 0 and u[c - 1] > self.breaks[-2]:
+        if c > 0 and u[c - 1] > self.breaks[-2]:
             return None
         return c
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         j = self._count_cuts(self.breaks[1:-1], xs, scratch)
         np.take(self._filled_eta, j, out=out, mode="clip")
-
-    def point_value(self, x: np.ndarray) -> object:
-        return float(x)
 
     def cdf(self, t) -> np.ndarray:
         t = np.minimum(np.maximum(t, 0.0), 1.0)
@@ -687,9 +657,6 @@ class PowerMargin1D(_Interval1D):
         out *= s
         out += 0.5
 
-    def point_value(self, x: np.ndarray) -> object:
-        return float(x)
-
     def cdf(self, t) -> np.ndarray:
         return np.minimum(np.maximum(t, 0.0), 1.0)
 
@@ -748,10 +715,8 @@ def sample_labeled(dist: Distribution, seed: int, n: int) -> list[AugmentedSampl
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     xs, zs, ys = dist.sample_arrays(seed, n)
-    return [
-        AugmentedSample(dist.point_value(xs[i]), float(zs[i]), int(ys[i]), i)
-        for i in range(n)
-    ]
+    # tolist gives Python ints for atoms and labels and floats for the rest
+    return [AugmentedSample(*s, i) for i, s in enumerate(zip(xs.tolist(), zs.tolist(), ys.tolist()))]
 
 
 def ball_mass(dist: Distribution, x, r: float, kind: str = "closed") -> MassQueryResult:

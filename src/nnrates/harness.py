@@ -24,17 +24,27 @@ allocates nothing per trial.  Each run of trials sizes one set of
 buffers for its (n, k) and draws every trial into them; fresh temporaries
 cost a trial at n = 5*10^4 about 1,300 page faults, as the allocator
 returned them to the system after every trial.  A trial draws only the
-numbers it reads: on a pure-label family it sorts the location uniforms
-and places them one mass segment at a time, and elsewhere it skips the
-tie-break draws and sorts one packed int64 key of locations and labels.
-The disagreement integral takes one slice of the sorted edges per density
-segment.  On a pure-label family with `_cut_local` set (the disjoint
-family), a disagreement trial places, votes on and integrates only the
-2k + 2 points around its label change, after the sort.  Every other
-window holds k points of one label, lies on that label's side of the
-change, and adds exactly +0.0; `PiecewiseUniform1D.__init__` proves this
-for the families the flag admits.  At n = 10^4 the route works on
-202 points in place of 10^4.
+numbers it reads: it skips the tie-break draws and sorts one packed int64
+key of locations and labels.  The disagreement integral takes one slice
+of the sorted edges per density segment.  On a pure-label family with
+`_cut_local` set (the disjoint family), a disagreement trial sorts its
+location uniforms and places, votes on and integrates only the 2k + 2
+points around its label change.  Every other window holds k points of one
+label, lies on that label's side of the change, and adds exactly +0.0;
+`PiecewiseUniform1D.__init__` proves this for the families the flag
+admits.  At n = 10^4 the route works on 202 points in place of 10^4.
+
+The sorted-window identity gives a 1-D trial its prediction table: the k
+nearest neighbors of a query on the line form a contiguous block of the
+location-sorted training set, and the block moves exactly at the
+midpoints (t[i] + t[i+k]) / 2.  With t ascending and no location
+repeated, window i's vote decides the queries between switches i - 1 and
+i, with virtual switches at -inf and +inf, as `predict` decides them.  A
+row with a repeated location, which continuous sampling produces with
+probability on the order of n**2 * 2**-53 per draw, is ordered by
+(location, tie-break draw) instead.  Right of such a location that a
+window boundary splits, that order keeps the repeat's largest tie-break
+draws where `predict` keeps the smallest, so there the two can differ.
 
 Finite-atomic trials run a block at a time in one kernel, `_atomic_wrong`,
 that both the disagreement and the excess statistics read.  A draw of n
@@ -76,7 +86,7 @@ from .bounds import (
     lower_bound_constants,
     margin_rate,
 )
-from .classifier import _check_k, _packed_sort, _window_table, _window_votes
+from .classifier import _check_k
 from .distributions import FiniteAtomic
 from .errors import ResourceLimitError
 
@@ -225,6 +235,40 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
 # -- per-trial statistics ------------------------------------------------------
 
 
+def _packed_sort(xs, ys, t, labels, flag) -> bool:
+    """Sort locations in [0, 2) with their labels into t and the int64 labels.
+
+    One sort of the key (x bits << 1) | y orders the points: the bits of
+    such doubles sort as the doubles do, a -0.0 packs as +0.0, and the low
+    bit carries the label along.  Returns False when a location repeats,
+    an order that only the tie-break draws decide; flag (at least n bools)
+    is overwritten.
+    """
+    np.left_shift(xs.view(np.int64), 1, out=labels)
+    labels |= ys
+    labels.sort()
+    np.right_shift(labels, 1, out=t.view(np.int64))
+    labels &= 1
+    return not np.equal(t[1:], t[:-1], out=flag[: t.size - 1]).any()
+
+
+def _window_votes(t, sums, k: int, switches, preds) -> None:
+    """The window table of ascending locations t whose labels are in sums[1:].
+
+    switches (n - k floats) receives the midpoints (t[i] + t[i+k]) / 2 and
+    preds (n - k + 1 bools) each window's vote.  sums (n + 1 int64)
+    becomes the label prefix sums, and t is overwritten.
+    """
+    n = t.shape[0]
+    sums[0] = 0
+    np.cumsum(sums[1:], out=sums[1:])
+    np.add(t[: n - k], t[k:], out=switches)
+    switches /= 2.0
+    votes = t.view(np.int64)[: n - k + 1]
+    np.subtract(sums[k:], sums[: n + 1 - k], out=votes)
+    np.greater_equal(votes, (k + 1) // 2, out=preds)
+
+
 class _Trials1D:
     """Trials of a 1-D family at one (n, k), drawn into buffers they reuse.
 
@@ -243,13 +287,13 @@ class _Trials1D:
 
     A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
     its table, and no others: the location uniforms, then the label
-    uniforms unless the family is pure-label.  The tie-break draws order
-    only a repeated location; the trial then sets the state again, draws
-    in full and orders by them.  A pure-label family's sorted draw needs
-    them only for a repeat or a rounding inversion across a segment cut,
-    since the points of one segment share a label.  Each location gets the
-    floating-point operations of the fit/predict path, so every value is
-    bitwise that path's.
+    uniforms, or the location uniforms alone on the cut-local route.  The
+    tie-break draws order only a repeated location; the trial then sets
+    the state again, draws in full and orders by them (`_redraw`).  The
+    cut-local route redraws too on a rounding inversion across a segment
+    cut, or on a label-0 point placed past the last segment's start.  Each
+    location gets the floating-point operations of `sample_arrays`, so
+    every value is bitwise that of the table of the full draw.
     """
 
     def __init__(self, dist, n: int, k: int, queries: int = 0):
@@ -276,31 +320,28 @@ class _Trials1D:
 
     def _train(self, state: dict) -> tuple[np.ndarray, np.ndarray]:
         """Draw a training set on a stream's state; returns (edges, preds), switches in edges[1:-1]."""
-        n, k, rows, flags, dist, rng = self.n, self.k, self.rows, self.flags, self.dist, self.rng
-        xs, ys, flag = rows[0, :n], flags[0, :n], flags[2]
-        t, sums = rows[2, :n], rows[3, : n + 1].view(np.int64)
-        edges = rows[5, : n - k + 2]
-        preds = flags[1, : n - k + 1]
-        rng.bit_generator.state = state
-        if dist._pure:
-            exact = dist._draw_sorted(rng, xs, sums[1:]) is not None
-            t = xs
-        else:
-            dist._draw(rng, xs, None, ys, rows[2:5, :n])
-            exact = _packed_sort(xs, ys, t, sums[1:], flag)
-        if exact:
-            _window_votes(t, sums, k, edges[1:-1], preds)
-            return edges, preds
-        return self._redraw(state)
+        n, k, rows, flags = self.n, self.k, self.rows, self.flags
+        xs, ys, t, sums = rows[0, :n], flags[0, :n], rows[2, :n], rows[3, : n + 1].view(np.int64)
+        edges, preds = rows[5, : n - k + 2], flags[1, : n - k + 1]
+        self.rng.bit_generator.state = state
+        self.dist._draw(self.rng, xs, None, ys, rows[2:5, :n])
+        if not _packed_sort(xs, ys, t, sums[1:], flags[2]):
+            return self._redraw(state)
+        _window_votes(t, sums, k, edges[1:-1], preds)
+        return edges, preds
 
     def _redraw(self, state: dict) -> tuple[np.ndarray, np.ndarray]:
         """The table of a row with a repeat or a rounding inversion: drawn again, ordered by tie-breaks."""
         n, k, rows, flags = self.n, self.k, self.rows, self.flags
-        xs, zs, ys = rows[0, :n], rows[1, :n], flags[0, :n]
+        xs, zs, ys, sums = rows[0, :n], rows[1, :n], flags[0, :n], rows[3, : n + 1].view(np.int64)
         edges, preds = rows[5, : n - k + 2], flags[1, : n - k + 1]
         self.rng.bit_generator.state = state
         self.dist._draw(self.rng, xs, zs, ys, rows[2:5, :n])
-        _window_table(xs, zs, ys, k, True, edges[1:-1], preds, rows[2:4], flags[2])
+        order = np.lexsort((zs, xs))
+        t = rows[2, :n]
+        t[:] = xs[order]
+        sums[1:] = ys[order]
+        _window_votes(t, sums, k, edges[1:-1], preds)
         return edges, preds
 
     def _near(self, state: dict) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
@@ -314,7 +355,7 @@ class _Trials1D:
         """
         n, k, near = self.n, self.k, self.near
         self.rng.bit_generator.state = state
-        c = self.dist._draw_sorted(self.rng, self.u, None, k + 1)
+        c = self.dist._draw_sorted(self.rng, self.u, k + 1)
         if c is None:
             return None
         lo, hi = max(c - k - 1, 0), min(c + k + 1, n)

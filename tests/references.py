@@ -1,18 +1,18 @@
 """Scalar references that the library itself no longer needs.
 
 The Bayes-one cdf is the mass of [0, t] on which the Bayes label is 1.
-The trial kernel computes it in bulk (`cdf_pair_array`); the spelled-out
+The trial kernel computes it in bulk (`_cdf_pair_into`); the spelled-out
 form here, one point at a time, is what the kernel is tested against.
 
 The finite-atomic trials are spelled out the same way: one trial trains a
-model with `fit_arrays` and labels atoms with `predict_batch`, the path
+model with `fit_arrays` and labels each atom with `predict`, the path
 that the blocked kernel (`harness._atomic_wrong`) must match bit for bit.
 """
 
 import numpy as np
 
 from nnrates._rng import mix64
-from nnrates.classifier import fit_arrays, predict_batch
+from nnrates.classifier import fit_arrays, predict
 from nnrates.distributions import PowerMargin1D
 
 
@@ -27,10 +27,14 @@ def bayes_one_cdf(dist, t: float) -> float:
     return float(base)
 
 
+def atom_labels(model) -> np.ndarray:
+    """The rule's label of every atom, one `predict` call each."""
+    return np.array([predict(model, a) for a in range(model.space.size)])
+
+
 def trial_disagreement(dist, n: int, k: int, seed: int) -> float:
     """Exact Bayes-disagreement mass of one freshly trained finite-atomic rule."""
-    xs, zs, ys = dist.sample_arrays(seed, n)
-    preds = predict_batch(fit_arrays(dist.space, xs, zs, ys, k), np.arange(dist.space.size))
+    preds = atom_labels(fit_arrays(dist.space, *dist.sample_arrays(seed, n), k))
     return float(dist.masses[preds != (dist.etas >= 0.5)].sum())
 
 
@@ -39,7 +43,7 @@ def atomic_excess(dist, n: int, k: int, mc_points: int, master_seed: int, t: int
     xs, zs, ys = dist.sample_arrays(mix64(master_seed, n, t), n)
     model = fit_arrays(dist.space, xs, zs, ys, k)
     xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), mc_points)
-    preds = predict_batch(model, xq)
-    etas = dist.eta_values(xq)
+    preds = atom_labels(model)[xq]
+    etas = dist.etas[xq]
     disagree = preds != (etas >= 0.5)
     return float(np.mean(np.abs(1.0 - 2.0 * etas) * disagree))

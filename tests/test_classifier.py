@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnrates.classifier import (
-    _window_structure,
-    fit,
-    fit_arrays,
-    predict,
-    predict_batch,
-)
+from nnrates._rng import generator
+from nnrates.classifier import fit, fit_arrays, predict
 from nnrates.distributions import AugmentedSample
-from nnrates.metric import FiniteMetric, IntervalMetric
+from nnrates.harness import _packed_sort, _Trials1D
+from nnrates.metric import IntervalMetric
 
 
 def brute_predict(space, xs, zs, ys, k, query):
@@ -76,74 +72,77 @@ def test_predict_matches_brute_force_with_ties(n, seed):
         assert predict(model, query) == brute_predict(im, xs, zs, ys, k, query)
 
 
+class FixedRow:
+    """A stand-in 1-D family whose every draw is the one training row given."""
+
+    _cut_local = False
+
+    def __init__(self, xs, zs, ys):
+        self.xs, self.zs, self.ys = xs, zs, ys
+
+    def _draw(self, rng, xs, zs, ys, scratch):
+        xs[:] = self.xs
+        if zs is not None:
+            zs[:] = self.zs
+        ys[:] = self.ys
+
+
+def window_table(xs, zs, ys, k):
+    """The switches and int8 preds that the 1-D trial kernel builds from one training row."""
+    trials = _Trials1D(FixedRow(xs, zs, ys), xs.size, k)
+    edges, preds = trials._train(generator(0).bit_generator.state)
+    return edges[1:-1].copy(), preds.view(np.int8).copy()
+
+
 def test_window_table_orders_repeated_locations_by_tie_break():
-    im = IntervalMetric(0.0, 1.0)
     xs = np.array([0.5, 0.25, 0.5, 0.75, 0.5])
     zs = np.array([0.9, 0.1, 0.3, 0.5, 0.6])
     ys = np.array([1, 0, 0, 1, 1])
-    switches, preds = _window_structure(fit_arrays(im, xs, zs, ys, k=1))
+    switches, preds = window_table(xs, zs, ys, k=1)
     # sorted by (x, z): 0.25, then 0.5 at z = 0.3, 0.6, 0.9, then 0.75
     assert switches.tolist() == [0.375, 0.5, 0.5, 0.625]
     assert preds.tolist() == [0, 0, 1, 1, 1]
 
 
 def test_window_table_packed_sort_matches_lexsort():
-    # the packed-key sort serves [0, 2); a -0.0 location packs as +0.0,
-    # repeated locations (-0.0 beside 0.0 among them) fall back to the
-    # tie-break order, and an interval reaching outside [0, 2) sorts by
-    # lexsort alone
+    # the packed-key sort of locations in [0, 2) gives lexsort's order, with
+    # a -0.0 location packed as +0.0; repeated locations (-0.0 beside 0.0
+    # among them) are refused, and the table falls back to the tie-break order
     rng = np.random.default_rng(8)
     alone = rng.random(50)
     alone[3] = -0.0
     beside_zero = alone.copy()
     beside_zero[7] = 0.0
-    cases = [
-        (IntervalMetric(0.0, 1.0), alone),
-        (IntervalMetric(0.0, 1.0), beside_zero),
-        (IntervalMetric(0.0, 1.0), np.round(rng.random(50), 1)),
-        (IntervalMetric(-1.0, 3.0), rng.uniform(-1.0, 3.0, 50)),
-    ]
-    for space, xs in cases:
+    for xs, packed in [(alone, True), (beside_zero, False), (np.round(rng.random(50), 1), False)]:
         zs = rng.random(xs.size)
         ys = rng.integers(0, 2, size=xs.size)
+        order = np.lexsort((zs, xs))
+        t, labels = np.empty(xs.size), np.empty(xs.size, dtype=np.int64)
+        assert _packed_sort(xs, ys, t, labels, np.empty(xs.size, dtype=bool)) == packed
+        if packed:
+            assert t.tobytes() == (xs[order] + 0.0).tobytes()
+            assert labels.tolist() == ys[order].tolist()
+        t = xs[order]
+        sums = np.concatenate([[0], np.cumsum(ys[order])])
         for k in (1, 4, 49, 50):
-            switches, preds = _window_structure(fit_arrays(space, xs, zs, ys, k))
-            order = np.lexsort((zs, xs))
-            t = xs[order]
-            sums = np.concatenate([[0], np.cumsum(ys[order])])
+            switches, preds = window_table(xs, zs, ys, k)
             want = (t[: xs.size - k] + t[k:]) / 2.0
-            assert switches.tobytes() == want.tobytes(), (space, k)
+            assert switches.tobytes() == want.tobytes(), k
             assert preds.tolist() == (2 * (sums[k:] - sums[: xs.size + 1 - k]) >= k).tolist()
-            assert preds.dtype == np.int8
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
-def test_batch_predict_matches_scalar_interval(n, seed):
+def test_window_table_matches_scalar_predict(n, seed):
+    # read at a query as an excess trial reads it, the table of a row with
+    # no repeated location labels the query as `predict` does
     rng = np.random.default_rng(seed)
     im = IntervalMetric(0.0, 1.0)
     xs = rng.random(n)
     zs = rng.random(n)
     ys = rng.integers(0, 2, size=n)
     k = int(rng.integers(1, n + 1))
+    switches, preds = window_table(xs, zs, ys, k)
     model = fit_arrays(im, xs, zs, ys, k)
-    queries = rng.random(16)
-    got = predict_batch(model, queries)
-    want = np.array([predict(model, q) for q in queries])
-    assert np.array_equal(got, want)
-
-
-def test_batch_predict_matches_scalar_atomic():
-    matrix = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
-    fm = FiniteMetric(matrix)
-    rng = np.random.default_rng(5)
-    n = 25
-    xs = rng.integers(0, 3, size=n)
-    zs = rng.random(n)
-    ys = rng.integers(0, 2, size=n)
-    for k in (1, 2, 5):
-        model = fit_arrays(fm, xs, zs, ys, k)
-        queries = np.array([0, 1, 2, 0, 1])
-        got = predict_batch(model, queries)
-        want = np.array([predict(model, int(q)) for q in queries])
-        assert np.array_equal(got, want)
+    for q in rng.random(16):
+        assert preds[np.searchsorted(switches, q, side="left")] == predict(model, q)

@@ -462,11 +462,12 @@ PURE_ATOMS = {"family": "finite_atomic", "metric_file": "m.txt", "masses": [0.5,
         ({**PIECEWISE_DIST, "priors": [None, 1.0]}, 2),
         ({**PURE_ATOMS, "metric_file": 3}, 2),
         ({**PURE_ATOMS, "masses": [10**400, 0.5]}, 2),
+        ({**PURE_ATOMS, "etas": [math.nan, 0.0]}, 2),
         ({**PURE_ATOMS, "metric_file": "missing.txt"}, 4),
     ],
     ids=[
         "gamma_string", "class_list", "one_prior", "null_prior", "metric_file_number",
-        "mass_past_float", "metric_file_missing",
+        "mass_past_float", "nan_eta", "metric_file_missing",
     ],
 )
 def test_malformed_distribution_exits_with_its_code(tmp_path, capsys, dist, code):

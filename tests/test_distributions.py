@@ -51,6 +51,19 @@ def test_atomic_validation():
         FiniteAtomic(fm, [0.5], [0.5, 0.5])  # length mismatch
 
 
+def test_constructors_refuse_nan():
+    # NaN fails every comparison, so a check written as "refuse when x < 0"
+    # lets it through; each check here is written to fail on NaN
+    fm = FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="etas must lie in"):
+        FiniteAtomic(fm, [0.5, 0.5], [math.nan, 0.0])
+    flat = ([0.0, 0.5, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="priors must be"):
+        PiecewiseUniform1D([math.nan, 1.0], flat, flat)
+    with pytest.raises(ValueError, match="breakpoints must"):
+        PiecewiseUniform1D([0.5, 0.5], ([0.0, math.nan, 1.0], [1.0, 1.0]), flat)
+
+
 def test_atomic_ball_mass_and_radius():
     fa = two_atoms()
     assert ball_mass(fa, 0, 0.5, kind="closed").value == 0.5
@@ -100,6 +113,14 @@ def test_atomic_sampling_statistics():
     assert abs(eta0 - 0.8) < 0.02
     again = sample_labeled(fa, seed=3, n=20000)
     assert pts == again  # same seed, same draw
+    # plain Python values: int atoms, float locations on the line, float
+    # tie-break draws, int labels, and indices counting from 0
+    for dist, x_type in [(fa, int), (make_piecewise(), float), (PowerMargin1D(2.0), float)]:
+        sample = sample_labeled(dist, seed=4, n=50)
+        assert [type(p.x) for p in sample] == [x_type] * 50
+        assert {type(p.z) for p in sample} == {float}
+        assert {type(p.y) for p in sample} == {int}
+        assert [p.index for p in sample] == list(range(50))
 
 
 # -- piecewise uniform ---------------------------------------------------------
@@ -139,10 +160,11 @@ def test_piecewise_cdf_against_quadrature():
         assert dist.cdf(t) == pytest.approx(want, abs=1e-12)
 
 
-def test_cdf_pair_array_matches_scalar_queries():
+def test_cdf_pair_into_matches_scalar_queries():
     ts = np.array([-0.5, 0.0, 0.1, 0.4, 0.45, 0.5, 0.6, 0.77, 1.0, 1.5])
     for dist in (make_piecewise(), PowerMargin1D(1.0)):
-        cdf, ones = dist.cdf_pair_array(ts)
+        cdf, ones = np.empty((2, ts.size))
+        dist._cdf_pair_into(ts, cdf, ones)
         assert cdf.tolist() == [dist.cdf(t) for t in ts.tolist()]
         assert ones.tolist() == [bayes_one_cdf(dist, t) for t in ts.tolist()]
 
@@ -241,7 +263,9 @@ def test_sample_arrays_match_inverse_cdf_reference():
             else:
                 j = np.clip(np.searchsorted(dist.breaks, probes, side="right") - 1, 0, dist.f.size - 1)
                 want_eta = dist._filled_eta[j]
-            assert dist.eta_values(probes).tobytes() == want_eta.tobytes()
+            eta = np.empty(probes.size)
+            dist._eta_into(probes, eta, np.empty((2, probes.size)))
+            assert eta.tobytes() == want_eta.tobytes()
 
 
 class FixedUniforms:
@@ -284,10 +308,10 @@ def test_uniforms_past_a_short_mass_prefix_stay_in_the_last_segment_with_mass():
         assert got.tobytes() == want.tobytes()
         assert labels.tolist() == (v < dist._filled_eta[j]).tolist()
         if dist is pure:
-            got, labels = np.empty(u.size), np.empty(u.size, dtype=np.int64)
-            assert dist._draw_sorted(FixedUniforms(u[::-1]), got, labels) is not None
+            # every point lies below the last segment, so a reach of them all places each
+            got = np.empty(u.size)
+            assert dist._draw_sorted(FixedUniforms(u[::-1]), got, u.size) == u.size
             assert got.tobytes() == want.tobytes()
-            assert labels.tolist() == [0, 0, 0, 1, 1, 1, 1]
 
 
 # -- power margin --------------------------------------------------------------

@@ -107,7 +107,7 @@ ONE_D_FAMILIES = {
     "power_margin_2": lambda: PowerMargin1D(2.0),
 }
 
-# pure-label families (every eta 0 or 1), whose trials draw sorted locations
+# pure-label families (every eta 0 or 1); the disjoint one takes the cut-local route
 PURE_FAMILIES = {
     "disjoint": disjoint_family,
     # label 0 on [0, 0.3], no mass on (0.3, 0.6), label 1 on [0.6, 1]
@@ -186,10 +186,11 @@ def test_trial_kernel_matches_spelled_out_reference(family):
 
 @pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
 def test_sorted_draws_match_spelled_out_reference(family):
-    # the sorted draw, its segment slices and its fallback to the exact
-    # order, against the full draw and lexsort of the reference
+    # pure-label trials, the sorted draw of the cut-local route and the
+    # fallback to the exact order among them, against the full draw and
+    # lexsort of the reference
     dist = PURE_FAMILIES[family]()
-    assert dist._pure
+    assert np.isin(dist._filled_eta, (0.0, 1.0)).all()
     # (40, 2) is where the knife family's tie order at 0.5 moves a value
     cases = [(1, 1, 6), (2, 2, 6), (40, 2, 30), (40, 7, 30), (300, 25, 12), (3000, 45, 3), (10_000, 100, 2)]
     for n, k, stop in cases:
@@ -218,18 +219,17 @@ class RecordingPCG64(np.random.PCG64):
 
 
 def test_trials_read_only_the_draws_they_need():
-    # a trial sets its own stream's state on the run's one bit generator.  A
-    # pure-label trial then leaves it n numbers in; any other trial skips the
-    # n tie-break draws and reads the labels, 3n in.  A pure-label trial sets
-    # the state again for the full draw only on a repeat or an inversion
-    # across a segment cut: every dust trial repeats locations, inside its
-    # class-1 segment, and draws once; every knife trial puts both labels
-    # at 0.5 and draws again
+    # a trial sets its own stream's state on the run's one bit generator,
+    # skips the n tie-break draws and reads the labels, leaving it 3n numbers
+    # in; on the cut-local route (disjoint) it reads the n locations alone.
+    # It sets the state again for the full draw, which ends 3n in too, only
+    # on a repeated location: every dust trial repeats locations, inside its
+    # class-1 segment, and every knife trial puts both labels at 0.5
     n = 3000
     for t in range(4):
         xs, _, _ = PURE_FAMILIES["dust"]().sample_arrays(mix64(9, n, t), n)
         assert np.unique(xs).size < n
-    cases = [("gapped", 1, 1), ("multi_segment", 1, 3), ("dust", 1, 1), ("knife", 2, 3)]
+    cases = [("disjoint", 1, 1), ("gapped", 1, 3), ("multi_segment", 1, 3), ("dust", 2, 3), ("knife", 2, 3)]
     for family, sets, numbers in cases:
         trials = _Trials1D({**ONE_D_FAMILIES, **PURE_FAMILIES}[family](), n, 7)
         bits = RecordingPCG64()
@@ -246,10 +246,10 @@ def test_trials_read_only_the_draws_they_need():
 
 def test_cut_local_trials_equal_the_full_sorted_path():
     # a routed disjoint trial integrates only the windows near its label
-    # change c (the number of label-0 points); every value must be the full
-    # sorted path's, bit for bit.  The cases hold k = n, k = n - 1, n = 1,
-    # rows with no change, changes within k + 1 places of either end, and
-    # the trials_large and c05 sizes
+    # change c (the number of label-0 points); every value must be that of
+    # the general route, which sorts the full row, bit for bit.  The cases
+    # hold k = n, k = n - 1, n = 1, rows with no change, changes within
+    # k + 1 places of either end, and the trials_large and c05 sizes
     routed, full = disjoint_family(), disjoint_family()
     full._cut_local = False
     assert routed._cut_local
