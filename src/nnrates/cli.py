@@ -58,17 +58,10 @@ def _canon(value):
     """Canonical 12-significant-digit value for report payloads."""
     if type(value) is float:
         return float(f"{value:.12g}") if math.isfinite(value) else value
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # a bool too
         return int(value)
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isfinite(v):
-            return float(f"{v:.12g}")
-        return v
+        return _canon(float(value))
     return value
 
 

@@ -35,9 +35,9 @@ atom indices for finite-atomic families, and answer lane by lane with the
 same float operations a one-point query performs.
 
 The trial kernels of `nnrates.harness` draw and query through private
-hooks that write into buffers the caller owns: `_draw`, `_place` and
-`PiecewiseUniform1D._draw_sorted` for samples, `_eta_into` for the label
-frequency that a sampled label reads, and `_cdf_pair_into` for masses.
+hooks that write into buffers the caller owns: `_draw` and `_place` for
+samples, `_eta_into` for the label frequency that a sampled label reads,
+and `_cdf_pair_into` for masses.
 The draws are those of `sample_arrays`, bit for bit.
 """
 
@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._rng import generator
-from .errors import DomainError, UnsupportedMethodError, ZeroMassError
-from .metric import FiniteMetric, IntervalMetric, MetricSpace, load_finite_metric
+from .errors import UnsupportedMethodError, ZeroMassError
+from .metric import FiniteMetric, IntervalMetric, load_finite_metric
 
 __all__ = [
     "AugmentedSample",
@@ -232,9 +232,6 @@ class _Interval1D:
     """
 
     space: IntervalMetric
-    # a trial's disagreement is read off the windows near its label change
-    # (`PiecewiseUniform1D._draw_sorted`); set only on pure-label families
-    _cut_local = False
 
     def cdf(self, t) -> np.ndarray:
         raise NotImplementedError
@@ -397,28 +394,6 @@ class PiecewiseUniform1D(_Interval1D):
         self._filled_eta = self._fill_gap_etas()
         self._bayes_one = (self.f > 0.0) & (np.nan_to_num(self.seg_eta, nan=0.0) >= 0.5)
         self._bayes_one_prefix = self._restricted_prefix()
-        # Every window away from the label change adds exactly +0.0 to a
-        # trial's disagreement integral when the one Bayes-1 segment is the
-        # last, [B, 1], of density 1 and mass prefix B >= 1/2:
-        # - left of B every segment is Bayes 0, so `_cdf_pair_into` writes
-        #   ones = 0.0 + 0.0 at every t < B, and (t - B) * 1 + 0.0 = +0.0 at B.
-        #   A window of k label-0 points votes 0 and adds ones[b] - ones[a],
-        #   which is +0.0 when both edges are <= B.
-        # - on [B, 1], t - B is exact by Sterbenz (B <= t <= 1 <= 2B), so
-        #   cdf = (t - B) + B = t and ones = (t - B) + 0.0 are exact.  The cdf
-        #   and ones differences between two such edges round the same real,
-        #   and a window of k label-1 points, which votes 1, adds their
-        #   difference, +0.0, when both edges are >= B.
-        # The same arithmetic places a label-1 uniform u >= B at u itself;
-        # `_draw_sorted` checks that the label-0 points stay <= B.
-        pure = np.isin(self._filled_eta, (0.0, 1.0)).all()  # every eta 0 or 1
-        last = self.f.size - 1
-        self._cut_local = bool(
-            pure
-            and np.flatnonzero(self._bayes_one).tolist() == [last]
-            and self.f[last] == 1.0
-            and self._mass_prefix[last] == self.breaks[last] >= 0.5
-        )
         self.space = IntervalMetric(0.0, 1.0)
 
     @staticmethod
@@ -504,47 +479,6 @@ class PiecewiseUniform1D(_Interval1D):
         np.divide(u, tmp, out=u)
         np.take(self.breaks, j, out=tmp, mode="clip")
         np.add(tmp, u, out=u)
-
-    def _draw_sorted(self, rng: np.random.Generator, u: np.ndarray, reach: int) -> Optional[int]:
-        """Draw a `_cut_local` family's len(u) location uniforms on rng into u, in ascending order.
-
-        The points below the last segment are the label-0 ones: a pure label
-        needs no uniform, so the stream stops after the locations.  Of them,
-        with c their number, only [c - reach, c) and the two either side of
-        each mass cut below c are placed; the last segment places each
-        uniform at itself (see `__init__`).  The inverse cdf is monotone, so
-        the placed points ascend, up to rounding at a segment edge.  Returns
-        c, or None where the tie-break draws that follow the locations may
-        order the row: a repeat or an inversion across a cut, or a label-0
-        point that rounds past the last segment's start.
-        """
-        rng.random(out=u)
-        u.sort()
-        if self._u_top is not None:
-            np.minimum(u, self._u_top, out=u)
-        n = u.size
-        # mass segment j's uniforms form one slice, cut where `_count_cuts`
-        # cuts; each placed run gets `_place`'s three operations
-        starts = [0, *u.searchsorted(self._mass_prefix[1:-1]).tolist()]
-        c, cuts = starts[-1], [q for q in starts if 0 < q < n]
-        spans = []
-        for lo, hi in sorted([(c - reach, c), *((q - 1, q + 1) for q in cuts if q < c)]):
-            if spans and lo <= spans[-1][1]:
-                spans[-1][1] = max(spans[-1][1], hi)
-            else:
-                spans.append([max(lo, 0), hi])
-        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            for a, b in spans:
-                run = u[max(lo, a) : min(hi, b)]
-                if run.size:
-                    run -= self._mass_prefix[j]
-                    run /= self.f[j]
-                    run += self.breaks[j]
-        if not all(u[q - 1] < u[q] for q in cuts):
-            return None
-        if c > 0 and u[c - 1] > self.breaks[-2]:
-            return None
-        return c
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         j = self._count_cuts(self.breaks[1:-1], xs, scratch)

@@ -26,13 +26,12 @@ cost a trial at n = 5*10^4 about 1,300 page faults, as the allocator
 returned them to the system after every trial.  A trial draws only the
 numbers it reads: it skips the tie-break draws and sorts one packed int64
 key of locations and labels.  The disagreement integral takes one slice
-of the sorted edges per density segment.  On a pure-label family with
-`_cut_local` set (the disjoint family), a disagreement trial sorts its
-location uniforms and places, votes on and integrates only the 2k + 2
-points around its label change.  Every other window holds k points of one
-label, lies on that label's side of the change, and adds exactly +0.0;
-`PiecewiseUniform1D.__init__` proves this for the families the flag
-admits.  At n = 10^4 the route works on 202 points in place of 10^4.
+of the sorted edges per density segment.  On the disjoint family's shape
+(`_label_cut`), a disagreement trial sorts its location uniforms, which
+are its locations, and votes on and integrates only the 2k + 2 points
+around its label change.  Every other window holds k points of one label,
+lies on that label's side of the change, and adds exactly +0.0.  At
+n = 10^4 the route works on 202 points in place of 10^4.
 
 The sorted-window identity gives a 1-D trial its prediction table: the k
 nearest neighbors of a query on the line form a contiguous block of the
@@ -42,9 +41,9 @@ repeated, window i's vote decides the queries between switches i - 1 and
 i, with virtual switches at -inf and +inf, as `predict` decides them.  A
 row with a repeated location, which continuous sampling produces with
 probability on the order of n**2 * 2**-53 per draw, is ordered by
-(location, tie-break draw) instead.  Right of such a location that a
-window boundary splits, that order keeps the repeat's largest tie-break
-draws where `predict` keeps the smallest, so there the two can differ.
+(location, tie-break draw) instead, and a window that starts inside a run
+of equal locations takes its part of the run from the run's start: the
+smallest tie-break draws, as `predict` takes them.
 
 Finite-atomic trials run a block at a time in one kernel, `_atomic_wrong`,
 that both the disagreement and the excess statistics read.  A draw of n
@@ -87,7 +86,7 @@ from .bounds import (
     margin_rate,
 )
 from .classifier import _check_k
-from .distributions import FiniteAtomic
+from .distributions import FiniteAtomic, PiecewiseUniform1D
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -269,31 +268,54 @@ def _window_votes(t, sums, k: int, switches, preds) -> None:
     np.greater_equal(votes, (k + 1) // 2, out=preds)
 
 
+def _label_cut(dist) -> Optional[float]:
+    """The label change B of a family whose trials take the cut-local route, or None.
+
+    The route serves a `PiecewiseUniform1D` of uniform marginal
+    (f == [1, 1]) with labels 0 on [0, B) and 1 on [B, 1], B >= 1/2.  A
+    location is its own uniform there: 0.0 + (u - 0.0) / 1.0 is u, and so
+    is B + (u - B) for u in [B, 1], u - B being exact (Sterbenz:
+    B <= u <= 1 <= 2B).  So a sorted row's label-0 points are its uniforms
+    below B, a repeat holds one label, and the mass prefix ends at
+    B + (1 - B) = 1.0.
+
+    Every window away from the change adds exactly +0.0 to the integral.
+    Left of B, `_cdf_pair_into` writes ones = 0.0 + 0.0 at t < B and
+    (t - B) * 1 + 0.0 = +0.0 at B: a window of k label-0 points votes 0
+    and adds ones[b] - ones[a], +0.0 when both its edges are <= B.  On
+    [B, 1], cdf = (t - B) + B = t and ones = (t - B) + 0.0 are exact, so
+    their differences between two such edges round the same real: a window
+    of k label-1 points votes 1 and adds the difference of the two, +0.0
+    when both its edges are >= B.
+    """
+    if isinstance(dist, PiecewiseUniform1D) and dist.f.tolist() == [1.0, 1.0]:
+        if dist.seg_eta.tolist() == [0.0, 1.0] and dist.breaks[1] >= 0.5:
+            return float(dist.breaks[1])
+    return None
+
+
 class _Trials1D:
     """Trials of a 1-D family at one (n, k), drawn into buffers they reuse.
 
     A disagreement trial writes the integral's term of each window into a
     row of n - k + 1 zeros, sums the row, and zeroes what it wrote.  On a
-    family with `_cut_local` set, only the k + 1 windows whose points or
-    edges reach across the label change can be nonzero; such a trial
+    family with a label change `cut` (`_label_cut`), only the k + 1 windows
+    whose points or edges reach across it can be nonzero; such a trial
     holds a row of n uniforms and four rows of k + 4 for the table near
     the change.  A full draw (any other family, an excess trial, or a
     redraw) uses six float rows and three flag rows of max(n, queries) + 2
-    entries (2.5 MB at n = 5*10^4), made on first use.  The only array a
-    trial allocates is an excess trial's query positions, since
-    `np.searchsorted` takes no out.  One instance serves a whole run of
-    trials, and goes when the run does; so does its one generator, on
-    which each trial sets its stream's PCG64 state.
+    entries (2.5 MB at n = 5*10^4), made on first use.  Besides a redraw's
+    sort, the only array a trial allocates is an excess trial's query
+    positions, since `np.searchsorted` takes no out.  One instance serves a
+    whole run of trials, and goes when the run does; so does its one
+    generator, on which each trial sets its stream's PCG64 state.
 
     A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
     its table, and no others: the location uniforms, then the label
     uniforms, or the location uniforms alone on the cut-local route.  The
     tie-break draws order only a repeated location; the trial then sets
-    the state again, draws in full and orders by them (`_redraw`).  The
-    cut-local route redraws too on a rounding inversion across a segment
-    cut, or on a label-0 point placed past the last segment's start.  Each
-    location gets the floating-point operations of `sample_arrays`, so
-    every value is bitwise that of the table of the full draw.
+    the state again, draws in full and orders by them (`_redraw`).  Every
+    location, and so every value, is bitwise that of the full draw.
     """
 
     def __init__(self, dist, n: int, k: int, queries: int = 0):
@@ -301,7 +323,8 @@ class _Trials1D:
         self.dist, self.n, self.k = dist, n, k
         self.size = max(n, queries) + 2
         self.rng = np.random.Generator(np.random.PCG64(0))
-        if dist._cut_local:
+        self.cut = _label_cut(dist)
+        if self.cut is not None:
             self.u = np.empty(n)
             self.near = np.empty((4, k + 4))
             self.near_preds = np.empty(k + 3, dtype=bool)
@@ -331,7 +354,7 @@ class _Trials1D:
         return edges, preds
 
     def _redraw(self, state: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The table of a row with a repeat or a rounding inversion: drawn again, ordered by tie-breaks."""
+        """The table of a row with a repeated location: drawn again, ordered by tie-breaks."""
         n, k, rows, flags = self.n, self.k, self.rows, self.flags
         xs, zs, ys, sums = rows[0, :n], rows[1, :n], flags[0, :n], rows[3, : n + 1].view(np.int64)
         edges, preds = rows[5, : n - k + 2], flags[1, : n - k + 1]
@@ -341,26 +364,30 @@ class _Trials1D:
         t = rows[2, :n]
         t[:] = xs[order]
         sums[1:] = ys[order]
+        # window i, starting inside a run [run, end) of one location, holds the
+        # run's first part = min(end, i + k) - i points (least tie-breaks) and [end, i + k)
+        i = np.flatnonzero(t[1 : n - k + 1] == t[: n - k]) + 1
+        run, end = t.searchsorted(t[i]), t.searchsorted(t[i], side="right")
         _window_votes(t, sums, k, edges[1:-1], preds)
+        part = np.minimum(end, i + k) - i
+        votes = sums[run + part] - sums[run] + sums[np.maximum(end, i + k)] - sums[end]
+        preds[i] = votes >= (k + 1) // 2
         return edges, preds
 
-    def _near(self, state: dict) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
+    def _near(self, state: dict) -> tuple[int, np.ndarray, np.ndarray]:
         """The table of the windows near the label change: (first window, edges, preds).
 
-        The windows of points [c - k - 1, c + k + 1) around the change c.
-        Every other window has k points of one label and its edges on that
-        label's side of the change, so its term is +0.0 (see
-        `PiecewiseUniform1D.__init__`).  None where `_redraw` must order the
-        row.
+        The windows of points [c - k - 1, c + k + 1), with c the number of
+        uniforms below `cut`; every other window adds +0.0 (`_label_cut`).
         """
-        n, k, near = self.n, self.k, self.near
+        n, k, near, u = self.n, self.k, self.near, self.u
         self.rng.bit_generator.state = state
-        c = self.dist._draw_sorted(self.rng, self.u, k + 1)
-        if c is None:
-            return None
+        self.rng.random(out=u)
+        u.sort()
+        c = int(u.searchsorted(self.cut))
         lo, hi = max(c - k - 1, 0), min(c + k + 1, n)
         m = hi - lo
-        t, edges, preds = self.u[lo:hi], near[0, : m - k + 2], self.near_preds[: m - k + 1]
+        t, edges, preds = u[lo:hi], near[0, : m - k + 2], self.near_preds[: m - k + 1]
         switches = edges[1:-1]
         np.add(t[: m - k], t[k:], out=switches)
         switches /= 2.0
@@ -380,13 +407,9 @@ class _Trials1D:
         The mass between consecutive edges [0, switches, 1] is predicted
         wrong where the window votes 1 on Bayes label 0 and the reverse.
         """
-        if self.dist._cut_local:
-            table = self._near(state)
-            if table is not None:
-                return self._integral(*table, self.near[1:])
-            edges, preds = self._redraw(state)
-        else:
-            edges, preds = self._train(state)
+        if self.cut is not None:
+            return self._integral(*self._near(state), self.near[1:])
+        edges, preds = self._train(state)
         edges[0], edges[-1] = 0.0, 1.0
         return self._integral(0, edges, preds, self.rows[:3])
 

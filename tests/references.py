@@ -7,6 +7,9 @@ form here, one point at a time, is what the kernel is tested against.
 The finite-atomic trials are spelled out the same way: one trial trains a
 model with `fit_arrays` and labels each atom with `predict`, the path
 that the blocked kernel (`harness._atomic_wrong`) must match bit for bit.
+The 1-D window table is spelled out as a full lexsort and a cumsum of
+labels, with `predict` deciding each window that a repeated location
+splits.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ import numpy as np
 from nnrates._rng import mix64
 from nnrates.classifier import fit_arrays, predict
 from nnrates.distributions import PowerMargin1D
+from nnrates.metric import IntervalMetric
 
 
 def bayes_one_cdf(dist, t: float) -> float:
@@ -47,3 +51,28 @@ def atomic_excess(dist, n: int, k: int, mc_points: int, master_seed: int, t: int
     etas = dist.etas[xq]
     disagree = preds != (etas >= 0.5)
     return float(np.mean(np.abs(1.0 - 2.0 * etas) * disagree))
+
+
+def reference_window(xs, zs, ys, k):
+    """Sorted-window table of a 1-D training row: (switches, int8 preds).
+
+    Windows come off the (location, tie-break draw) order.  A window that
+    starts inside a run of equal locations with mixed labels gets
+    `predict`'s label at a query inside its range, asked on the locations'
+    ranks among the distinct ones: a monotone relabeling keeps every
+    window's neighbors, and quarter ranks are exact.  Any part of a run of
+    one label votes alike, and a window whose range is empty is read by no
+    query and adds no mass: both keep their vote.
+    """
+    n = xs.size
+    order = np.lexsort((zs, xs))
+    t, y = xs[order], ys[order]
+    sums = np.concatenate([[0], np.cumsum(y, dtype=np.int64)])
+    preds = (2 * (sums[k:] - sums[: n + 1 - k]) >= k).astype(np.int8)
+    ranks = np.unique(xs, return_inverse=True)[1].astype(float)
+    model = fit_arrays(IntervalMetric(0.0, float(n)), ranks, zs, ys, k)
+    r = ranks[order]
+    for i in range(1, n - k + 1):
+        if r[i - 1] == r[i] and (i + k == n or r[i + k - 1] < r[i + k]) and np.ptp(y[r == r[i]]):
+            preds[i] = predict(model, (r[i] + r[i + k - 1]) / 2.0 + 0.25)
+    return (t[: n - k] + t[k:]) / 2.0, preds

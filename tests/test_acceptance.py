@@ -12,7 +12,6 @@ Seeds are fixed so every run of this module is reproducible.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -36,7 +35,6 @@ from nnrates import (
     exponential_regime,
     high_error_classify,
     holder_translate,
-    lower_bound_constants,
     margin_mass,
     mc_expected_mistake,
     prob_radius,

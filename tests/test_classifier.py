@@ -8,6 +8,7 @@ from nnrates.classifier import fit, fit_arrays, predict
 from nnrates.distributions import AugmentedSample
 from nnrates.harness import _packed_sort, _Trials1D
 from nnrates.metric import IntervalMetric
+from references import reference_window
 
 
 def brute_predict(space, xs, zs, ys, k, query):
@@ -75,8 +76,6 @@ def test_predict_matches_brute_force_with_ties(n, seed):
 class FixedRow:
     """A stand-in 1-D family whose every draw is the one training row given."""
 
-    _cut_local = False
-
     def __init__(self, xs, zs, ys):
         self.xs, self.zs, self.ys = xs, zs, ys
 
@@ -99,15 +98,18 @@ def test_window_table_orders_repeated_locations_by_tie_break():
     zs = np.array([0.9, 0.1, 0.3, 0.5, 0.6])
     ys = np.array([1, 0, 0, 1, 1])
     switches, preds = window_table(xs, zs, ys, k=1)
-    # sorted by (x, z): 0.25, then 0.5 at z = 0.3, 0.6, 0.9, then 0.75
+    # sorted by (x, z): 0.25, then 0.5 at z = 0.3, 0.6, 0.9, then 0.75.  The
+    # windows that start inside the run at 0.5 hold its least tie-break, z = 0.3
     assert switches.tolist() == [0.375, 0.5, 0.5, 0.625]
-    assert preds.tolist() == [0, 0, 1, 1, 1]
+    assert preds.tolist() == [0, 0, 0, 0, 1]
 
 
 def test_window_table_packed_sort_matches_lexsort():
     # the packed-key sort of locations in [0, 2) gives lexsort's order, with
     # a -0.0 location packed as +0.0; repeated locations (-0.0 beside 0.0
-    # among them) are refused, and the table falls back to the tie-break order
+    # among them) are refused, and the table falls back to the tie-break
+    # order, with `predict`'s label where a window splits a repeat.  A window
+    # with an empty range between equal switches is read by no query
     rng = np.random.default_rng(8)
     alone = rng.random(50)
     alone[3] = -0.0
@@ -122,23 +124,27 @@ def test_window_table_packed_sort_matches_lexsort():
         if packed:
             assert t.tobytes() == (xs[order] + 0.0).tobytes()
             assert labels.tolist() == ys[order].tolist()
-        t = xs[order]
-        sums = np.concatenate([[0], np.cumsum(ys[order])])
         for k in (1, 4, 49, 50):
             switches, preds = window_table(xs, zs, ys, k)
-            want = (t[: xs.size - k] + t[k:]) / 2.0
-            assert switches.tobytes() == want.tobytes(), k
-            assert preds.tolist() == (2 * (sums[k:] - sums[: xs.size + 1 - k]) >= k).tolist()
+            want_switches, want_preds = reference_window(xs, zs, ys, k)
+            assert switches.tobytes() == want_switches.tobytes(), k
+            live = np.diff([-np.inf, *want_switches, np.inf]) > 0.0
+            assert preds[live].tolist() == want_preds[live].tolist(), k
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
-def test_window_table_matches_scalar_predict(n, seed):
-    # read at a query as an excess trial reads it, the table of a row with
-    # no repeated location labels the query as `predict` does
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0, 3, 5, 9]),
+)
+def test_window_table_matches_scalar_predict(n, seed, grid):
+    # read at a query as an excess trial reads it, the table labels the
+    # query as `predict` does: on rows of distinct locations (grid 0) and
+    # on rows whose locations repeat on a grid of 3, 5 or 9 points
     rng = np.random.default_rng(seed)
     im = IntervalMetric(0.0, 1.0)
-    xs = rng.random(n)
+    xs = rng.choice(np.linspace(0.0, 1.0, grid), size=n) if grid else rng.random(n)
     zs = rng.random(n)
     ys = rng.integers(0, 2, size=n)
     k = int(rng.integers(1, n + 1))

@@ -268,16 +268,6 @@ def test_sample_arrays_match_inverse_cdf_reference():
             assert eta.tobytes() == want_eta.tobytes()
 
 
-class FixedUniforms:
-    """A stand-in generator: ``random(out=u)`` writes the given uniforms."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def random(self, out):
-        out[:] = self.values
-
-
 def test_uniforms_past_a_short_mass_prefix_stay_in_the_last_segment_with_mass():
     # both class densities integrate to 1 - 4e-13, which the constructor
     # accepts, so the mass prefix ends below 1 and (0.5, 1] carries no mass.
@@ -307,11 +297,6 @@ def test_uniforms_past_a_short_mass_prefix_stay_in_the_last_segment_with_mass():
         dist._place(got, v, labels, np.empty((2, u.size)))
         assert got.tobytes() == want.tobytes()
         assert labels.tolist() == (v < dist._filled_eta[j]).tolist()
-        if dist is pure:
-            # every point lies below the last segment, so a reach of them all places each
-            got = np.empty(u.size)
-            assert dist._draw_sorted(FixedUniforms(u[::-1]), got, u.size) == u.size
-            assert got.tobytes() == want.tobytes()
 
 
 # -- power margin --------------------------------------------------------------

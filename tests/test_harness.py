@@ -20,6 +20,7 @@ from nnrates.errors import InfeasibleParametersError, ResourceLimitError
 from nnrates.harness import (
     _BLOCK_TRIALS,
     KRule,
+    _label_cut,
     _Trials1D,
     _trial_values,
     consistency_sweep,
@@ -32,7 +33,7 @@ from nnrates.harness import (
     wilson_interval,
 )
 from nnrates.metric import FiniteMetric
-from references import atomic_excess, bayes_one_cdf, trial_disagreement
+from references import atomic_excess, bayes_one_cdf, reference_window, trial_disagreement
 
 
 def brute_force_expected_mistake(matrix, masses, etas, n, k):
@@ -134,17 +135,15 @@ PURE_FAMILIES = {
         ([0.0, 0.5 - 2.0**-50, 0.5, 1.0], [0.0, 2.0**50, 0.0]),
         ([0.0, 0.5, 0.5 + 2.0**-50, 1.0], [0.0, 2.0**50, 0.0]),
     ),
+    # label 0 on the 2^-50 either side of 0.25 and label 1 on [0.5, 1]: the
+    # label-0 points either side of the mass cut at 0.25 round to 0.25, far
+    # from the label change at 0.5
+    "same_label_knife": lambda: PiecewiseUniform1D(
+        [0.5, 0.5],
+        ([0.0, 0.25 - 2.0**-50, 0.25, 0.25 + 2.0**-50, 1.0], [0.0, 2.0**49, 2.0**49, 0.0]),
+        ([0.0, 0.5, 1.0], [0.0, 2.0]),
+    ),
 }
-
-
-def reference_window(xs, zs, ys, k):
-    """Sorted-window table spelled out: full lexsort, votes from a cumsum."""
-    n = xs.size
-    order = np.lexsort((zs, xs))
-    t = xs[order]
-    sums = np.concatenate([[0], np.cumsum(ys[order], dtype=np.int64)])
-    preds = (2 * (sums[k:] - sums[: n + 1 - k]) >= k).astype(np.int8)
-    return (t[: n - k] + t[k:]) / 2.0, preds
 
 
 def reference_disagreement(dist, n, k, seed):
@@ -186,13 +185,13 @@ def test_trial_kernel_matches_spelled_out_reference(family):
 
 @pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
 def test_sorted_draws_match_spelled_out_reference(family):
-    # pure-label trials, the sorted draw of the cut-local route and the
-    # fallback to the exact order among them, against the full draw and
-    # lexsort of the reference
+    # pure-label trials, the cut-local route and the redraw in the exact
+    # order among them, against the full draw and lexsort of the reference
     dist = PURE_FAMILIES[family]()
     assert np.isin(dist._filled_eta, (0.0, 1.0)).all()
-    # (40, 2) is where the knife family's tie order at 0.5 moves a value
-    cases = [(1, 1, 6), (2, 2, 6), (40, 2, 30), (40, 7, 30), (300, 25, 12), (3000, 45, 3), (10_000, 100, 2)]
+    # (40, 2) is where the knife family's tie order at 0.5 moves a value;
+    # its trial 54 moves with the part of a repeat that a window splits
+    cases = [(1, 1, 6), (2, 2, 6), (40, 2, 60), (40, 7, 30), (300, 25, 12), (3000, 45, 3), (10_000, 100, 2)]
     for n, k, stop in cases:
         want = [reference_disagreement(dist, n, k, mix64(9, n, t)) for t in range(stop)]
         assert _trial_values(dist, n, k, 9, 0, stop) == want, (n, k)
@@ -244,70 +243,50 @@ def test_trials_read_only_the_draws_they_need():
             assert bits.state["state"] == fresh.state["state"], family
 
 
+def split_at(b):
+    """Uniform marginal, labels 0 on [0, b) and 1 on [b, 1]."""
+    class0, class1 = ([0.0, b, 1.0], [1.0 / b, 0.0]), ([0.0, b, 1.0], [0.0, 1.0 / (1.0 - b)])
+    return PiecewiseUniform1D([b, 1.0 - b], class0, class1)
+
+
 def test_cut_local_trials_equal_the_full_sorted_path():
-    # a routed disjoint trial integrates only the windows near its label
-    # change c (the number of label-0 points); every value must be that of
-    # the general route, which sorts the full row, bit for bit.  The cases
-    # hold k = n, k = n - 1, n = 1, rows with no change, changes within
-    # k + 1 places of either end, and the trials_large and c05 sizes
-    routed, full = disjoint_family(), disjoint_family()
-    full._cut_local = False
-    assert routed._cut_local
+    # a routed trial integrates only the windows near its label change c
+    # (the number of label-0 points); every value must be that of the
+    # general route, which sorts the full row, bit for bit.  The cases hold
+    # k = n, k = n - 1, n = 1, rows with no change, changes within k + 1
+    # places of either end, and the trials_large and c05 sizes; B = 3/4
+    # puts the change off the middle
     cases = [(1, 1, 20), (2, 1, 40), (3, 3, 40), (5, 4, 100), (6, 2, 200), (40, 15, 200)]
     cases += [(300, 25, 40), (10_000, 100, 12), (30_000, 173, 4), (50_000, 224, 4)]
-    seen = set()
-    for n, k, stop in cases:
-        for seed in (9, 2026):
-            states = list(block_states(mix64(seed, n), 0, stop))
-            got, want = _Trials1D(routed, n, k), _Trials1D(full, n, k)
-            assert [got.disagreement(s) for s in states] == [want.disagreement(s) for s in states]
-            if n > 300:
-                continue
-            for t in range(stop):
-                c = n - int(routed.sample_arrays(mix64(seed, n, t), n)[2].sum())
-                near_end = "start" if c <= k + 1 else "end" if c >= n - k - 1 else "inner"
-                seen.add("none" if c in (0, n) else near_end)
-    assert seen == {"none", "start", "end", "inner"}
-
-
-def same_label_knife():
-    # label 0 on the 2^-50 either side of 0.25 and label 1 on [0.5, 1]: the
-    # points either side of the label-0 mass cut at 0.25 round to 0.25, far
-    # from the label change at 0.5
-    return PiecewiseUniform1D(
-        [0.5, 0.5],
-        ([0.0, 0.25 - 2.0**-50, 0.25, 0.25 + 2.0**-50, 1.0], [0.0, 2.0**49, 2.0**49, 0.0]),
-        ([0.0, 0.5, 1.0], [0.0, 2.0]),
-    )
-
-
-def test_cut_local_trials_check_every_mass_cut():
-    # a routed trial places the two points either side of every mass cut,
-    # not only those near its label change: a repeat at a same-label cut
-    # still sets the state again and draws in full.  At n = 3000 about 12
-    # label-0 points on each side of 0.25 round to it, so every trial does
-    dist = same_label_knife()
-    assert dist._cut_local
-    for n, k, stop, state_sets in [(300, 25, 12, {1, 2}), (3000, 45, 6, {2})]:
-        want = [reference_disagreement(dist, n, k, mix64(9, n, t)) for t in range(stop)]
-        trials = _Trials1D(dist, n, k)
-        bits = RecordingPCG64()
-        trials.rng = np.random.Generator(bits)
-        sets = []
-        for t, state in enumerate(block_states(mix64(9, n), 0, stop)):
-            bits.sets.clear()
-            assert trials.disagreement(state) == want[t], (n, k, t)
-            sets.append(len(bits.sets))
-        assert set(sets) == state_sets, (n, k)
+    for dist in (disjoint_family(), split_at(0.75)):
+        seen = set()
+        for n, k, stop in cases:
+            for seed in (9, 2026):
+                states = list(block_states(mix64(seed, n), 0, stop))
+                routed, full = _Trials1D(dist, n, k), _Trials1D(dist, n, k)
+                full.cut = None
+                assert routed.cut == dist.breaks[1]
+                assert [routed.disagreement(s) for s in states] == [full.disagreement(s) for s in states]
+                if n > 300:
+                    continue
+                for t in range(stop):
+                    c = n - int(dist.sample_arrays(mix64(seed, n, t), n)[2].sum())
+                    near_end = "start" if c <= k + 1 else "end" if c >= n - k - 1 else "inner"
+                    seen.add("none" if c in (0, n) else near_end)
+        assert seen == {"none", "start", "end", "inner"}, dist.breaks
 
 
 def test_cut_local_route_admits_only_exact_families():
-    # the route is taken where every far window adds exactly +0.0.  The
-    # alternating family has two Bayes-1 segments, and the far windows of
-    # the gapped family add rounding residues: routed, their sums moved
-    assert same_label_knife()._cut_local
-    families = {**ONE_D_FAMILIES, **PURE_FAMILIES}
-    assert {name for name, family in families.items() if family()._cut_local} == {"disjoint"}
+    # the route is taken where every far window adds exactly +0.0 and a
+    # location is its own uniform: two segments of density 1, labels 0 then
+    # 1, and a change at B >= 1/2.  The alternating family has two Bayes-1
+    # segments, the far windows of the gapped family add rounding residues,
+    # and same_label_knife has several label-0 segments
+    families = {**ONE_D_FAMILIES, **PURE_FAMILIES, "B = 3/4": lambda: split_at(0.75)}
+    admitted = {name: family() for name, family in families.items() if _label_cut(family()) is not None}
+    assert set(admitted) == {"disjoint", "B = 3/4"}
+    assert all(dist._mass_prefix[-1] == 1.0 for dist in admitted.values())
+    assert _label_cut(split_at(0.25)) is None
 
 
 @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
