@@ -27,11 +27,11 @@ returned them to the system after every trial.  A trial draws only the
 numbers it reads: it skips the tie-break draws and sorts one packed int64
 key of locations and labels.  The disagreement integral takes one slice
 of the sorted edges per density segment.  On the disjoint family's shape
-(`_label_cut`), a disagreement trial sorts its location uniforms, which
-are its locations, and votes on and integrates only the 2k + 2 points
-around its label change.  Every other window holds k points of one label,
-lies on that label's side of the change, and adds exactly +0.0.  At
-n = 10^4 the route works on 202 points in place of 10^4.
+(`_label_cut`) the rule is a step at the midpoint s* of two order
+statistics, and a disagreement trial returns |s* - B| with no window
+table and no integral.  From n = `_BAND_FROM` on it sorts only the
+uniforms near B (248 of 10^4 at k = 100), or all if they miss s*'s two;
+a rare row where |s* - B| may not be the integral takes the integral.
 
 The sorted-window identity gives a 1-D trial its prediction table: the k
 nearest neighbors of a query on the line form a contiguous block of the
@@ -55,14 +55,11 @@ draws the same way.  At n = 40 a trial took 13-18 us on a shared 2-core
 machine, of which deriving, setting and reading its stream took about 7.
 
 Every trial runs in the calling thread.  A trial holds the GIL between
-short numpy calls, so a second thread pays only on large runs: on a
-2-core machine at n = 3*10^4, k = 173 and 1,536 trials, two threads took
-1,179-1,296 us/trial against one thread's 1,413-1,692 on the
-multi-segment family, and 692-761 against 837-932 on the disjoint family
-(medians of two sets of 6 pairs), while below 12,000 points per trial
-two threads ran slower than one.  No experiment the library is checked
-with, and no benchmark workload, runs more than 512 trials of 12,000
-points or more.
+short numpy calls, so a second thread paid only on large runs: on a
+2-core machine at n = 3*10^4, k = 173, two threads took 1,179-1,296
+us/trial against one thread's 1,413-1,692 on the multi-segment family,
+and below 12,000 points a trial ran slower than one.  No experiment or
+benchmark workload runs more than 512 trials of 12,000 points or more.
 """
 
 from __future__ import annotations
@@ -110,6 +107,10 @@ __all__ = [
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK_TRIALS = 512  # trials whose streams are derived at once, or ranked by one atomic block
 _BLOCK_POINTS = 1 << 20  # training or query points held at once by one finite-atomic block
+# cut-local trials sort a band near the cut from this n on.  At k = ceil(sqrt(n)), a trial
+# that sorted its row took 12 us against the band's 24 at n = 300, 40 vs 46 at 3,000, 51 vs
+# 51 at 4,000 and 62 vs 56 at 5,000 (min of 7 runs of 300 trials, shared 2-core box)
+_BAND_FROM = 4_000
 _ENUMERATION_LIMIT = 1_000_000
 _GRID_LEAST = {"rate": 4, "consistency": 2}  # sample sizes a sweep's statistic needs
 
@@ -272,21 +273,32 @@ def _label_cut(dist) -> Optional[float]:
     """The label change B of a family whose trials take the cut-local route, or None.
 
     The route serves a `PiecewiseUniform1D` of uniform marginal
-    (f == [1, 1]) with labels 0 on [0, B) and 1 on [B, 1], B >= 1/2.  A
-    location is its own uniform there: 0.0 + (u - 0.0) / 1.0 is u, and so
-    is B + (u - B) for u in [B, 1], u - B being exact (Sterbenz:
-    B <= u <= 1 <= 2B).  So a sorted row's label-0 points are its uniforms
-    below B, a repeat holds one label, and the mass prefix ends at
-    B + (1 - B) = 1.0.
+    (f == [1, 1]) with labels 0 on [0, B) and 1 on [B, 1], B >= 1/2, where
+    a location is its own uniform: 0.0 + (u - 0.0) / 1.0 = u, and
+    B + (u - B) = u for u >= B, u - B being exact (Sterbenz).  So a sorted
+    row's label-0 points are its uniforms below B, a repeat holds one
+    label, and the mass prefix ends at B + (1 - B) = 1.0.
 
-    Every window away from the change adds exactly +0.0 to the integral.
-    Left of B, `_cdf_pair_into` writes ones = 0.0 + 0.0 at t < B and
-    (t - B) * 1 + 0.0 = +0.0 at B: a window of k label-0 points votes 0
-    and adds ones[b] - ones[a], +0.0 when both its edges are <= B.  On
-    [B, 1], cdf = (t - B) + B = t and ones = (t - B) + 0.0 are exact, so
-    their differences between two such edges round the same real: a window
-    of k label-1 points votes 1 and adds the difference of the two, +0.0
-    when both its edges are >= B.
+    The rule is a step.  In the sorted row u, with c uniforms below B,
+    window i votes 1 from i = c - a on (a = k // 2, b = k - a), so the rule
+    predicts 1 from s* = (u[c - a - 1] + u[c + b - 1]) / 2 on (that switch,
+    rounded as `_window_votes` rounds it), with s* = 1.0 if n - c < b and
+    0.0 if c <= a, and gets the mass |s* - B| wrong.
+
+    The integral is |s* - B| bit for bit if s* >= B, or if 2 s* >= u[c + k]
+    (2 s* >= 1.0 if c + k >= n).  `_cdf_pair_into` writes cdf = t and
+    ones = 0.0 at t < B, and cdf = (t - B) + B = t and ones = t - B
+    (Sterbenz) at t >= B.  A window left of s* and B adds 0.0 - 0.0, and
+    one right of both (e2 - e1) - (e2 - e1) = 0.0 (Sterbenz).  The rest
+    run from s* to the window whose edges straddle B, e1 < B <= e2, and add
+    e2 - B or (e2 - B) - (e1 - B) if s* >= B, and e2 - e1 or
+    (e2 - e1) - (e2 - B) = B - e1 if s* < B: exact (Sterbenz), the latter
+    as 2 s* >= e2, the first switch >= B, switch c or earlier, <= u[c + k].
+    Each term is then a multiple of the spacing of the doubles at
+    min(s*, B), and so is each sum of terms, in [0, |s* - B|] with
+    |s* - B| <= min(s*, B): a double.  So the pairwise sum is exact in any
+    grouping, as is s* - B.  s* = 0.0 fails the condition; a row that
+    fails it takes the integral.
     """
     if isinstance(dist, PiecewiseUniform1D) and dist.f.tolist() == [1.0, 1.0]:
         if dist.seg_eta.tolist() == [0.0, 1.0] and dist.breaks[1] >= 0.5:
@@ -297,16 +309,14 @@ def _label_cut(dist) -> Optional[float]:
 class _Trials1D:
     """Trials of a 1-D family at one (n, k), drawn into buffers they reuse.
 
-    A disagreement trial writes the integral's term of each window into a
-    row of n - k + 1 zeros, sums the row, and zeroes what it wrote.  On a
-    family with a label change `cut` (`_label_cut`), only the k + 1 windows
-    whose points or edges reach across it can be nonzero; such a trial
-    holds a row of n uniforms and four rows of k + 4 for the table near
-    the change.  A full draw (any other family, an excess trial, or a
-    redraw) uses six float rows and three flag rows of max(n, queries) + 2
-    entries (2.5 MB at n = 5*10^4), made on first use.  Besides a redraw's
-    sort, the only array a trial allocates is an excess trial's query
-    positions, since `np.searchsorted` takes no out.  One instance serves a
+    On a family with a label change `cut` (`_label_cut`), a disagreement
+    trial reads its switch off a row of n uniforms, from n = `_BAND_FROM`
+    on off a band row of those within `delta` of the cut, picked out
+    through two flag rows of n.  Other trials draw in full into six float
+    rows and three flag rows of max(n, queries) + 2 (2.5 MB at
+    n = 5*10^4), made on first use; one row takes the integral's terms.
+    Besides a redraw's sort, a trial allocates only an excess trial's query
+    positions (`np.searchsorted` takes no out).  One instance serves a
     whole run of trials, and goes when the run does; so does its one
     generator, on which each trial sets its stream's PCG64 state.
 
@@ -314,7 +324,7 @@ class _Trials1D:
     its table, and no others: the location uniforms, then the label
     uniforms, or the location uniforms alone on the cut-local route.  The
     tie-break draws order only a repeated location; the trial then sets
-    the state again, draws in full and orders by them (`_redraw`).  Every
+    the state again, draws in full and orders by them (`_train`).  Every
     location, and so every value, is bitwise that of the full draw.
     """
 
@@ -325,13 +335,11 @@ class _Trials1D:
         self.rng = np.random.Generator(np.random.PCG64(0))
         self.cut = _label_cut(dist)
         if self.cut is not None:
-            self.u = np.empty(n)
-            self.near = np.empty((4, k + 4))
-            self.near_preds = np.empty(k + 3, dtype=bool)
-
-    @functools.cached_property
-    def terms(self) -> np.ndarray:
-        return np.zeros(self.n - self.k + 1)
+            # the band needs m = a + 1 = max(a + 1, b) points each side of the cut
+            m = k // 2 + 1
+            self.delta = (m + 8.0 * math.sqrt(m) + 16.0) / n
+            self.u, self.band = np.empty((2, n))
+            self.masks = np.empty((2, n), dtype=bool)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
@@ -344,24 +352,18 @@ class _Trials1D:
     def _train(self, state: dict) -> tuple[np.ndarray, np.ndarray]:
         """Draw a training set on a stream's state; returns (edges, preds), switches in edges[1:-1]."""
         n, k, rows, flags = self.n, self.k, self.rows, self.flags
-        xs, ys, t, sums = rows[0, :n], flags[0, :n], rows[2, :n], rows[3, : n + 1].view(np.int64)
+        xs, zs, ys, t = rows[0, :n], rows[1, :n], flags[0, :n], rows[2, :n]
+        sums = rows[3, : n + 1].view(np.int64)
         edges, preds = rows[5, : n - k + 2], flags[1, : n - k + 1]
         self.rng.bit_generator.state = state
         self.dist._draw(self.rng, xs, None, ys, rows[2:5, :n])
-        if not _packed_sort(xs, ys, t, sums[1:], flags[2]):
-            return self._redraw(state)
-        _window_votes(t, sums, k, edges[1:-1], preds)
-        return edges, preds
-
-    def _redraw(self, state: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The table of a row with a repeated location: drawn again, ordered by tie-breaks."""
-        n, k, rows, flags = self.n, self.k, self.rows, self.flags
-        xs, zs, ys, sums = rows[0, :n], rows[1, :n], flags[0, :n], rows[3, : n + 1].view(np.int64)
-        edges, preds = rows[5, : n - k + 2], flags[1, : n - k + 1]
+        if _packed_sort(xs, ys, t, sums[1:], flags[2]):
+            _window_votes(t, sums, k, edges[1:-1], preds)
+            return edges, preds
+        # a repeated location: the row is drawn again and ordered by its tie-break draws
         self.rng.bit_generator.state = state
         self.dist._draw(self.rng, xs, zs, ys, rows[2:5, :n])
         order = np.lexsort((zs, xs))
-        t = rows[2, :n]
         t[:] = xs[order]
         sums[1:] = ys[order]
         # window i, starting inside a run [run, end) of one location, holds the
@@ -374,32 +376,44 @@ class _Trials1D:
         preds[i] = votes >= (k + 1) // 2
         return edges, preds
 
-    def _near(self, state: dict) -> tuple[int, np.ndarray, np.ndarray]:
-        """The table of the windows near the label change: (first window, edges, preds).
+    def _step_mass(self, state: dict) -> Optional[float]:
+        """|s* - cut| for the rule trained on the stream of ``state``; None where the integral may differ.
 
-        The windows of points [c - k - 1, c + k + 1), with c the number of
-        uniforms below `cut`; every other window adds +0.0 (`_label_cut`).
+        t[j], the row's (lo + j)-th smallest uniform, is read off the band
+        or the sorted row.  As u[c + k] < 1.0, only 2 s* < 1.0 can fail
+        `_label_cut`'s condition.
         """
-        n, k, near, u = self.n, self.k, self.near, self.u
+        n, k, u, cut = self.n, self.k, self.u, self.cut
+        a, b = k // 2, (k + 1) // 2
         self.rng.bit_generator.state = state
         self.rng.random(out=u)
-        u.sort()
-        c = int(u.searchsorted(self.cut))
-        lo, hi = max(c - k - 1, 0), min(c + k + 1, n)
-        m = hi - lo
-        t, edges, preds = u[lo:hi], near[0, : m - k + 2], self.near_preds[: m - k + 1]
-        switches = edges[1:-1]
-        np.add(t[: m - k], t[k:], out=switches)
-        switches /= 2.0
-        # `_window_votes`'s table: window i holds i + k - (c - lo) label-1
-        # points, at least (k + 1) // 2 of them from i = c - lo - k // 2 on
-        ones_from = max(c - lo - k // 2, 0)
-        preds[:ones_from] = False
-        preds[ones_from:] = True
-        # an end window whose outer edge needs a point past these lies on one
-        # side of the change: with 0.0 or 1.0 as that edge its term stays +0.0
-        edges[0], edges[-1] = 0.0, 1.0
-        return lo, edges, preds
+        t = u
+        if n >= _BAND_FROM:
+            inside, top = self.masks
+            np.greater_equal(u, cut - self.delta, out=inside)
+            lo = n - np.count_nonzero(inside)
+            inside &= np.less(u, cut + self.delta, out=top)
+            t = self.band[: np.count_nonzero(inside)]
+            np.compress(inside, u, out=t)
+            t.sort()
+            i = int(t.searchsorted(cut))
+            if i <= a or t.size - i < b:
+                t = u
+        if t is u:
+            u.sort()
+            lo, i = 0, int(u.searchsorted(cut))
+        c = lo + i
+        if c <= a:
+            return None
+        s = 1.0 if n - c < b else (t[i - a - 1] + t[i + b - 1]) / 2.0
+        if s < cut and 2.0 * s < 1.0:
+            if i + k < t.size:
+                reach = t[i + k] <= 2.0 * s
+            else:
+                reach = np.count_nonzero(np.less_equal(u, 2.0 * s, out=self.masks[0])) > c + k
+            if not reach:
+                return None
+        return abs(s - cut)
 
     def disagreement(self, state: dict) -> float:
         """Exact Bayes-disagreement mass of the rule trained on the stream of ``state``.
@@ -407,28 +421,19 @@ class _Trials1D:
         The mass between consecutive edges [0, switches, 1] is predicted
         wrong where the window votes 1 on Bayes label 0 and the reverse.
         """
-        if self.cut is not None:
-            return self._integral(*self._near(state), self.near[1:])
+        step = None if self.cut is None else self._step_mass(state)
+        if step is not None:
+            return step
         edges, preds = self._train(state)
         edges[0], edges[-1] = 0.0, 1.0
-        return self._integral(0, edges, preds, self.rows[:3])
-
-    def _integral(self, start: int, edges, preds, scratch) -> float:
-        """Sum of the terms row once windows start, start + 1, ... have written theirs.
-
-        Every window's term sits at its own index, so numpy's pairwise sum
-        groups the terms as it would a row of all n - k + 1 windows.
-        """
-        cdf, ones, mass = (row[: edges.size] for row in scratch)
+        cdf, ones, mass = (row[: edges.size] for row in self.rows[:3])
+        terms = self.rows[3, : preds.size]
         self.dist._cdf_pair_into(edges, cdf, ones)
-        terms = self.terms[start : start + preds.size]
         np.subtract(cdf[1:], cdf[:-1], out=mass[:-1])
         np.subtract(ones[1:], ones[:-1], out=terms)
         # terms becomes where(preds, mass - ones mass, ones mass)
         np.subtract(mass[:-1], terms, out=terms, where=preds)
-        total = float(self.terms.sum())
-        terms.fill(0.0)
-        return total
+        return float(terms.sum())
 
     def excess(self, state: dict, query_state: dict, queries: int) -> float:
         """Mean excess |1 - 2 eta| over ``queries`` query draws where the rule is not Bayes."""
@@ -501,8 +506,12 @@ def _states(master_seed: int, n: int, start: int, stop: int, tag=None):
 def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int) -> list[float]:
     """Per-trial disagreement masses for trials [start, stop), in trial order."""
     if isinstance(dist, FiniteAtomic):
-        wrong = _atomic_wrong(dist, n, k, master_seed, start, stop)
-        return [float(dist.masses[row].sum()) for row in wrong]
+        # one sum per distinct row, of that row's masses alone: numpy sums 8
+        # terms or more pairwise, so a masked sum of all masses would differ
+        wrong = np.array(list(_atomic_wrong(dist, n, k, master_seed, start, stop)))
+        keys = wrong.view(np.dtype((np.void, wrong.shape[1]))).ravel()
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        return np.array([dist.masses[wrong[i]].sum() for i in first])[which].tolist()
     trials = _Trials1D(dist, n, k)
     return [trials.disagreement(state) for state in _states(master_seed, n, start, stop)]
 
@@ -805,18 +814,8 @@ def rate_sweep(
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0
-        for idx in order[i : j + 1]:
-            ranks[idx] = avg
-        i = j + 1
-    return ranks
+    """Ranks from 0, each tie sharing the mean of its ranks."""
+    return [(sum(w < v for w in values) + sum(w <= v for w in values) - 1) / 2.0 for v in values]
 
 
 def consistency_sweep(

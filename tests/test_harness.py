@@ -289,6 +289,91 @@ def test_cut_local_route_admits_only_exact_families():
     assert _label_cut(split_at(0.25)) is None
 
 
+class FixedUniforms:
+    """A stand-in generator whose every ``random`` call writes the one row given."""
+
+    def __init__(self, row):
+        self.row, self.bit_generator = row, np.random.PCG64(0)
+
+    def random(self, out):
+        out[:] = self.row[: out.size]
+
+
+def test_label_cut_trials_take_each_branch():
+    # from n = _BAND_FROM on a trial sorts only its band near B, unless the
+    # band misses one of s*'s order statistics; the step |s* - B| gives way
+    # to the integral at c <= a and where 2 s* < u[c + k] (`_label_cut`).
+    # Each row below, shuffled, is every draw of a stand-in generator, and
+    # each value must be the general route's
+    n, k = 10_000, 100
+    assert n >= harness._BAND_FROM
+    state = generator(0).bit_generator.state
+
+    def run(row):
+        """(step, value, whether the trial sorted its whole row) of one row."""
+        assert row.size == n
+        routed, full = _Trials1D(disjoint_family(), n, k), _Trials1D(disjoint_family(), n, k)
+        full.cut = None
+        routed.rng = full.rng = FixedUniforms(np.random.default_rng(3).permutation(row))
+        step = routed._step_mass(state)
+        value = routed.disagreement(state)
+        assert value == full.disagreement(state)
+        return step, value, bool(np.all(routed.u[1:] >= routed.u[:-1]))
+
+    def step(row):
+        u = np.sort(row)
+        c = int(u.searchsorted(0.5))
+        return abs((u[c - k // 2 - 1] + u[c + (k + 1) // 2 - 1]) / 2.0 - 0.5)
+
+    spread = np.arange(n) / n
+    assert run(spread) == (step(spread), step(spread), False)
+    # no point within delta of B: the whole row is sorted
+    far = np.concatenate([np.linspace(0.0, 0.45, n // 2), np.linspace(0.55, 0.999, n // 2)])
+    assert run(far) == (step(far), step(far), True)
+    # c <= a: s* = 0.0, which takes the integral
+    few_below = np.concatenate([np.linspace(0.0, 0.4, 40), np.linspace(0.5, 0.999, n - 40)])
+    assert run(few_below)[0] is None
+    # n - c < b: s* = 1.0
+    few_above = np.concatenate([np.linspace(0.0, 0.4999, n - 40), np.linspace(0.5, 0.999, 40)])
+    assert run(few_above) == (0.5, 0.5, True)
+    # s* < B with 60 points just above B: the band ends below u[c + k], and
+    # the row is counted up to 2 s* = 0.99394...
+    below, near = np.linspace(0.0, 0.496, n - 260), 0.5 + 1e-5 * np.arange(60)
+    for tail, takes_step in [(np.linspace(0.98, 0.99, 200), True), (np.linspace(0.996, 0.9999, 200), False)]:
+        row = np.concatenate([below, near, tail])
+        assert step(row) > 0.0025
+        got, value, _ = run(row)
+        assert got == (step(row) if takes_step else None) and value > 0.0025, takes_step
+    # c + k >= n: the bound on the straddling window's edge is 1.0 > 2 s*
+    assert run(np.concatenate([np.linspace(0.0, 0.496, n - 60), near]))[0] is None
+
+
+def test_label_cut_trials_take_the_integral_where_the_step_may_differ():
+    # with c > a and s* < B, the step |s* - B| is the integral bit for bit
+    # only if 2 s* >= u[c + k] (`_label_cut`).  Some rows at these sizes
+    # fail that and take the integral; at (2, 1) and (5, 4) the step of
+    # such a row is off by an ulp, so a kernel without the check fails here
+    dist = disjoint_family()
+    off = 0
+    for n, k, stop in [(2, 1, 40), (5, 4, 100), (40, 15, 200)]:
+        a, b = k // 2, (k + 1) // 2
+        routed, full = _Trials1D(dist, n, k), _Trials1D(dist, n, k)
+        full.cut = None
+        fallbacks = 0
+        for t, state in enumerate(block_states(mix64(9, n), 0, stop)):
+            u = np.sort(dist.sample_arrays(mix64(9, n, t), n)[0])
+            c = int(u.searchsorted(0.5))
+            value = full.disagreement(state)
+            assert routed.disagreement(state) == value, (n, k, t)
+            if c > a and routed._step_mass(state) is None:
+                fallbacks += 1
+                s = 1.0 if n - c < b else (u[c - a - 1] + u[c + b - 1]) / 2.0
+                assert s < 0.5 and (c + k >= n or 2.0 * s < u[c + k]), (n, k, t)
+                off += abs(s - 0.5) != value
+        assert fallbacks > 0, (n, k)
+    assert off > 0
+
+
 @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
 def test_excess_kernel_matches_spelled_out_reference(family):
     # query sets smaller and larger than the training set share the buffers
@@ -399,6 +484,21 @@ def test_blocked_atomic_trials_match_single_trial_path(monkeypatch):
                 assert got[0].tobytes() == sampled.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         _trial_values(fa, 3, 4, 9, 0, 10)
+
+
+def test_atomic_trials_sum_each_rows_own_masses():
+    # trials with the same wrong atoms share one sum, and that sum is the
+    # row's own subset sum: over 12 atoms numpy groups a masked sum of all
+    # masses pairwise, which rounds differently for many of these rows
+    pos = np.arange(12.0)
+    masses = np.random.default_rng(5).random(12)
+    fa = FiniteAtomic(FiniteMetric(np.abs(pos[:, None] - pos)), masses / masses.sum(), [0.9, 0.1] * 6)
+    n, k, stop = 3, 1, 300
+    want = [trial_disagreement(fa, n, k, mix64(9, n, t)) for t in range(stop)]
+    assert _trial_values(fa, n, k, 9, 0, stop) == want
+    rows = list(harness._atomic_wrong(fa, n, k, 9, 0, stop))
+    assert len({row.tobytes() for row in rows}) < stop / 2
+    assert any(np.where(row, fa.masses, 0.0).sum() != value for row, value in zip(rows, want))
 
 
 def test_blocked_atomic_excess_matches_fit_predict_reference(monkeypatch):
