@@ -24,13 +24,13 @@ allocates nothing per trial.  Each run of trials sizes one set of
 buffers for its (n, k) and draws every trial into them; fresh temporaries
 cost a trial at n = 5*10^4 about 1,300 page faults, as the allocator
 returned them to the system after every trial.  A trial draws only the
-numbers it reads: it skips the tie-break draws and sorts one packed int64
-key of locations and labels.  The disagreement integral takes one slice
+numbers it reads: it skips the tie-break draws and sorts one packed key
+of locations and labels.  The disagreement integral takes one slice
 of the sorted edges per density segment.  On the disjoint family's shape
 (`_label_cut`) the rule is a step at the midpoint s* of two order
 statistics, and a disagreement trial returns |s* - B| with no window
 table and no integral.  From n = `_BAND_FROM` on it sorts only the
-uniforms near B (248 of 10^4 at k = 100), or all if they miss s*'s two;
+uniforms near B (322 of 10^4 at k = 100), or all if they miss s*'s two;
 a rare row where |s* - B| may not be the integral takes the integral.
 
 The sorted-window identity gives a 1-D trial its prediction table: the k
@@ -108,8 +108,9 @@ _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK_TRIALS = 512  # trials whose streams are derived at once, or ranked by one atomic block
 _BLOCK_POINTS = 1 << 20  # training or query points held at once by one finite-atomic block
 # cut-local trials sort a band near the cut from this n on.  At k = ceil(sqrt(n)), a trial
-# that sorted its row took 12 us against the band's 24 at n = 300, 40 vs 46 at 3,000, 51 vs
-# 51 at 4,000 and 62 vs 56 at 5,000 (min of 7 runs of 300 trials, shared 2-core box)
+# that sorted its row took 6 us against the band's 12-13 at n = 300, 24-25 vs 26-28 at
+# 3,000, 31-33 vs 29-31 at 4,000 and 39-42 vs 35-39 at 5,000 (min of 7 runs of 300
+# trials, two runs, shared 2-core box)
 _BAND_FROM = 4_000
 _ENUMERATION_LIMIT = 1_000_000
 _GRID_LEAST = {"rate": 4, "consistency": 2}  # sample sizes a sweep's statistic needs
@@ -236,17 +237,19 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
 
 
 def _packed_sort(xs, ys, t, labels, flag) -> bool:
-    """Sort locations in [0, 2) with their labels into t and the int64 labels.
+    """Sort locations in [0, 1.5) with their labels into t and the int64 labels.
 
     One sort of the key (x bits << 1) | y orders the points: the bits of
     such doubles sort as the doubles do, a -0.0 packs as +0.0, and the low
-    bit carries the label along.  Returns False when a location repeats,
-    an order that only the tie-break draws decide; flag (at least n bools)
-    is overwritten.
+    bit carries the label along.  Each key is also the bit pattern of a
+    finite double >= +0.0, which sorts as the key does, and a float sort
+    is the faster (320 against 367 us on 5*10^4 keys).  Returns False when
+    a location repeats, an order that only the tie-break draws decide; flag
+    (at least n bools) is overwritten.
     """
     np.left_shift(xs.view(np.int64), 1, out=labels)
     labels |= ys
-    labels.sort()
+    labels.view(np.float64).sort()
     np.right_shift(labels, 1, out=t.view(np.int64))
     labels &= 1
     return not np.equal(t[1:], t[:-1], out=flag[: t.size - 1]).any()
@@ -311,14 +314,15 @@ class _Trials1D:
 
     On a family with a label change `cut` (`_label_cut`), a disagreement
     trial reads its switch off a row of n uniforms, from n = `_BAND_FROM`
-    on off a band row of those within `delta` of the cut, picked out
+    on off a band row of those in `band_ends` around the cut, picked out
     through two flag rows of n.  Other trials draw in full into six float
     rows and three flag rows of max(n, queries) + 2 (2.5 MB at
     n = 5*10^4), made on first use; one row takes the integral's terms.
-    Besides a redraw's sort, a trial allocates only an excess trial's query
-    positions (`np.searchsorted` takes no out).  One instance serves a
-    whole run of trials, and goes when the run does; so does its one
-    generator, on which each trial sets its stream's PCG64 state.
+    Besides a redraw's sort, a trial allocates only in an excess trial: the
+    queries' ascending order, their positions among the switches and their
+    votes (`np.argsort` and `np.searchsorted` take no out).  One instance
+    serves a whole run of trials, and goes when the run does; so does its
+    one generator, on which each trial sets its stream's PCG64 state.
 
     A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
     its table, and no others: the location uniforms, then the label
@@ -335,9 +339,10 @@ class _Trials1D:
         self.rng = np.random.Generator(np.random.PCG64(0))
         self.cut = _label_cut(dist)
         if self.cut is not None:
-            # the band needs m = a + 1 = max(a + 1, b) points each side of the cut
-            m = k // 2 + 1
-            self.delta = (m + 8.0 * math.sqrt(m) + 16.0) / n
+            # the band holds m points on a side with room to spare: a + 1 below
+            # the cut, for s*, and k + 1 from it up, for u[c + k] as well
+            below, above = ((m + 8.0 * math.sqrt(m) + 16.0) / n for m in (k // 2 + 1, k + 1))
+            self.band_ends = (self.cut - below, self.cut + above)
             self.u, self.band = np.empty((2, n))
             self.masks = np.empty((2, n), dtype=bool)
 
@@ -390,9 +395,9 @@ class _Trials1D:
         t = u
         if n >= _BAND_FROM:
             inside, top = self.masks
-            np.greater_equal(u, cut - self.delta, out=inside)
+            np.greater_equal(u, self.band_ends[0], out=inside)
             lo = n - np.count_nonzero(inside)
-            inside &= np.less(u, cut + self.delta, out=top)
+            inside &= np.less(u, self.band_ends[1], out=top)
             t = self.band[: np.count_nonzero(inside)]
             np.compress(inside, u, out=t)
             t.sort()
@@ -441,7 +446,11 @@ class _Trials1D:
         xq, etas, weight = self.rows[:3, :queries]
         self.rng.bit_generator.state = query_state
         self.dist._draw(self.rng, xq, None, None, self.rows[2:5, :queries])
-        predicted = np.take(preds, np.searchsorted(edges[1:-1], xq), out=self.flags[0, :queries])
+        # searchsorted starts each lookup of ascending needles where the last ended;
+        # the votes go back in draw order
+        order = np.argsort(xq)
+        predicted = self.flags[0, :queries]
+        predicted[order] = preds[np.searchsorted(edges[1:-1], np.take(xq, order, out=weight))]
         self.dist._eta_into(xq, etas, self.rows[3:5, :queries])
         disagree = np.greater_equal(etas, 0.5, out=self.flags[2, :queries])
         np.not_equal(predicted, disagree, out=disagree)

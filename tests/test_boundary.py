@@ -9,6 +9,7 @@ eta(x) = x, where a ball's label frequency equals its clipped midpoint.
 import numpy as np
 import pytest
 
+from nnrates import boundary
 from nnrates.boundary import (
     BOUNDARY,
     INTERIOR_MINUS,
@@ -22,6 +23,7 @@ from nnrates.boundary import (
     region_verdicts,
     smoothness_audit,
 )
+from nnrates.bounds import _upper_schedule
 from nnrates.distributions import FiniteAtomic, PiecewiseUniform1D, PowerMargin1D
 from nnrates.errors import DomainError, ZeroMassError
 from nnrates.metric import FiniteMetric
@@ -503,3 +505,62 @@ def test_probability_radii_match_the_scalar_scan(family):
         want = [ref_prob_radius(dist, x, p) for x in probes]
         assert dist.prob_radius_value(np.asarray(probes), p).tolist() == want
         assert [prob_radius(dist, x, p) for x in probes[:5]] == want[:5]
+
+
+def bisect_alone(member, lo, hi, flag):
+    """One bracket bisected by itself, one point a membership call."""
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if member(np.array([mid]))[0] == flag:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_bisect_ends_where_a_bisection_of_each_bracket_alone_ends():
+    # _bisect evaluates several levels of every bracket a call; each bracket
+    # must still end on the very floats of its own one-level bisection.
+    # Brackets of widths 1e-13 to 0.1 (some no wider than 1e-12 from the
+    # start), with one or three membership changes inside each
+    rng = np.random.default_rng(17)
+    for count in (1, 2, 9):
+        for flips in (1, 3):
+            lo = rng.random(count)
+            width = 10.0 ** rng.uniform(-13.0, -1.0, count)
+            width[1::3] = 1e-12
+            hi = lo + width
+            changes = np.sort((lo[:, None] + rng.random((count, flips)) * width[:, None]).ravel())
+
+            def member(xs):
+                return changes.searchsorted(xs, side="right") % 2 == 1
+
+            flags = member(lo)
+            want = [bisect_alone(member, *args) for args in zip(lo.tolist(), hi.tolist(), flags.tolist())]
+            boundary._bisect(member, lo, hi, flags)
+            assert list(zip(lo.tolist(), hi.tolist())) == want, (count, flips)
+
+
+def test_disjoint_measures_take_few_membership_calls(monkeypatch):
+    # at the sizes of the benchmark's trials_large, one membership call a
+    # bisection level took 34 calls a measure
+    calls = []
+
+    def counted(verdict):
+        def call(*args):
+            calls.append(args)
+            return verdict(*args)
+
+        return call
+
+    for name in ("_region_verdict", "_high_error_verdict"):
+        monkeypatch.setattr(boundary, name, counted(getattr(boundary, name)))
+    dist = disjoint_family()
+    for n, k in [(10_000, 100), (50_000, 224)]:
+        calls.clear()
+        boundary_measure(dist, *_upper_schedule(n, k, 0.1, "confidence"))
+        assert 1 < len(calls) <= 10, (n, k)
+    for n, k in [(10_000, 100), (30_000, 173)]:
+        calls.clear()
+        high_error_measure(dist, n, k)
+        assert 1 < len(calls) <= 10, (n, k)

@@ -105,19 +105,28 @@ def test_window_table_orders_repeated_locations_by_tie_break():
 
 
 def test_window_table_packed_sort_matches_lexsort():
-    # the packed-key sort of locations in [0, 2) gives lexsort's order, with
+    # the packed-key sort of locations in [0, 1.5) gives lexsort's order, with
     # a -0.0 location packed as +0.0; repeated locations (-0.0 beside 0.0
     # among them) are refused, and the table falls back to the tie-break
     # order, with `predict`'s label where a window splits a repeat.  A window
-    # with an empty range between equal switches is read by no query
+    # with an empty range between equal switches is read by no query.  The
+    # keys sort as doubles: at the ends, 0.0 or -0.0 with label 1 packs as
+    # the bits of 5e-324, next to 5e-324 with label 0
     rng = np.random.default_rng(8)
     alone = rng.random(50)
     alone[3] = -0.0
     beside_zero = alone.copy()
     beside_zero[7] = 0.0
-    for xs, packed in [(alone, True), (beside_zero, False), (np.round(rng.random(50), 1), False)]:
+    ends = alone.copy()
+    ends[[10, 11, 12]] = 5e-324, 1.0, np.nextafter(1.0, 0.0)
+    plus_zero = ends.copy()
+    plus_zero[3] = 0.0
+    rows = [(alone, True, {}), (beside_zero, False, {}), (np.round(rng.random(50), 1), False, {})]
+    rows += [(row, True, {3: 1, 10: 0, 11: 1, 12: 0}) for row in (ends, plus_zero)]
+    for xs, packed, labels in rows:
         zs = rng.random(xs.size)
         ys = rng.integers(0, 2, size=xs.size)
+        ys[list(labels)] = list(labels.values())
         order = np.lexsort((zs, xs))
         t, labels = np.empty(xs.size), np.empty(xs.size, dtype=np.int64)
         assert _packed_sort(xs, ys, t, labels, np.empty(xs.size, dtype=bool)) == packed

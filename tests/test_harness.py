@@ -250,9 +250,11 @@ def split_at(b):
 
 
 def test_cut_local_trials_equal_the_full_sorted_path():
-    # a routed trial integrates only the windows near its label change c
-    # (the number of label-0 points); every value must be that of the
-    # general route, which sorts the full row, bit for bit.  The cases hold
+    # a routed trial reads |s* - B| off two order statistics of its sorted
+    # row or band near the label change, or takes the integral where the
+    # two may differ (`_Trials1D._step_mass`); every value must be that of
+    # the general route, which sorts the full row and integrates its window
+    # table, bit for bit.  The cases hold
     # k = n, k = n - 1, n = 1, rows with no change, changes within k + 1
     # places of either end, and the trials_large and c05 sizes; B = 3/4
     # puts the change off the middle
