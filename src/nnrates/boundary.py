@@ -109,8 +109,8 @@ def _check_band(band: float) -> None:
 
 
 def _check_sizes(n: int, k: int) -> None:
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not 1 <= k < n <= 2**1023:  # n past 2**1023 may round to an infinite float
+        raise ValueError(f"need 1 <= k < n <= 2**1023, got k={k}, n={n}")
 
 
 def _points(dist, xs) -> np.ndarray:

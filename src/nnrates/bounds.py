@@ -9,8 +9,9 @@ Monte Carlo side lives in the harness.
 Numeric conventions:
 
 * All logarithms are natural.
-* ``binomial_tail`` is exact to relative error 1e-12 (stable pmf
-  recurrence anchored by lgamma, exactly-rounded summation).
+* ``binomial_tail`` is exact to relative error 1e-12 up to n = 5,000
+  (stable pmf recurrence anchored next to the mode, exactly-rounded
+  summation).
 * ``normal_cdf`` evaluates through the platform complementary error
   function, a documented rational/continued-fraction implementation
   accurate to under one ulp, well inside the 1e-12 contract.
@@ -308,18 +309,22 @@ def _upper_schedule(n: int, k: int, delta: float, schedule: str) -> tuple[float,
 
 
 def _binom_log_pmf(n: int, q: float, j: int) -> float:
-    """log P(X = j) for X ~ Bin(n, q), 0 < q < 1, via lgamma."""
-    return (
-        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        + j * math.log(q) + (n - j) * math.log1p(-q)
-    )
+    """log P(X = j) for X ~ Bin(n, q), 0 < q < 1; log C(n, j) off the exact integer to n = 10^4."""
+    if n <= 10_000:
+        log_comb = math.log(math.comb(n, j))
+    else:
+        log_comb = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+    return log_comb + j * math.log(q) + (n - j) * math.log1p(-q)
 
 
 def binomial_tail(n: int, q: float, count: int, direction: str = "ge") -> float:
     """Exact binomial tail P(X >= count) or P(X <= count), X ~ Bin(n, q).
 
-    Anchored log-pmf plus a multiplicative recurrence, summed with
-    exactly-rounded accumulation; relative error stays within 1e-12.
+    Anchored by the log-pmf at the summed index nearest the mode, where it
+    cannot underflow, a multiplicative recurrence walks away from the mode
+    both ways and stops after its first term of exactly 0.0.  Summed with
+    exactly-rounded accumulation; the relative error stayed within 5e-13
+    up to n = 5,000 against mpmath, and grows in proportion to n past that.
     """
     if direction not in ("ge", "le"):
         raise ValueError(f"direction must be 'ge' or 'le', got {direction!r}")
@@ -332,16 +337,16 @@ def binomial_tail(n: int, q: float, count: int, direction: str = "ge") -> float:
     if q == 1.0:
         return 1.0 if (direction == "ge" or count == n) else 0.0
 
-    terms = []
-    term = math.exp(_binom_log_pmf(n, q, count))
-    if direction == "ge":
-        for j in range(count, n + 1):
+    lo, hi = (count, n) if direction == "ge" else (0, count)
+    anchor = min(max(math.floor((n + 1) * q), lo), hi)
+    up, down = q / (1.0 - q), (1.0 - q) / q
+    terms = [math.exp(_binom_log_pmf(n, q, anchor))]
+    for j, stop, step in ((anchor, hi, 1), (anchor, lo, -1)):
+        term = terms[0]
+        while j != stop and term > 0.0:
+            term *= (n - j) / (j + 1.0) * up if step > 0 else j / (n - j + 1.0) * down
             terms.append(term)
-            term *= (n - j) / (j + 1.0) * (q / (1.0 - q))
-    else:
-        for j in range(count, -1, -1):
-            terms.append(term)
-            term *= j / (n - j + 1.0) * ((1.0 - q) / q)
+            j += step
     return min(1.0, math.fsum(terms))
 
 

@@ -8,8 +8,8 @@ Subcommands:
 Every refusal takes one path: a command raises, and `main` prints one
 `error: ` line and maps the exception to an exit code.  0 is success; 2 an
 invalid argument, config or parameter (any `ValueError`: the library's
-refusals, undecodable JSON, a config error); 3 a resource limit
-(`ResourceLimitError`) or exhausted memory; 4 an I/O failure (`OSError`).
+refusals, undecodable JSON, a config error); 3 a `ResourceLimitError` (the
+exact oracle's term budget) or exhausted memory; 4 an I/O failure (`OSError`).
 A refusal that comes up mid-run exits the same way, and a run that fails
 publishes nothing.  Observed bound violations are data, never an exit code.
 
@@ -40,8 +40,8 @@ from .distributions import FiniteAtomic, load_distribution
 from .errors import ResourceLimitError
 from .harness import (
     KRule,
-    _check_enumeration,
     _check_grid,
+    _oracle_groups,
     consistency_sweep,
     estimate_expected_excess,
     rate_sweep,
@@ -264,7 +264,7 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
     if kind == "lower_bound":
         cap = block.get("trials")  # validated above; absent, the harness sizes the run
         if isinstance(dist, FiniteAtomic):
-            _check_enumeration(dist.space.size, n)  # the exact oracle's budget, before anything runs
+            _oracle_groups(dist, k)  # refuses past the exact oracle's budget, before anything runs
 
         def run_lower():
             chk = run_lower_bound_trials(dist, n, k, cap, seed)

@@ -24,4 +24,4 @@ class UnsupportedMethodError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exact computation would exceed the configured enumeration budget."""
+    """An exact computation would pass its term budget (the exact oracle's sum)."""

@@ -9,6 +9,9 @@ only randomness is the training draw itself.  For label-deterministic
 families (frequencies 0 or 1 everywhere) it coincides with the overall
 label mistake probability.
 
+The finite-atomic exact oracle, `exact_expected_mistake`, conditions on
+the k-th neighbor's distance group: its cost does not grow with n.
+
 Reproducibility contract: every trial's generator seed is a documented
 64-bit mix of (master_seed, n, trial_index), with a fourth component
 tagging auxiliary streams (query draws).  Trials are therefore
@@ -76,7 +79,6 @@ from .boundary import boundary_measure, high_error_measure
 from .bounds import (
     MarginSpec,
     SmoothnessSpec,
-    _binom_log_pmf,
     _infeasible_on_overflow,
     _upper_schedule,
     lower_bound_constants,
@@ -112,7 +114,11 @@ _BLOCK_POINTS = 1 << 20  # training or query points held at once by one finite-a
 # 3,000, 31-33 vs 29-31 at 4,000 and 39-42 vs 35-39 at 5,000 (min of 7 runs of 300
 # trials, two runs, shared 2-core box)
 _BAND_FROM = 4_000
-_ENUMERATION_LIMIT = 1_000_000
+# the exact oracle's budget: a (query atom, distance group) pair takes k steps of about k
+# array elements, plus a step's fixed cost of about 5,000, so k * (k + 5,000) terms.  Tied
+# three atoms at k = 13, 300 and 10^4, n = k to 5k: at most 10 ns a term, shared 2-core box
+_ORACLE_STEP_TERMS = 5_000
+_ORACLE_TERM_LIMIT = 2 * 10**9
 _GRID_LEAST = {"rate": 4, "consistency": 2}  # sample sizes a sweep's statistic needs
 
 
@@ -528,127 +534,115 @@ def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int)
 # -- exact oracle --------------------------------------------------------------
 
 
-def _binom_pmf(m: int, eta: float) -> np.ndarray:
-    """pmf of Bin(m, eta) on 0..m; a pure label is a point mass."""
-    if eta == 0.0 or eta == 1.0:
-        pmf = np.zeros(m + 1)
-        pmf[m if eta == 1.0 else 0] = 1.0
-        return pmf
-    return np.array([math.exp(_binom_log_pmf(m, eta, j)) for j in range(m + 1)])
+def _oracle_groups(dist: FiniteAtomic, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Each atom of positive mass, with the (mass, label-one mass) of its distance groups,
+    nearest first, in exact integer multiples of 2**-2148 (as every double and every product
+    of two is); raises ResourceLimitError past `_ORACLE_TERM_LIMIT` terms at this k."""
+    ms, es = dist.masses.tolist(), dist.etas.tolist()
+    pairs = [(v.as_integer_ratio(), e.as_integer_ratio()) for v, e in zip(ms, es)]
+    masses = [m * (2**2148 // d) for (m, d), _ in pairs]
+    ones = [m * e * (2**2148 // (d * f)) for (m, d), (e, f) in pairs]
+    live = [a for a, v in enumerate(masses) if v > 0]
+    table = []
+    for q in live:
+        groups: dict[float, list[int]] = {}
+        for a in live:
+            groups.setdefault(float(dist.space.matrix[q, a]), []).append(a)
+        table.append((q, [
+            (sum(masses[a] for a in g), sum(ones[a] for a in g)) for _, g in sorted(groups.items())
+        ]))
+    terms = k * (k + _ORACLE_STEP_TERMS) * sum(len(groups) for _, groups in table)
+    if terms > _ORACLE_TERM_LIMIT:
+        raise ResourceLimitError(f"the exact oracle needs {terms} terms (limit {_ORACLE_TERM_LIMIT})")
+    return table
 
 
-def _compositions(total: int, caps: Sequence[int]):
-    """All ways to split `total` into len(caps) parts with part i <= caps[i]."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first, *rest)
+def _log_sums(factors) -> np.ndarray:
+    """log of the running products 1, f0, f0*f1, ..., summed with Neumaier's compensation."""
+    logs, total, carry = [0.0], 0.0, 0.0
+    for x in map(math.log, factors):
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+        logs.append(total + carry)
+    return np.array(logs)
 
 
-def _vote_pmf_for_occupancy(
-    dist: FiniteAtomic, query: int, counts: Sequence[int], k: int, binom_pmf
-) -> np.ndarray:
-    """pmf of the k nearest neighbors' label sum, given per-atom counts.
-
-    Atoms are consumed in distance order from the query.  Which points of
-    an atom enter the neighbor set is decided by tie-break draws, but
-    labels within an atom are exchangeable, so only the number taken
-    matters: a fully consumed atom contributes Bin(count, eta); a distance
-    group that overflows the remaining slots contributes a uniformly
-    random split (multivariate hypergeometric) across its atoms.
-    binom_pmf(m, eta) is `_binom_pmf`, or a memo of it.
-    """
-    row = dist.space.matrix[query]
-    order = np.argsort(row, kind="stable")
-    pmf = np.ones(1)
-    remaining = k
-    i = 0
-    while remaining > 0 and i < order.size:
-        group = [int(order[i])]
-        while i + 1 < order.size and row[order[i + 1]] == row[group[0]]:
-            i += 1
-            group.append(int(order[i]))
-        i += 1
-        available = [counts[a] for a in group]
-        total = sum(available)
-        if total == 0:
-            continue
-        if total <= remaining:
-            for atom, have in zip(group, available):
-                if have > 0:
-                    pmf = np.convolve(pmf, binom_pmf(have, float(dist.etas[atom])))
-            remaining -= total
-        else:
-            mix = np.zeros(remaining + pmf.size)
-            denom = math.comb(total, remaining)
-            for taken in _compositions(remaining, available):
-                weight = 1.0
-                for have, t in zip(available, taken):
-                    weight *= math.comb(have, t)
-                branch = pmf
-                for atom, t in zip(group, taken):
-                    if t > 0:
-                        branch = np.convolve(branch, binom_pmf(t, float(dist.etas[atom])))
-                padded = np.zeros(mix.size)
-                padded[: branch.size] = branch
-                mix += (weight / denom) * padded
-            pmf = mix
-            remaining = 0
-    return pmf
-
-
-def _check_enumeration(m: int, n: int) -> None:
-    """Refuse an occupancy enumeration of n draws over m atoms past the limit."""
-    count = math.comb(n + m - 1, m - 1)
-    if count > _ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"occupancy enumeration needs {count} vectors (limit {_ENUMERATION_LIMIT})"
-        )
+def _log_shares(part: int, whole: int) -> tuple[float, float]:
+    """log(part / whole) and log(1 - part / whole), the larger share as log1p(-smaller): exact to
+    a rounding even where n multiplies it.  -1e200 stands for log 0, so 0**0 = 1 and 0**j = 0."""
+    a, b = part / whole, (whole - part) / whole
+    log_a, log_b = (math.log(v) if v > 0.0 else -1e200 for v in (a, b))
+    return (log_a, math.log1p(-a)) if a < b else (math.log1p(-b), log_b)
 
 
 def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
     """Exact expected Bayes-disagreement mass over all training draws.
 
-    Enumerates atom occupancy vectors with multinomial weights; for each
-    query atom the neighbor-label sum is an exact convolution, so the
-    result involves no sampling at all.  Raises ResourceLimitError when
-    the occupancy enumeration would exceed a million vectors.
+    Conditioned on where the k-th neighbor falls, with no sampling and no
+    enumeration of training sets.  Group the positive-mass atoms by their
+    distance from a query atom q.  Exactly c < k of the n points land in the
+    groups closer than group g (mass F, label frequency p) and at least k - c
+    in g (mass mu, label frequency eta) with probability
+
+        Bin(n, F)(c) * P(Bin(n - c, mu / (mu + mass past g)) >= k - c),
+
+    and then the vote is Bin(c, p) + Bin(k - c, eta), the parts independent:
+    the closer points are iid draws of the distribution on their groups, and
+    the tie-break draws pick a uniform subset of g's points, whose labels are
+    iid.  Only the wrong side of each vote is summed, from nonnegative terms.
+    The second factor is one minus its lower tail while k - c is at most the
+    mean (that tail then holds at most half the mass); past the mean its terms
+    fall, and those past 4(k - c) + 64 add under 2**-60 of the first, as for a
+    share of at most 1/2 each step from 4(k - c) halves a term and a larger
+    share has fewer terms.  The pmfs read log j! and log n!/(n - j)! for
+    j <= 4k + 64: the cost, O(groups * k**2) a query atom, is the same for
+    every n.
     """
     if not isinstance(dist, FiniteAtomic):
         raise ValueError("the exact oracle requires a finite-atomic distribution")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    m = dist.space.size
-    _check_enumeration(m, n)
-    log_masses = [math.log(v) if v > 0.0 else -math.inf for v in dist.masses]
-    threshold = (k + 1) // 2
-    bayes = dist.etas >= 0.5
-    # a few hundred (m, eta) pmfs recur in thousands of occupancy vectors
-    binom_pmf = functools.cache(_binom_pmf)
-    total = 0.0
-    for counts in _compositions(n, [n] * m):
-        log_w = math.lgamma(n + 1)
-        ok = True
-        for h, lm in zip(counts, log_masses):
-            if h > 0:
-                if lm == -math.inf:
-                    ok = False
-                    break
-                log_w += h * lm - math.lgamma(h + 1)
-        if not ok:
-            continue
-        weight = math.exp(log_w)
-        for query in range(m):
-            if dist.masses[query] <= 0.0:
-                continue
-            pmf = _vote_pmf_for_occupancy(dist, query, counts, k, binom_pmf)
-            predict_one = float(pmf[threshold:].sum())
-            p_disagree = 1.0 - predict_one if bayes[query] else predict_one
-            total += weight * float(dist.masses[query]) * p_disagree
-    return total
+    if not 1 <= k <= n <= 2**53:  # n - c stays an exact float
+        raise ValueError(f"need 1 <= k <= n <= 2**53, got k={k}, n={n}")
+    table = _oracle_groups(dist, k)
+    log_fact = _log_sums(range(1, 4 * k + 65))
+    falling = _log_sums(range(n, n - min(n, 4 * k + 64), -1))
+
+    def pmf(size, js, log_comb, logs):  # Bin(size, p) at js; logs = (log p, log(1 - p))
+        return np.exp(log_comb + js * logs[0] + (float(size) - js) * logs[1])
+    total = []
+    for q, groups in table:
+        # the vote errs once `least` of the k neighbors carry the label that
+        # the Bayes rule at q rejects: label one where eta < 1/2, else label 0
+        flip = 1 if dist.etas[q] < 0.5 else -1
+        least = (k + 1) // 2 if flip == 1 else k // 2 + 1
+        whole = sum(mu for mu, _ in groups)
+        closer = closer_one = 0
+        for mu, one in groups:
+            log_f, log_m = _log_shares(closer, whole)
+            into = _log_shares(mu, whole - closer)
+            near_wrong = _log_shares(closer_one, closer or 1)[::flip]
+            group_wrong = _log_shares(one, mu)[::flip]
+            for c in range(k):
+                reach = math.exp(falling[c] - log_fact[c] + c * log_f + (n - c) * log_m)
+                if reach == 0.0:
+                    continue
+                need, size = k - c, n - c
+                below = need <= size * math.exp(into[0])
+                js = np.arange(need) if below else np.arange(need, min(size, 4 * need + 64) + 1)
+                terms = pmf(size, js, falling[c + js] - falling[c] - log_fact[js], into).tolist()
+                enough = 1.0 - math.fsum(terms) if below else math.fsum(terms)
+                near, group = (
+                    pmf(m, np.arange(m + 1), log_fact[m] - log_fact[: m + 1] - log_fact[m::-1], logs)
+                    for m, logs in ((c, near_wrong), (need, group_wrong))
+                )
+                # at_least[x] = P(Bin(need, eta) >= x) over the wrong label, 0 past need
+                at_least = np.zeros(need + 2)
+                np.cumsum(group[::-1], out=at_least[need::-1])
+                wrong = near @ at_least.take(least - np.arange(c + 1), mode="clip")
+                total.append(float(dist.masses[q]) * reach * enough * float(wrong))
+            closer += mu
+            closer_one += one
+    return math.fsum(total)
 
 
 def _mean_var(values: Sequence[float]) -> tuple[float, float]:

@@ -12,9 +12,12 @@ labels, with `predict` deciding each window that a repeated location
 splits.
 """
 
+import math
+
 import numpy as np
 
 from nnrates._rng import mix64
+from nnrates.bounds import _binom_log_pmf
 from nnrates.classifier import fit_arrays, predict
 from nnrates.distributions import PowerMargin1D
 from nnrates.metric import IntervalMetric
@@ -76,3 +79,107 @@ def reference_window(xs, zs, ys, k):
         if r[i - 1] == r[i] and (i + k == n or r[i + k - 1] < r[i + k]) and np.ptp(y[r == r[i]]):
             preds[i] = predict(model, (r[i] + r[i + k - 1]) / 2.0 + 0.25)
     return (t[: n - k] + t[k:]) / 2.0, preds
+
+
+def _binom_pmf(m: int, eta: float) -> np.ndarray:
+    """pmf of Bin(m, eta) on 0..m; a pure label is a point mass."""
+    if eta == 0.0 or eta == 1.0:
+        pmf = np.zeros(m + 1)
+        pmf[m if eta == 1.0 else 0] = 1.0
+        return pmf
+    return np.array([math.exp(_binom_log_pmf(m, eta, j)) for j in range(m + 1)])
+
+
+def _compositions(total: int, caps):
+    """All ways to split `total` into len(caps) parts with part i <= caps[i]."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _compositions(total - first, caps[1:]):
+            yield (first, *rest)
+
+
+def _vote_pmf_for_occupancy(dist, query: int, counts, k: int) -> np.ndarray:
+    """pmf of the k nearest neighbors' label sum, given per-atom counts.
+
+    Atoms are consumed in distance order from the query.  Which points of
+    an atom enter the neighbor set is decided by tie-break draws, but
+    labels within an atom are exchangeable, so only the number taken
+    matters: a fully consumed atom contributes Bin(count, eta); a distance
+    group that overflows the remaining slots contributes a uniformly
+    random split (multivariate hypergeometric) across its atoms.
+    """
+    row = dist.space.matrix[query]
+    order = np.argsort(row, kind="stable")
+    pmf = np.ones(1)
+    remaining = k
+    i = 0
+    while remaining > 0 and i < order.size:
+        group = [int(order[i])]
+        while i + 1 < order.size and row[order[i + 1]] == row[group[0]]:
+            i += 1
+            group.append(int(order[i]))
+        i += 1
+        available = [counts[a] for a in group]
+        total = sum(available)
+        if total == 0:
+            continue
+        if total <= remaining:
+            for atom, have in zip(group, available):
+                if have > 0:
+                    pmf = np.convolve(pmf, _binom_pmf(have, float(dist.etas[atom])))
+            remaining -= total
+        else:
+            mix = np.zeros(remaining + pmf.size)
+            denom = math.comb(total, remaining)
+            for taken in _compositions(remaining, available):
+                weight = 1.0
+                for have, t in zip(available, taken):
+                    weight *= math.comb(have, t)
+                branch = pmf
+                for atom, t in zip(group, taken):
+                    if t > 0:
+                        branch = np.convolve(branch, _binom_pmf(t, float(dist.etas[atom])))
+                padded = np.zeros(mix.size)
+                padded[: branch.size] = branch
+                mix += (weight / denom) * padded
+            pmf = mix
+            remaining = 0
+    return pmf
+
+
+def occupancy_expected_mistake(dist, n: int, k: int) -> float:
+    """Exact expected Bayes-disagreement mass, by enumeration over occupancy vectors.
+
+    Every split of the n points over the m atoms is weighted by its
+    multinomial probability, and for each query atom the neighbor-label
+    sum is an exact convolution.  C(n + m - 1, m - 1) vectors: a spec for
+    small cases, which `harness.exact_expected_mistake` must match.
+    """
+    m = dist.space.size
+    log_masses = [math.log(v) if v > 0.0 else -math.inf for v in dist.masses]
+    threshold = (k + 1) // 2
+    bayes = dist.etas >= 0.5
+    total = 0.0
+    for counts in _compositions(n, [n] * m):
+        log_w = math.lgamma(n + 1)
+        ok = True
+        for h, lm in zip(counts, log_masses):
+            if h > 0:
+                if lm == -math.inf:
+                    ok = False
+                    break
+                log_w += h * lm - math.lgamma(h + 1)
+        if not ok:
+            continue
+        weight = math.exp(log_w)
+        for query in range(m):
+            if dist.masses[query] <= 0.0:
+                continue
+            pmf = _vote_pmf_for_occupancy(dist, query, counts, k)
+            predict_one = float(pmf[threshold:].sum())
+            p_disagree = 1.0 - predict_one if bayes[query] else predict_one
+            total += weight * float(dist.masses[query]) * p_disagree
+    return total

@@ -263,6 +263,24 @@ def test_binomial_tail_exact_oracle():
                 assert got_le == pytest.approx(want_le, abs=1e-12)
 
 
+def test_binomial_tail_holds_its_error_past_underflow():
+    # at q = 1/2 the pmf at count 0 or n underflows from n = 1,075 on; a tail
+    # anchored there summed zeros, and 0.0 came back for a tail of about 1
+    assert binomial_tail(2000, 0.5, 0, "ge") == 1.0
+    assert binomial_tail(2000, 0.5, 10, "ge") == pytest.approx(1.0, rel=1e-12)
+    assert binomial_tail(2000, 0.5, 2000, "le") == 1.0
+    with mpmath.workdps(60):
+        for n in (1100, 2000):
+            for q in (0.5, 0.25, 0.9):
+                p = mpmath.mpf(q)
+                pmf = [mpmath.binomial(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+                for count in [*range(0, n, 97), n]:
+                    for direction, want in (("ge", mpmath.fsum(pmf[count:])), ("le", mpmath.fsum(pmf[: count + 1]))):
+                        if want > 1e-300:
+                            got = binomial_tail(n, q, count, direction)
+                            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), (n, q, count, direction)
+
+
 def test_binomial_tail_frozen_example():
     assert binomial_tail(4, 0.25, 1, direction="ge") == pytest.approx(0.68359375, abs=1e-12)
     with pytest.raises(ValueError):

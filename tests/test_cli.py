@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -291,12 +292,9 @@ def test_run_missing_config_is_io_error(tmp_path):
     assert run_cli(["run", str(tmp_path / "missing.json")]) == 4
 
 
-def test_run_resource_limit_exit(tmp_path):
-    # atomic lower-bound block forces the exact oracle past its
-    # enumeration budget at run time
-    metric = tmp_path / "m.txt"
-    metric.write_text("2\n0 1\n1 0\n")
-    cfg = write_config(tmp_path, {
+def pure_atoms_lower_bound(tmp_path, n, k):
+    (tmp_path / "m.txt").write_text("2\n0 1\n1 0\n")
+    return write_config(tmp_path, {
         "distribution": {
             "family": "finite_atomic",
             "metric_file": "m.txt",
@@ -304,9 +302,39 @@ def test_run_resource_limit_exit(tmp_path):
             "etas": [1.0, 0.0],
         },
         "output_dir": "out",
-        "experiments": [{"type": "lower_bound", "n": 5_000_000, "k": 3}],
+        "experiments": [{"type": "lower_bound", "n": n, "k": k}],
     })
-    assert run_cli(["run", str(cfg)]) == 3
+
+
+def test_run_resource_limit_exit(tmp_path):
+    # an atomic lower-bound block at k = 30,000 puts the exact oracle past
+    # its term budget
+    assert run_cli(["run", str(pure_atoms_lower_bound(tmp_path, 5_000_000, 30_000))]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_exact_oracle_at_five_million_points(tmp_path):
+    # k = 3 at n = 5,000,000 once needed 5,000,001 occupancy vectors, past
+    # the old budget; each query atom now holds 2.5 million points of its
+    # own label, so the rule errs with probability 0
+    cfg = pure_atoms_lower_bound(tmp_path, 5_000_000, 3)
+    assert run_cli(["run", str(cfg), "--format", "json"]) == 0
+    report = json.loads((tmp_path / "out" / "00_lower_bound.json").read_text())
+    assert report["summary"]["lhs"] == 0.0
+
+
+def test_run_refuses_a_sample_size_past_the_float_range(tmp_path):
+    # the high-error measure divides by n as a float: at n = 10**400 it
+    # raised OverflowError, a traceback; the exact oracle reads n as an
+    # exact float, so it refuses n = 2**70, once refused by its old budget
+    cfg = write_config(tmp_path, {
+        "distribution": POWER_DIST,
+        "output_dir": "out",
+        "experiments": [{"type": "lower_bound", "n": 10**400, "k": 3}],
+    })
+    assert run_cli(["run", str(cfg)]) == 2
+    assert run_cli(["run", str(pure_atoms_lower_bound(tmp_path, 2**70, 3))]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 THREE_ATOMS = {
@@ -317,21 +345,39 @@ THREE_ATOMS = {
 }
 
 
-def test_run_refuses_an_oversized_enumeration_before_running(tmp_path):
-    # the lower bound's exact oracle would need 4,504,501 occupancy vectors;
-    # the refusal comes at validation, so the upper bound before it never
-    # runs and no output directory appears
+def three_atoms_run(tmp_path, n, k):
     (tmp_path / "m.txt").write_text("3\n0 1 1\n1 0 2\n1 2 0\n")
-    cfg = write_config(tmp_path, {
+    return write_config(tmp_path, {
         "distribution": THREE_ATOMS,
         "output_dir": "out",
         "experiments": [
             {"type": "upper_bound", "n": 200, "k": 13, "delta": 0.1, "trials": 20},
-            {"type": "lower_bound", "n": 3000, "k": 13},
+            {"type": "lower_bound", "n": n, "k": k},
         ],
     })
-    assert run_cli(["run", str(cfg)]) == 3
+
+
+def test_run_refuses_an_oversized_enumeration_before_running(tmp_path):
+    # the lower bound's exact oracle would need 4e9 terms at k = 20,000;
+    # the refusal comes at validation, so the upper bound before it never
+    # runs and no output directory appears
+    assert run_cli(["run", str(three_atoms_run(tmp_path, 30_000, 20_000))]) == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "m.txt"]
+
+
+def test_run_exact_oracle_at_three_thousand_points(tmp_path):
+    # (3000, 13) once needed 4,504,501 occupancy vectors and was refused.
+    # Fewer than 13 of 3,000 points land on an atom of mass 0.2 or more
+    # with probability below 1e-200, so the 13 neighbors all carry the
+    # query atom's own label frequency
+    assert run_cli(["run", str(three_atoms_run(tmp_path, 3000, 13)), "--format", "json"]) == 0
+    want = Fraction(0)
+    for mass, eta in zip(THREE_ATOMS["masses"], THREE_ATOMS["etas"]):
+        e = Fraction(eta)
+        pmf = [math.comb(13, j) * e**j * (1 - e) ** (13 - j) for j in range(14)]
+        want += Fraction(mass) * sum(pmf[:7] if eta >= 0.5 else pmf[7:])
+    report = json.loads((tmp_path / "out" / "01_lower_bound.json").read_text())
+    assert report["summary"]["lhs"] == pytest.approx(float(want), rel=1e-11)
 
 
 def test_run_failing_late_publishes_nothing(tmp_path, monkeypatch):

@@ -2,14 +2,16 @@
 
 The brute-force oracle below enumerates every training assignment, every
 equally likely tie subset, and every label vector outright.  It shares no
-machinery with the implementation (which integrates occupancy vectors
-against convolved label counts), so agreement is meaningful evidence.
+machinery with the implementation (which conditions on the distance group
+of the k-th neighbor), so agreement is meaningful evidence.
 """
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,7 +35,13 @@ from nnrates.harness import (
     wilson_interval,
 )
 from nnrates.metric import FiniteMetric
-from references import atomic_excess, bayes_one_cdf, reference_window, trial_disagreement
+from references import (
+    atomic_excess,
+    bayes_one_cdf,
+    occupancy_expected_mistake,
+    reference_window,
+    trial_disagreement,
+)
 
 
 def brute_force_expected_mistake(matrix, masses, etas, n, k):
@@ -82,6 +90,21 @@ def tied_three_atoms():
     # random tie subset logic whenever a neighborhood cuts through them
     matrix = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     return FiniteAtomic(FiniteMetric(matrix), [0.2, 0.3, 0.5], [0.9, 0.2, 0.6])
+
+
+def four_tied_atoms():
+    # atoms 1 and 2 tie as seen from atom 0 (distance 1) and from atom 3
+    # (distance 2); atoms 2 and 3 tie as seen from atom 1, atoms 1 and 3
+    # from atom 2
+    matrix = np.array(
+        [[0.0, 1.0, 1.0, 3.0], [1.0, 0.0, 2.0, 2.0], [1.0, 2.0, 0.0, 2.0], [3.0, 2.0, 2.0, 0.0]]
+    )
+    return FiniteAtomic(FiniteMetric(matrix), [0.1, 0.2, 0.3, 0.4], [0.7, 0.4, 0.55, 0.1])
+
+
+def zero_mass_atoms():
+    matrix = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    return FiniteAtomic(FiniteMetric(matrix), [0.5, 0.5, 0.0], [1.0, 0.0, 0.3])
 
 
 def disjoint_family():
@@ -432,9 +455,8 @@ def test_exact_oracle_handles_zero_mass_atom():
 
 
 def test_exact_oracle_large_n_stays_finite():
-    # 1,201 occupancies are far inside the enumeration limit, but C(1200, j)
-    # overflows a float; a query atom is misread exactly when fewer than
-    # 600 of the 1,200 points land on it
+    # C(1200, j) overflows a float; a query atom is misread exactly when
+    # fewer than 600 of the 1,200 points land on it
     fa = pure_atoms()
     tie = Fraction(math.comb(1200, 600), 2**1200)
     want = float((1 - tie) / 2)
@@ -442,9 +464,106 @@ def test_exact_oracle_large_n_stays_finite():
 
 
 def test_exact_oracle_enumeration_limit():
+    # (2,000,000, 3) once needed 2,000,001 occupancy vectors, past the old
+    # budget; now it takes 4 (atom, group) pairs of 3 * 5,003 terms.  Each
+    # query atom holds about a million points of its own label, so the rule
+    # never errs.  k = 30,000 needs 4 * 30,000 * 35,000 terms, past 2e9
     fa = pure_atoms()
+    assert exact_expected_mistake(fa, 2_000_000, 3) == 0.0
     with pytest.raises(ResourceLimitError):
-        exact_expected_mistake(fa, 2_000_000, 3)
+        exact_expected_mistake(fa, 2_000_000, 30_000)
+
+
+def test_exact_oracle_keeps_a_rare_atom_exact_at_large_n():
+    # an atom of mass 1e-9 is misread when at most one of its 3 neighbors
+    # among n = 10^10 points is its own.  The sum multiplies log(1 - p) by
+    # about n, so a log that lost one rounding would be off by 1e-6
+    masses = [1e-9, 1 - 1e-9 + 1e-13]  # a sum of 1 + 1e-13 leaves 1 - p inexact
+    fa = FiniteAtomic(FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]])), masses, [1.0, 0.0])
+    n = 10**10
+    with mpmath.workdps(50):
+        small, large = (mpmath.mpf(v) for v in masses)
+        p = small / (small + large)
+        want = small * ((1 - p) ** n + n * p * (1 - p) ** (n - 1))
+    assert exact_expected_mistake(fa, n, 3) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def test_exact_oracle_refuses_n_past_exact_floats():
+    # the sum reads n - c as a float, exact up to 2**53
+    fa = pure_atoms()
+    assert exact_expected_mistake(fa, 2**53, 3) == 0.0
+    with pytest.raises(ValueError):
+        exact_expected_mistake(fa, 2**53 + 1, 3)
+
+
+@pytest.mark.parametrize("family", [tied_three_atoms, zero_mass_atoms, pure_atoms, four_tied_atoms])
+@pytest.mark.parametrize("n, k", [(12, 1), (12, 4), (12, 12), (40, 13)])
+def test_exact_oracle_matches_occupancy_enumeration(family, n, k):
+    # k = 1, an even k, k = n, and the benchmark's (40, 13)
+    fa = family()
+    want = occupancy_expected_mistake(fa, n, k)
+    assert exact_expected_mistake(fa, n, k) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def mp_expected_mistake(fa, n, k):
+    """The conditioning sum of `exact_expected_mistake`, spelled out at 60 digits."""
+    with mpmath.workdps(60):
+        masses = [mpmath.mpf(v) for v in fa.masses.tolist()]
+        etas = [mpmath.mpf(v) for v in fa.etas.tolist()]
+        live = [a for a, v in enumerate(masses) if v > 0]
+        whole = mpmath.fsum(masses)
+
+        def pmf(size, p, j):
+            return mpmath.binomial(size, j) * p**j * (1 - p) ** (size - j)
+
+        total = mpmath.mpf(0)
+        for q in live:
+            row = fa.space.matrix[q]
+            closer = closer_one = mpmath.mpf(0)
+            for d in sorted({row[a] for a in live}):
+                group = [a for a in live if row[a] == d]
+                mu = mpmath.fsum(masses[a] for a in group)
+                one = mpmath.fsum(masses[a] * etas[a] for a in group)
+                beyond = whole - closer
+                for c in range(k if closer else 1):
+                    reach = pmf(n, closer / whole, c) * mpmath.fsum(
+                        pmf(n - c, mu / beyond, j) for j in range(k - c, n - c + 1)
+                    )
+                    p = closer_one / closer if closer else mpmath.mpf(0)
+                    for ones in range(k + 1):
+                        if (2 * ones >= k) == (etas[q] >= 0.5):
+                            continue
+                        vote = mpmath.fsum(
+                            pmf(c, p, a) * pmf(k - c, one / mu, ones - a)
+                            for a in range(max(0, ones - k + c), min(c, ones) + 1)
+                        )
+                        total += masses[q] * reach * vote
+                closer += mu
+                closer_one += one
+        return total
+
+
+def test_exact_oracle_matches_mpmath_at_the_benchmark_size():
+    fa = tied_three_atoms()
+    want = mp_expected_mistake(fa, 40, 13)
+    assert exact_expected_mistake(fa, 40, 13) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+    # the conditioning sum, spelled out, is the occupancy enumeration's value too
+    assert float(want) == pytest.approx(occupancy_expected_mistake(fa, 40, 13), rel=1e-13, abs=0.0)
+
+
+def test_exact_oracle_cost_does_not_grow_with_n():
+    # at n = 10^9 every one of the 13 neighbors sits on the query's own atom
+    fa = tied_three_atoms()
+    want = Fraction(0)
+    for mass, eta in zip([0.2, 0.3, 0.5], [0.9, 0.2, 0.6]):
+        e = Fraction(eta)
+        pmf = [math.comb(13, j) * e**j * (1 - e) ** (13 - j) for j in range(14)]
+        want += Fraction(mass) * sum(pmf[:7] if eta >= 0.5 else pmf[7:])
+    start = time.perf_counter()
+    got = exact_expected_mistake(fa, 10**9, 13)
+    elapsed = time.perf_counter() - start
+    assert got == pytest.approx(float(want), rel=0.0, abs=1e-15)
+    assert elapsed < 1.0, f"n = 10^9 took {elapsed:.2f}s"
 
 
 def test_mc_matches_exact_within_error():
