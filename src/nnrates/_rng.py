@@ -2,8 +2,8 @@
 
 Every randomized routine in the package derives its generator from a
 64-bit seed produced by ``mix64``.  The mix is a SplitMix64 chain over the
-integer parts, so a (master_seed, trial_index, stream_tag) triple always
-maps to the same substream on every platform, in any thread.
+integer parts, so a (master_seed, n, trial_index) triple always maps to
+the same substream on every platform, in any thread.
 
 ``generator`` seeds PCG64 through numpy's ``SeedSequence`` hash (O'Neill's
 ``seed_seq_fe``), about 15 us a seed.  ``block_states`` restates that hash
@@ -49,14 +49,12 @@ def generator(*parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mix64(*parts)))
 
 
-def block_states(prefix: int, start: int, stop: int, tag=None) -> list[dict]:
-    """``generator(mix64(*parts, t[, tag])).bit_generator.state`` for t in [start, stop).
+def block_states(prefix: int, start: int, stop: int) -> list[dict]:
+    """``generator(mix64(*parts, t)).bit_generator.state`` for t in [start, stop).
 
     prefix is ``mix64(*parts)``.
     """
     seeds = _splitmix64(np.arange(start, stop, dtype=np.uint64) ^ prefix)
-    if tag is not None:
-        seeds = _splitmix64(seeds ^ (int(tag) & _MASK64))
     # `generator` mixes its one seed once more
     return pcg64_states(_splitmix64(seeds))
 

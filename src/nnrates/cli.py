@@ -204,7 +204,7 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
     if kind not in _EXPERIMENT_TYPES:
         raise ConfigError(f"{where}: unknown type {kind!r}")
     trials = block.get("trials", defaults["trials"])
-    mc_points = block.get("mc_points", defaults["mc_points"])
+    mc_points = block.get("mc_points", 1)  # accepted and ignored: excess trials are exact
     seed = defaults["master_seed"]
     if not _is_int(trials) or trials < 1:
         raise ConfigError(f"{where}: trials must be a positive integer")
@@ -220,14 +220,14 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
 
         def run_sweep():
             if kind == "rate_sweep":
-                sweep = rate_sweep(dist, n_grid, rule, trials, mc_points, seed)
+                sweep = rate_sweep(dist, n_grid, rule, trials, seed)
                 summary = {
                     "slope": sweep.slope,
                     "intercept": sweep.intercept,
                     "excluded": ";".join(str(n) for n in sweep.excluded) or "none",
                 }
             else:
-                sweep = consistency_sweep(dist, n_grid, rule, trials, mc_points, seed)
+                sweep = consistency_sweep(dist, n_grid, rule, trials, seed)
                 summary = {"spearman": sweep.spearman}
                 summary.update((f"median_{r.n}", r.median_excess) for r in sweep.rows)
             rows = [[r.n, r.k, r.mean_excess, r.stderr] for r in sweep.rows]
@@ -283,9 +283,9 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
         return kind, run_lower
 
     def run_excess():
-        est = estimate_expected_excess(dist, n, k, trials, mc_points, seed)
+        est = estimate_expected_excess(dist, n, k, trials, seed)
         rows = [[est.n, est.k, est.mean, est.stderr]]
-        summary = {"trials": trials, "mc_points": mc_points}
+        summary = {"trials": trials}
         return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
 
     return kind, run_excess
@@ -311,7 +311,6 @@ def _cmd_run(args) -> int:
         raise ConfigError("config: 'experiments' must be a nonempty list")
     defaults = {
         "trials": args.trials if args.trials is not None else 400,
-        "mc_points": args.mc_points if args.mc_points is not None else 2000,
         "master_seed": seed,
     }
     plans = [_validate_experiment(i, b, dist, defaults) for i, b in enumerate(blocks)]
@@ -476,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to the experiment config file")
     run_p.add_argument("--master_seed", type=int, default=None)
     run_p.add_argument("--trials", type=int, default=None)
-    run_p.add_argument("--mc_points", type=int, default=None)
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
     run_p.add_argument("--output_dir", default=None)
     run_p.set_defaults(func=_cmd_run)

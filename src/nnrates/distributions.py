@@ -35,10 +35,10 @@ atom indices for finite-atomic families, and answer lane by lane with the
 same float operations a one-point query performs.
 
 The trial kernels of `nnrates.harness` draw and query through private
-hooks that write into buffers the caller owns: `_draw` and `_place` for
-samples, `_eta_into` for the label frequency that a sampled label reads,
-and `_cdf_pair_into` for masses.
-The draws are those of `sample_arrays`, bit for bit.
+hooks: `_draw` and `_place` for samples and `_cdf_pair_into` for masses,
+which write into buffers the caller owns, and `_wrong_excess` for the
+excess risk of a rule's wrong windows.  The draws are those of
+`sample_arrays`, bit for bit.
 """
 
 from __future__ import annotations
@@ -147,11 +147,6 @@ class FiniteAtomic:
     def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._draw(generator(seed).random((3, n)))
 
-    def _atoms(self, u: np.ndarray) -> np.ndarray:
-        """The atom each location uniform in u picks, lane by lane."""
-        atoms = np.searchsorted(self._cum, u, side="right")
-        return np.minimum(atoms, self.space.size - 1, out=atoms)
-
     def _draw(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The atoms, tie-break draws and int8 labels of draws made from the uniforms u.
 
@@ -161,7 +156,8 @@ class FiniteAtomic:
         the harness reads a block of streams into a (trials, 3, n) array and
         maps it in one call.
         """
-        xs = self._atoms(u[..., 0, :])
+        xs = np.searchsorted(self._cum, u[..., 0, :], side="right")
+        np.minimum(xs, self.space.size - 1, out=xs)
         return xs, u[..., 1, :], (u[..., 2, :] < self.etas[xs]).astype(np.int8)
 
     # -- measures ---------------------------------------------------------
@@ -251,10 +247,6 @@ class _Interval1D:
         """
         raise NotImplementedError
 
-    def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Write eta(x) for each x into out; scratch as in `_place`."""
-        raise NotImplementedError
-
     def _cdf_pair_into(self, ts: np.ndarray, cdf: np.ndarray, ones: np.ndarray) -> None:
         """Mass of [0, t] and the part of it where the Bayes label is 1, for the ascending ts.
 
@@ -265,6 +257,12 @@ class _Interval1D:
         locations, midpoints of locations, and the 0.0 and 1.0 ends, all
         >= +0.0.
         """
+        raise NotImplementedError
+
+    def _wrong_excess(self, lo: np.ndarray, hi: np.ndarray, votes: np.ndarray) -> float:
+        """Summed over the windows [lo, hi] that vote ``votes``, the integral of |1 - 2 eta| * density
+        over each one's part where its vote is not the Bayes label, window by window with no prefix
+        integral to cancel."""
         raise NotImplementedError
 
     def sample_arrays(self, seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,10 +478,6 @@ class PiecewiseUniform1D(_Interval1D):
         np.take(self.breaks, j, out=tmp, mode="clip")
         np.add(tmp, u, out=u)
 
-    def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        j = self._count_cuts(self.breaks[1:-1], xs, scratch)
-        np.take(self._filled_eta, j, out=out, mode="clip")
-
     def cdf(self, t) -> np.ndarray:
         t = np.minimum(np.maximum(t, 0.0), 1.0)
         j = self._seg(t)
@@ -512,6 +506,13 @@ class PiecewiseUniform1D(_Interval1D):
             else:
                 ones[lo:hi] = self._bayes_one_prefix[j] + 0.0
             run += self._mass_prefix[j]
+
+    def _wrong_excess(self, lo: np.ndarray, hi: np.ndarray, votes: np.ndarray) -> float:
+        # |1 - 2 eta| * density is |f - 2g| on a segment, and a window's piece
+        # there is wrong where the vote is not the segment's Bayes label
+        width = np.minimum(hi[:, None], self.breaks[1:]) - np.maximum(lo[:, None], self.breaks[:-1])
+        weight = np.where(votes[:, None] != self._bayes_one, np.abs(self.f - 2.0 * self.g), 0.0)
+        return float((np.maximum(width, 0.0) * weight).sum())
 
     def density_at(self, t) -> np.ndarray:
         return np.where((t < 0.0) | (t > 1.0), 0.0, self.f[self._seg(t)])
@@ -580,6 +581,7 @@ class PowerMargin1D(_Interval1D):
             np.less(v, scratch[0, : u.size], out=labels)
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write eta(x) for each x into out; scratch as in `_place`."""
         # 0.5 + 0.5 * sign(s) * |s|**gamma with s = 2x - 1, operation for operation
         s = scratch[0, : xs.size]
         np.multiply(xs, 2.0, out=s)
@@ -598,6 +600,14 @@ class PowerMargin1D(_Interval1D):
         np.minimum(np.maximum(ts, 0.0, out=cdf), 1.0, out=cdf)
         np.subtract(cdf, 0.5, out=ones)
         np.maximum(0.0, ones, out=ones)
+
+    def _wrong_excess(self, lo: np.ndarray, hi: np.ndarray, votes: np.ndarray) -> float:
+        # |1 - 2 eta| = |2x - 1|**gamma, the odd antiderivative's slope up to
+        # sign: a vote of 1 is wrong on the window's part below 1/2, where the
+        # antiderivative falls, and a vote of 0 on its part above
+        a = np.where(votes, np.minimum(lo, 0.5), np.maximum(hi, 0.5))
+        b = np.where(votes, np.minimum(hi, 0.5), np.maximum(lo, 0.5))
+        return float((self._odd_antideriv(a) - self._odd_antideriv(b)).sum())
 
     # float_power calls the C library's pow, as Python's float ** does;
     # np.power may take a SIMD approximation that differs in the last bit

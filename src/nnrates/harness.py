@@ -1,20 +1,22 @@
 """Verification experiments: exact oracles plus seeded Monte Carlo trials.
 
-The quantity every trial records is the mass of the region where the
-trained rule disagrees with the Bayes rule, Pr_X(predicted != Bayes).
-For finite-atomic families that mass is an exact atom sum; for the 1-D
-continuous families it is an exact integral read off the sorted-window
-prediction table, so each trial contributes a closed-form number and the
-only randomness is the training draw itself.  For label-deterministic
-families (frequencies 0 or 1 everywhere) it coincides with the overall
-label mistake probability.
+A trial records the mass of the region where the trained rule disagrees
+with the Bayes rule, Pr_X(predicted != Bayes), or its excess risk over
+the Bayes rule, E_X[|1 - 2 eta(X)| * 1{predicted != Bayes}] (Devroye,
+Gyorfi & Lugosi 1996, Thm 2.2): the same region under the weight
+|1 - 2 eta| * density in place of the density.  For finite-atomic
+families either is an exact atom sum; for the 1-D continuous families it
+is an exact integral read off the sorted-window prediction table, so each
+trial contributes a closed-form number and the only randomness is the
+training draw itself.  For label-deterministic families (frequencies 0 or
+1 everywhere) the two coincide with the overall label mistake
+probability.
 
 The finite-atomic exact oracle, `exact_expected_mistake`, conditions on
 the k-th neighbor's distance group: its cost does not grow with n.
 
 Reproducibility contract: every trial's generator seed is a documented
-64-bit mix of (master_seed, n, trial_index), with a fourth component
-tagging auxiliary streams (query draws).  Trials are therefore
+64-bit mix of (master_seed, n, trial_index).  Trials are therefore
 order-independent: growing a trial budget never changes earlier trials,
 and a run from an offset start reproduces the same trials bit for bit.
 Aggregation always reduces in trial order.  `_states` derives the PCG64
@@ -29,10 +31,11 @@ cost a trial at n = 5*10^4 about 1,300 page faults, as the allocator
 returned them to the system after every trial.  A trial draws only the
 numbers it reads: it skips the tie-break draws and sorts one packed key
 of locations and labels.  The disagreement integral takes one slice
-of the sorted edges per density segment.  On the disjoint family's shape
-(`_label_cut`) the rule is a step at the midpoint s* of two order
-statistics, and a disagreement trial returns |s* - B| with no window
-table and no integral.  From n = `_BAND_FROM` on it sorts only the
+of the sorted edges per density segment; the excess weight, a closed form
+per family, is taken only on the windows whose disagreement is not 0.  On
+the disjoint family's shape (`_label_cut`) the rule is a step at the
+midpoint s* of two order statistics, and a trial returns |s* - B| with no
+window table and no integral.  From n = `_BAND_FROM` on it sorts only the
 uniforms near B (322 of 10^4 at k = 100), or all if they miss s*'s two;
 a rare row where |s* - B| may not be the integral takes the integral.
 
@@ -53,9 +56,9 @@ that both the disagreement and the excess statistics read.  A draw of n
 points reads its stream's first 3n numbers in order, so each trial sets
 its state and makes one ``random`` call into its row of a (trials, 3, n)
 array (`_stream_blocks`); the atom lookup, the labels and the neighbor
-ranking then run once over the block.  Excess trials read their query
-draws the same way.  At n = 40 a trial took 13-18 us on a shared 2-core
-machine, of which deriving, setting and reading its stream took about 7.
+ranking then run once over the block.  At n = 40 a trial took 13-18 us on
+a shared 2-core machine, of which deriving, setting and reading its
+stream took about 7.
 
 Every trial runs in the calling thread.  A trial holds the GIL between
 short numpy calls, so a second thread paid only on large runs: on a
@@ -108,7 +111,7 @@ __all__ = [
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK_TRIALS = 512  # trials whose streams are derived at once, or ranked by one atomic block
-_BLOCK_POINTS = 1 << 20  # training or query points held at once by one finite-atomic block
+_BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 # cut-local trials sort a band near the cut from this n on.  At k = ceil(sqrt(n)), a trial
 # that sorted its row took 6 us against the band's 12-13 at n = 300, 24-25 vs 26-28 at
 # 3,000, 31-33 vs 29-31 at 4,000 and 39-42 vs 35-39 at 5,000 (min of 7 runs of 300
@@ -318,17 +321,16 @@ def _label_cut(dist) -> Optional[float]:
 class _Trials1D:
     """Trials of a 1-D family at one (n, k), drawn into buffers they reuse.
 
-    On a family with a label change `cut` (`_label_cut`), a disagreement
-    trial reads its switch off a row of n uniforms, from n = `_BAND_FROM`
-    on off a band row of those in `band_ends` around the cut, picked out
-    through two flag rows of n.  Other trials draw in full into six float
-    rows and three flag rows of max(n, queries) + 2 (2.5 MB at
-    n = 5*10^4), made on first use; one row takes the integral's terms.
-    Besides a redraw's sort, a trial allocates only in an excess trial: the
-    queries' ascending order, their positions among the switches and their
-    votes (`np.argsort` and `np.searchsorted` take no out).  One instance
-    serves a whole run of trials, and goes when the run does; so does its
-    one generator, on which each trial sets its stream's PCG64 state.
+    On a family with a label change `cut` (`_label_cut`), a trial reads its
+    switch off a row of n uniforms, from n = `_BAND_FROM` on off a band row
+    of those in `band_ends` around the cut, picked out through two flag
+    rows of n.  Other trials draw in full into six float rows and three
+    flag rows of n + 2 (2.5 MB at n = 5*10^4), made on first use; one row
+    takes the integral's terms.  Besides a redraw's sort, a trial allocates
+    only in an excess trial, on its windows whose disagreement is not 0.
+    One instance serves a whole run of trials, and goes when the run does;
+    so does its one generator, on which each trial sets its stream's PCG64
+    state.
 
     A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
     its table, and no others: the location uniforms, then the label
@@ -338,10 +340,9 @@ class _Trials1D:
     location, and so every value, is bitwise that of the full draw.
     """
 
-    def __init__(self, dist, n: int, k: int, queries: int = 0):
+    def __init__(self, dist, n: int, k: int):
         _check_k(k, n)
         self.dist, self.n, self.k = dist, n, k
-        self.size = max(n, queries) + 2
         self.rng = np.random.Generator(np.random.PCG64(0))
         self.cut = _label_cut(dist)
         if self.cut is not None:
@@ -354,11 +355,11 @@ class _Trials1D:
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        return np.empty((6, self.size))
+        return np.empty((6, self.n + 2))
 
     @functools.cached_property
     def flags(self) -> np.ndarray:
-        return np.empty((3, self.size), dtype=bool)
+        return np.empty((3, self.n + 2), dtype=bool)
 
     def _train(self, state: dict) -> tuple[np.ndarray, np.ndarray]:
         """Draw a training set on a stream's state; returns (edges, preds), switches in edges[1:-1]."""
@@ -426,11 +427,15 @@ class _Trials1D:
                 return None
         return abs(s - cut)
 
-    def disagreement(self, state: dict) -> float:
-        """Exact Bayes-disagreement mass of the rule trained on the stream of ``state``.
+    def value(self, state: dict, excess: bool = False) -> float:
+        """Exact disagreement mass, or with ``excess`` excess risk, of the rule ``state``'s stream trains.
 
         The mass between consecutive edges [0, switches, 1] is predicted
         wrong where the window votes 1 on Bayes label 0 and the reverse.
+        The excess integrates |1 - 2 eta| * density over the same wrong
+        parts, of the windows whose mass term is not 0 (`_wrong_excess`).
+        On a `_label_cut` family that weight is the density, so the step's
+        |s* - B| is the excess as well.
         """
         step = None if self.cut is None else self._step_mass(state)
         if step is not None:
@@ -444,27 +449,10 @@ class _Trials1D:
         np.subtract(ones[1:], ones[:-1], out=terms)
         # terms becomes where(preds, mass - ones mass, ones mass)
         np.subtract(mass[:-1], terms, out=terms, where=preds)
-        return float(terms.sum())
-
-    def excess(self, state: dict, query_state: dict, queries: int) -> float:
-        """Mean excess |1 - 2 eta| over ``queries`` query draws where the rule is not Bayes."""
-        edges, preds = self._train(state)
-        xq, etas, weight = self.rows[:3, :queries]
-        self.rng.bit_generator.state = query_state
-        self.dist._draw(self.rng, xq, None, None, self.rows[2:5, :queries])
-        # searchsorted starts each lookup of ascending needles where the last ended;
-        # the votes go back in draw order
-        order = np.argsort(xq)
-        predicted = self.flags[0, :queries]
-        predicted[order] = preds[np.searchsorted(edges[1:-1], np.take(xq, order, out=weight))]
-        self.dist._eta_into(xq, etas, self.rows[3:5, :queries])
-        disagree = np.greater_equal(etas, 0.5, out=self.flags[2, :queries])
-        np.not_equal(predicted, disagree, out=disagree)
-        np.multiply(etas, 2.0, out=weight)
-        np.subtract(1.0, weight, out=weight)
-        np.abs(weight, out=weight)
-        weight *= disagree
-        return float(np.mean(weight))
+        if not excess:
+            return float(terms.sum())
+        wrong = np.flatnonzero(terms != 0.0)  # 20 us on 5*10^4 terms, where flatnonzero(terms) took 170
+        return self.dist._wrong_excess(edges[wrong], edges[wrong + 1], preds[wrong])
 
 
 def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: int, stop: int):
@@ -481,7 +469,7 @@ def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: i
     # distances share a rank, so ranks order neighbors as distances do
     rank = np.array([np.unique(row, return_inverse=True)[1] for row in dist.space.matrix])
     bayes = dist.etas >= 0.5
-    for block in _stream_blocks(master_seed, n, start, stop, (3, n)):
+    for block in _stream_blocks(master_seed, n, start, stop):
         xs, zs, ys = dist._draw(block)
         wrong = np.empty((len(block), bayes.size), dtype=bool)
         for q in range(bayes.size):
@@ -491,17 +479,17 @@ def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: i
         yield from wrong
 
 
-def _stream_blocks(master_seed: int, n: int, start: int, stop: int, shape, tag=None):
-    """Blocks of trials [start, stop), in order: each row holds the first numbers of its trial's stream.
+def _stream_blocks(master_seed: int, n: int, start: int, stop: int):
+    """Blocks of trials [start, stop), in order: each row holds the first 3n numbers of its trial's stream.
 
-    One ``random(out=row)`` call fills a row of `shape`, in C order.  With
-    shape[-1] points a draw, a block holds at most `_BLOCK_TRIALS` rows and
-    `_BLOCK_POINTS` points, and at least one row.  Every block is a view of
-    one array: read it before asking for the next.
+    One ``random(out=row)`` call fills a (3, n) row, in C order.  A block
+    holds at most `_BLOCK_TRIALS` rows and `_BLOCK_POINTS` draws of n
+    points, and at least one row.  Every block is a view of one array:
+    read it before asking for the next.
     """
-    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_POINTS // shape[-1]))
-    buf = np.empty((rows, *shape))
-    states = _states(master_seed, n, start, stop, tag)
+    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_POINTS // n))
+    buf = np.empty((rows, 3, n))
+    states = _states(master_seed, n, start, stop)
     rng = np.random.Generator(np.random.PCG64(0))
     for lo in range(start, stop, rows):
         block = buf[: min(rows, stop - lo)]
@@ -511,24 +499,26 @@ def _stream_blocks(master_seed: int, n: int, start: int, stop: int, shape, tag=N
         yield block
 
 
-def _states(master_seed: int, n: int, start: int, stop: int, tag=None):
+def _states(master_seed: int, n: int, start: int, stop: int):
     """The PCG64 state of each trial's stream in [start, stop), derived a block at a time."""
     prefix = mix64(master_seed, n)
     for lo in range(start, stop, _BLOCK_TRIALS):
-        yield from block_states(prefix, lo, min(lo + _BLOCK_TRIALS, stop), tag)
+        yield from block_states(prefix, lo, min(lo + _BLOCK_TRIALS, stop))
 
 
-def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int) -> list[float]:
-    """Per-trial disagreement masses for trials [start, stop), in trial order."""
+def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int, excess=False):
+    """Per-trial disagreement masses, or with ``excess`` excess risks, of trials [start, stop) in order."""
     if isinstance(dist, FiniteAtomic):
-        # one sum per distinct row, of that row's masses alone: numpy sums 8
-        # terms or more pairwise, so a masked sum of all masses would differ
+        # an atom weighs its mass, or for the excess its mass * |1 - 2 eta|.  One
+        # sum per distinct row, of that row's weights alone: numpy sums 8 terms
+        # or more pairwise, so a masked sum of all weights would differ
+        weight = dist.masses * np.abs(1.0 - 2.0 * dist.etas) if excess else dist.masses
         wrong = np.array(list(_atomic_wrong(dist, n, k, master_seed, start, stop)))
         keys = wrong.view(np.dtype((np.void, wrong.shape[1]))).ravel()
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        return np.array([dist.masses[wrong[i]].sum() for i in first])[which].tolist()
+        return np.array([weight[wrong[i]].sum() for i in first])[which].tolist()
     trials = _Trials1D(dist, n, k)
-    return [trials.disagreement(state) for state in _states(master_seed, n, start, stop)]
+    return [trials.value(state, excess) for state in _states(master_seed, n, start, stop)]
 
 
 # -- exact oracle --------------------------------------------------------------
@@ -739,32 +729,17 @@ def run_lower_bound_trials(
     )
 
 
-def estimate_expected_excess(
-    dist, n: int, k: int, trials: int, mc_points: int, master_seed: int = 0
-) -> ExcessEstimate:
+def estimate_expected_excess(dist, n: int, k: int, trials: int, master_seed: int = 0) -> ExcessEstimate:
     """Excess risk over the Bayes rule, averaged across training draws.
 
-    Each trial integrates the exact pointwise excess |1 - 2 eta| over the
-    disagreement region using mc_points query samples; no labels are
-    drawn at query time, and the pointwise Bayes risk is subtracted
-    exactly, sample by sample, before averaging.
+    Each trial's value is the exact excess of its rule,
+    E_X[|1 - 2 eta(X)| * 1{rule(X) != Bayes(X)}]: an atom sum on
+    finite-atomic families and a closed-form integral over the window
+    table on the 1-D ones, so the only randomness is the training draw.
     """
-    if trials < 1 or mc_points < 1:
-        raise ValueError("trials and mc_points must be positive")
-    if isinstance(dist, FiniteAtomic):
-        # the excess of a query atom, where the rule gets it wrong
-        weight = np.abs(1.0 - 2.0 * dist.etas)
-        rows = _atomic_wrong(dist, n, k, master_seed, 0, trials)
-        queries = _stream_blocks(master_seed, n, 0, trials, (mc_points,), 1)
-        values = [
-            float(np.mean(weight[xq] * wrong[xq]))
-            for block in queries
-            for xq, wrong in zip(dist._atoms(block), rows)
-        ]
-    else:
-        kernel = _Trials1D(dist, n, k, mc_points)
-        states = zip(_states(master_seed, n, 0, trials), _states(master_seed, n, 0, trials, 1))
-        values = [kernel.excess(state, query_state, mc_points) for state, query_state in states]
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    values = _trial_values(dist, n, k, master_seed, 0, trials, excess=True)
     mean, var = _mean_var(values)
     return ExcessEstimate(n, k, mean, math.sqrt(var / trials), tuple(values))
 
@@ -777,11 +752,11 @@ def _check_grid(n_grid: Sequence[int], sweep: str) -> list[int]:
     return n_grid
 
 
-def _sweep_rows(dist, n_grid, k_rule: KRule, trials: int, mc_points: int, master_seed: int):
+def _sweep_rows(dist, n_grid, k_rule: KRule, trials: int, master_seed: int):
     rows = []
     for n in n_grid:
         k = k_rule.k_for(n)
-        est = estimate_expected_excess(dist, n, k, trials, mc_points, master_seed)
+        est = estimate_expected_excess(dist, n, k, trials, master_seed)
         rows.append(
             SweepRow(n, k, est.mean, est.stderr, float(np.median(np.asarray(est.per_trial))))
         )
@@ -793,7 +768,6 @@ def rate_sweep(
     n_grid: Sequence[int],
     k_rule: KRule,
     trials: int,
-    mc_points: int = 2000,
     master_seed: int = 0,
 ) -> RateSweep:
     """Log-log rate fit of mean excess risk against sample size.
@@ -803,7 +777,7 @@ def rate_sweep(
     the result.
     """
     n_grid = _check_grid(n_grid, "rate")
-    rows = _sweep_rows(dist, n_grid, k_rule, trials, mc_points, master_seed)
+    rows = _sweep_rows(dist, n_grid, k_rule, trials, master_seed)
     included = [(math.log(r.n), math.log(r.mean_excess)) for r in rows if r.mean_excess > 0.0]
     excluded = tuple(r.n for r in rows if r.mean_excess <= 0.0)
     if len(included) < 2:
@@ -826,7 +800,6 @@ def consistency_sweep(
     n_grid: Sequence[int],
     k_rule: Optional[KRule] = None,
     trials: int = 100,
-    mc_points: int = 2000,
     master_seed: int = 0,
 ) -> ConsistencySweep:
     """Median excess risk across a growing-sample schedule, plus its trend.
@@ -836,7 +809,7 @@ def consistency_sweep(
     between the per-n median excess and n (strict decay gives -1).
     """
     n_grid = _check_grid(n_grid, "consistency")
-    rows = _sweep_rows(dist, n_grid, k_rule or KRule("sqrt"), trials, mc_points, master_seed)
+    rows = _sweep_rows(dist, n_grid, k_rule or KRule("sqrt"), trials, master_seed)
     med_ranks = _average_ranks([r.median_excess for r in rows])
     n_ranks = _average_ranks([float(r.n) for r in rows])
     mbar = sum(med_ranks) / len(med_ranks)

@@ -7,6 +7,10 @@ form here, one point at a time, is what the kernel is tested against.
 The finite-atomic trials are spelled out the same way: one trial trains a
 model with `fit_arrays` and labels each atom with `predict`, the path
 that the blocked kernel (`harness._atomic_wrong`) must match bit for bit.
+A trial's excess is spelled out twice: exactly, as a sum over its wrong
+atoms, and as the harness once estimated it, from query draws on a second
+stream (`sampled_excess`), whose mean over training draws is the exact
+excess.
 The 1-D window table is spelled out as a full lexsort and a cumsum of
 labels, with `predict` deciding each window that a repeated location
 splits.
@@ -19,7 +23,8 @@ import numpy as np
 from nnrates._rng import mix64
 from nnrates.bounds import _binom_log_pmf
 from nnrates.classifier import fit_arrays, predict
-from nnrates.distributions import PowerMargin1D
+from nnrates.distributions import FiniteAtomic, PowerMargin1D
+from nnrates.harness import _states, _Trials1D
 from nnrates.metric import IntervalMetric
 
 
@@ -39,21 +44,42 @@ def atom_labels(model) -> np.ndarray:
     return np.array([predict(model, a) for a in range(model.space.size)])
 
 
+def atom_wrong(dist, n: int, k: int, seed: int) -> np.ndarray:
+    """The bool row of atoms where one freshly trained finite-atomic rule is not Bayes."""
+    return atom_labels(fit_arrays(dist.space, *dist.sample_arrays(seed, n), k)) != (dist.etas >= 0.5)
+
+
 def trial_disagreement(dist, n: int, k: int, seed: int) -> float:
     """Exact Bayes-disagreement mass of one freshly trained finite-atomic rule."""
-    preds = atom_labels(fit_arrays(dist.space, *dist.sample_arrays(seed, n), k))
-    return float(dist.masses[preds != (dist.etas >= 0.5)].sum())
+    return float(dist.masses[atom_wrong(dist, n, k, seed)].sum())
 
 
-def atomic_excess(dist, n: int, k: int, mc_points: int, master_seed: int, t: int) -> float:
-    """Excess of finite-atomic trial t: |1 - 2 eta| where the rule is wrong, over query draws."""
-    xs, zs, ys = dist.sample_arrays(mix64(master_seed, n, t), n)
-    model = fit_arrays(dist.space, xs, zs, ys, k)
-    xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), mc_points)
-    preds = atom_labels(model)[xq]
-    etas = dist.etas[xq]
-    disagree = preds != (etas >= 0.5)
-    return float(np.mean(np.abs(1.0 - 2.0 * etas) * disagree))
+def atomic_excess(dist, n: int, k: int, master_seed: int, t: int) -> float:
+    """Exact excess of finite-atomic trial t: mass * |1 - 2 eta| over the atoms where the rule is wrong."""
+    wrong = atom_wrong(dist, n, k, mix64(master_seed, n, t))
+    return float((dist.masses * np.abs(1.0 - 2.0 * dist.etas))[wrong].sum())
+
+
+def sampled_excess(dist, n: int, k: int, queries: int, master_seed: int, trials: int) -> list[float]:
+    """Per trial, the mean of |1 - 2 eta| * 1{rule != Bayes} over ``queries`` query draws.
+
+    Trial t's queries are the locations of ``sample_arrays(mix64(master_seed,
+    n, t, 1), queries)``, a stream apart from its training draw.  A 1-D rule
+    is read off the kernel's window table (`_Trials1D._train`), a
+    finite-atomic one off `fit_arrays` and `predict`.
+    """
+    kernel = None if isinstance(dist, FiniteAtomic) else _Trials1D(dist, n, k)
+    values = []
+    for t, state in enumerate(_states(master_seed, n, 0, trials)):
+        xq = dist.sample_arrays(mix64(master_seed, n, t, 1), queries)[0]
+        etas = dist.eta_point_value(xq)
+        if kernel is None:
+            wrong = atom_wrong(dist, n, k, mix64(master_seed, n, t))[xq]
+        else:
+            edges, preds = kernel._train(state)
+            wrong = preds[np.searchsorted(edges[1:-1], xq)] != (etas >= 0.5)
+        values.append(float(np.mean(np.abs(1.0 - 2.0 * etas) * wrong)))
+    return values
 
 
 def reference_window(xs, zs, ys, k):

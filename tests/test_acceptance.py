@@ -161,7 +161,7 @@ def test_c05_expected_mistake_lower_bound():
     elapsed = time.perf_counter() - start
     assert check.high_error_mass == pytest.approx(0.002, abs=1e-11)
     assert check.constant == pytest.approx(0.0030329, abs=5e-6)
-    assert check.constant == pytest.approx(0.003033017181664055, rel=1e-12)
+    assert check.constant == pytest.approx(0.003033017181664055, rel=1e-12, abs=0.0)
     assert check.stderr <= check.rhs / 10.0, (
         f"stderr {check.stderr} above rhs/10 = {check.rhs / 10.0} "
         f"after {check.trials_used} trials"
@@ -189,7 +189,6 @@ def test_c06_margin_rate_slope():
         [500, 1500, 5000, 15000, 50000],
         KRule("power", exponent=2.0 / 3.0),
         trials=64,
-        mc_points=4000,
         master_seed=SEED,
     )
     elapsed = time.perf_counter() - start
@@ -309,7 +308,7 @@ def test_c10_smoothness_translation():
 def test_c11_consistency_trend():
     """Median excess risk decays strictly and ends small under k = ceil(sqrt(n))."""
     sweep = consistency_sweep(
-        PowerMargin1D(1.0), [100, 1000, 10_000], trials=100, mc_points=2000, master_seed=SEED
+        PowerMargin1D(1.0), [100, 1000, 10_000], trials=100, master_seed=SEED
     )
     medians = [row.median_excess for row in sweep.rows]
     assert all(b < a for a, b in zip(medians, medians[1:])), f"medians not decreasing: {medians}"
@@ -321,9 +320,9 @@ def test_c12_bitwise_determinism(tmp_path):
     """Identical config and seed reproduce every number bit for bit."""
     dist = PowerMargin1D(1.0)
     report_a = run_upper_bound_trials(dist, 400, 20, 0.3, 24, master_seed=SEED)
-    excess_a = estimate_expected_excess(dist, 300, 9, 16, 500, master_seed=SEED)
+    excess_a = estimate_expected_excess(dist, 300, 9, 16, master_seed=SEED)
     report_b = run_upper_bound_trials(dist, 400, 20, 0.3, 24, master_seed=SEED)
-    excess_b = estimate_expected_excess(dist, 300, 9, 16, 500, master_seed=SEED)
+    excess_b = estimate_expected_excess(dist, 300, 9, 16, master_seed=SEED)
     assert report_a.mistake_probs == report_b.mistake_probs
     assert excess_a.per_trial == excess_b.per_trial
 
@@ -333,7 +332,7 @@ def test_c12_bitwise_determinism(tmp_path):
         "output_dir": "out",
         "experiments": [
             {"type": "upper_bound", "n": 400, "k": 20, "delta": 0.3, "trials": 24},
-            {"type": "excess", "n": 300, "k": 9, "trials": 16, "mc_points": 500},
+            {"type": "excess", "n": 300, "k": 9, "trials": 16},
         ],
     }
     path = tmp_path / "config.json"

@@ -45,14 +45,14 @@ def exact_tail_ge(n, q, count):
 def test_upper_bound_params_frozen():
     got = upper_bound_params(10**4, 100, 0.1)
     slack = math.sqrt((4.0 / 100) * math.log(20.0))
-    assert got.chernoff_slack == pytest.approx(slack, rel=1e-15)
-    assert got.mass_level == pytest.approx(0.01 / (1 - slack), rel=1e-15)
+    assert got.chernoff_slack == pytest.approx(slack, rel=1e-15, abs=0.0)
+    assert got.mass_level == pytest.approx(0.01 / (1 - slack), rel=1e-15, abs=0.0)
     assert got.mass_level == pytest.approx(0.0152943475927, abs=1e-12)
     assert got.band == pytest.approx(0.173081838260, abs=1e-12)
 
     got = upper_bound_params(100, 8, 0.5)
-    assert got.mass_level == pytest.approx(0.47776771013588715, rel=1e-14)
-    assert got.band == pytest.approx(math.sqrt(math.log(4.0) / 8.0), rel=1e-15)
+    assert got.mass_level == pytest.approx(0.47776771013588715, rel=1e-14, abs=0.0)
+    assert got.band == pytest.approx(math.sqrt(math.log(4.0) / 8.0), rel=1e-15, abs=0.0)
 
 
 def test_upper_bound_params_feasibility():
@@ -97,9 +97,9 @@ def test_lower_bound_constants_against_mpmath():
     c = lower_bound_constants(100)
     want_c1 = float(mpmath.mpf(1) / 2 - mpmath.ncdf(-1 / mpmath.sqrt(3)))
     want_c2 = float(1 - mpmath.ncdf(2 + 2 / mpmath.sqrt(100)))
-    assert c.wrong_vote == pytest.approx(want_c1, rel=1e-13)
-    assert c.count_tail == pytest.approx(want_c2, rel=1e-13)
-    assert c.product == pytest.approx(want_c1 * want_c2, rel=1e-13)
+    assert c.wrong_vote == pytest.approx(want_c1, rel=1e-13, abs=0.0)
+    assert c.count_tail == pytest.approx(want_c2, rel=1e-13, abs=0.0)
+    assert c.product == pytest.approx(want_c1 * want_c2, rel=1e-13, abs=0.0)
     assert c.product == pytest.approx(0.0030330, abs=2e-7)
 
 
@@ -123,7 +123,7 @@ def test_margin_rate_frozen_highprob():
     assert got.mode == "highprob"
     assert got.k == round(100.0 * math.log(10.0) ** (1.0 / 3.0))
     assert got.k == 132
-    assert got.bound == pytest.approx(0.1 + (math.log(10.0) / 1000.0) ** (1.0 / 3.0), rel=1e-15)
+    assert got.bound == pytest.approx(0.1 + (math.log(10.0) / 1000.0) ** (1.0 / 3.0), rel=1e-15, abs=0.0)
     assert got.bound == pytest.approx(0.23205, abs=1e-5)
 
 
@@ -131,12 +131,12 @@ def test_margin_rate_expected_mode():
     got = margin_rate(1000, SmoothnessSpec(1.0, 1.0), MarginSpec(1.0, 1.0))
     assert got.mode == "expected"
     assert got.k == 100
-    assert got.bound == pytest.approx(1000.0 ** (-2.0 / 3.0), rel=1e-15)
+    assert got.bound == pytest.approx(1000.0 ** (-2.0 / 3.0), rel=1e-15, abs=0.0)
     scaled = margin_rate(
         1000, SmoothnessSpec(1.0, 1.0), MarginSpec(1.0, 1.0), k_scale=2.0, c_scale=3.0
     )
     assert scaled.k == 200
-    assert scaled.bound == pytest.approx(3.0 * 1000.0 ** (-2.0 / 3.0), rel=1e-15)
+    assert scaled.bound == pytest.approx(3.0 * 1000.0 ** (-2.0 / 3.0), rel=1e-15, abs=0.0)
 
 
 def test_schedules_past_the_float_range_refuse_as_value_errors():
@@ -195,8 +195,8 @@ def test_spec_validation():
 
 def test_smooth_thresholds_frozen():
     upper, lower = smooth_thresholds(SmoothnessSpec(1.0, 0.5), 0.1, 0.05, 10**5, 100)
-    assert upper == pytest.approx(0.05 + 0.5 * 0.1, rel=1e-15)
-    assert lower == pytest.approx(0.1 - 0.5 * (111.0 / 10**5), rel=1e-12)
+    assert upper == pytest.approx(0.05 + 0.5 * 0.1, rel=1e-15, abs=0.0)
+    assert lower == pytest.approx(0.1 - 0.5 * (111.0 / 10**5), rel=1e-12, abs=0.0)
     assert lower == pytest.approx(0.099445, abs=1e-6)
     # the lower band never goes negative
     _, lo = smooth_thresholds(SmoothnessSpec(1.0, 10.0), 0.1, 0.05, 100, 4)
@@ -209,7 +209,7 @@ def test_holder_translate():
     spec = holder_translate(1.0, 2, 3.0, 0.5)
     v2 = float(mpmath.pi)
     assert spec.exponent == pytest.approx(0.5)
-    assert spec.constant == pytest.approx(3.0 / (0.5 * v2) ** 0.5, rel=1e-12)
+    assert spec.constant == pytest.approx(3.0 / (0.5 * v2) ** 0.5, rel=1e-12, abs=0.0)
 
 
 def test_expected_risk_bound_formula():
@@ -218,16 +218,16 @@ def test_expected_risk_bound_formula():
     want = math.exp(-k / 8.0) + 6.0 * 2.0 * max(
         2.0 * 0.5 * (2.0 * k / n) ** 1.0, math.sqrt(8.0 * (1.0 + 2.0) / k)
     ) ** (1.0 + 1.0)
-    assert expected_risk_bound(n, k, s, m) == pytest.approx(want, rel=1e-15)
+    assert expected_risk_bound(n, k, s, m) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_exponential_regime_frozen():
     got = exponential_regime(0.4, SmoothnessSpec(1.0, 0.5), 1000)
     assert got.k == 200
-    assert got.rate_constant == pytest.approx(0.4**3 / 8.0, rel=1e-12)
-    assert got.delta == pytest.approx(2.0 * math.exp(-200 * 0.16 / 4.0), rel=1e-12)
+    assert got.rate_constant == pytest.approx(0.4**3 / 8.0, rel=1e-12, abs=0.0)
+    assert got.delta == pytest.approx(2.0 * math.exp(-200 * 0.16 / 4.0), rel=1e-12, abs=0.0)
     assert got.delta == pytest.approx(6.70925e-4, abs=1e-9)
-    assert got.bound == pytest.approx(2.0 * math.exp(-0.008 * 1000), rel=1e-12)
+    assert got.bound == pytest.approx(2.0 * math.exp(-0.008 * 1000), rel=1e-12, abs=0.0)
     with pytest.raises(InfeasibleParametersError):
         exponential_regime(0.01, SmoothnessSpec(1.0, 10.0), 4)  # k would be 0
     with pytest.raises(ValueError):
@@ -238,7 +238,7 @@ def test_zero_bayes_params_frozen():
     got = zero_bayes_params(100, 1, 0.1)
     lg = math.log(20.0)
     want = 0.01 + (2.0 * lg / 100.0) * (1.0 + math.sqrt(1.0 + 1.0 / lg))
-    assert got == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
     assert got == pytest.approx(0.139110, abs=1e-6)
     # strictly increasing in k
     last = 0.0
@@ -267,7 +267,7 @@ def test_binomial_tail_holds_its_error_past_underflow():
     # at q = 1/2 the pmf at count 0 or n underflows from n = 1,075 on; a tail
     # anchored there summed zeros, and 0.0 came back for a tail of about 1
     assert binomial_tail(2000, 0.5, 0, "ge") == 1.0
-    assert binomial_tail(2000, 0.5, 10, "ge") == pytest.approx(1.0, rel=1e-12)
+    assert binomial_tail(2000, 0.5, 10, "ge") == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert binomial_tail(2000, 0.5, 2000, "le") == 1.0
     with mpmath.workdps(60):
         for n in (1100, 2000):
@@ -298,7 +298,7 @@ def test_slud_bound_frozen_example():
     got, clause = slud_bound(10, 0.3, 4)
     want = float(1 - mpmath.ncdf(1 / mpmath.sqrt(2.1)))
     assert clause == "b"
-    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
     assert got == pytest.approx(0.2450765, abs=1e-7)
     exact = float(exact_tail_ge(10, 0.3, 4))
     assert exact == pytest.approx(0.350389, abs=1e-6)

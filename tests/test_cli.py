@@ -40,7 +40,7 @@ def test_bounds_eval_theorem3_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k,wrong_vote,count_tail,product"
     values = lines[1].split(",")
-    assert float(values[3]) == pytest.approx(0.00303301718166, rel=1e-11)
+    assert float(values[3]) == pytest.approx(0.00303301718166, rel=1e-11, abs=0.0)
 
 
 def test_bounds_eval_theorem4(capsys):
@@ -153,6 +153,33 @@ def test_run_excess_and_manifest(tmp_path, capsys):
     # stdout carries the same manifest
     printed = json.loads(capsys.readouterr().out)
     assert printed["outputs"] == manifest["outputs"]
+
+
+def test_run_accepts_and_ignores_mc_points(tmp_path, capsys):
+    # excess trials are exact, so the mc_points key of older configs reaches
+    # nothing: with and without it a run writes the same bytes.  The key is
+    # still checked, and the --mc_points flag is gone
+    blocks = [
+        {"type": "excess", "n": 120, "k": 9, "trials": 6},
+        {"type": "rate_sweep", "n_grid": [40, 60, 90, 135], "trials": 3},
+        {"type": "consistency", "n_grid": [40, 90], "trials": 3},
+    ]
+    reports = []
+    for extra, out in (({}, "plain"), ({"mc_points": 7}, "sampled")):
+        body = {"distribution": POWER_DIST, "seed": 5, "output_dir": out,
+                "experiments": [{**block, **extra} for block in blocks]}
+        assert run_cli(["run", str(write_config(tmp_path, body, f"{out}.json"))]) == 0
+        reports.append({f.name: f.read_bytes() for f in (tmp_path / out).glob("0*")})
+    assert len(reports[0]) == 3 and reports[0] == reports[1]
+    assert reports[0]["00_excess.csv"].decode().splitlines()[-1] == "# trials=6"
+    body = {"distribution": POWER_DIST, "output_dir": "out", "experiments": [{**blocks[0], "mc_points": 0}]}
+    assert run_cli(["run", str(write_config(tmp_path, body))]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["run", str(tmp_path / "plain.json"), "--mc_points", "5", "--output_dir", "flagged"])
+    assert exit_info.value.code == 2
+    assert "--mc_points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "flagged").exists()
 
 
 def test_run_reruns_are_byte_identical(tmp_path):
@@ -377,7 +404,7 @@ def test_run_exact_oracle_at_three_thousand_points(tmp_path):
         pmf = [math.comb(13, j) * e**j * (1 - e) ** (13 - j) for j in range(14)]
         want += Fraction(mass) * sum(pmf[:7] if eta >= 0.5 else pmf[7:])
     report = json.loads((tmp_path / "out" / "01_lower_bound.json").read_text())
-    assert report["summary"]["lhs"] == pytest.approx(float(want), rel=1e-11)
+    assert report["summary"]["lhs"] == pytest.approx(float(want), rel=1e-11, abs=0.0)
 
 
 def test_run_failing_late_publishes_nothing(tmp_path, monkeypatch):

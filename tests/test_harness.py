@@ -36,10 +36,12 @@ from nnrates.harness import (
 )
 from nnrates.metric import FiniteMetric
 from references import (
+    atom_wrong,
     atomic_excess,
     bayes_one_cdf,
     occupancy_expected_mistake,
     reference_window,
+    sampled_excess,
     trial_disagreement,
 )
 
@@ -178,20 +180,38 @@ def reference_disagreement(dist, n, k, seed):
     return float(np.where(preds == 1, mass - ones_mass, ones_mass).sum())
 
 
-def reference_eta(dist, xs):
-    if isinstance(dist, PowerMargin1D):
-        s = 2.0 * xs - 1.0
-        return 0.5 + 0.5 * np.sign(s) * np.abs(s) ** dist.gamma
-    j = np.clip(np.searchsorted(dist.breaks, xs, side="right") - 1, 0, dist.f.size - 1)
-    return dist._filled_eta[j]
+def mp_excess(dist, n, k, seed):
+    """A 1-D trial's excess at 50 digits: |1 - 2 eta| * density over each window's wrong part.
 
-
-def reference_excess(dist, n, k, queries, master_seed, t):
-    switches, preds = reference_window(*dist.sample_arrays(mix64(master_seed, n, t), n), k)
-    xq, _, _ = dist.sample_arrays(mix64(master_seed, n, t, 1), queries)
-    etas = reference_eta(dist, xq)
-    disagree = preds[np.searchsorted(switches, xq)] != (etas >= 0.5)
-    return float(np.mean(np.abs(1.0 - 2.0 * etas) * disagree))
+    The weight is |2x - 1|**gamma on a power margin, integrated in closed
+    form, and |f - 2g| on a segment of a piecewise-uniform family, wrong
+    where the vote is not the segment's Bayes label (2g >= f, f > 0).
+    """
+    switches, preds = reference_window(*dist.sample_arrays(seed, n), k)
+    edges = np.array([0.0, *np.clip(switches, 0.0, 1.0).tolist(), 1.0])
+    with mpmath.workdps(50):
+        total, half = mpmath.mpf(0), mpmath.mpf(0.5)
+        if isinstance(dist, PowerMargin1D):
+            def odd(x):  # antiderivative of sign(2x - 1) * |2x - 1|**gamma
+                return abs(2 * x - 1) ** (dist.gamma + 1) / (2 * (dist.gamma + 1))
+            for lo, hi, vote in zip(edges.tolist(), edges[1:].tolist(), preds.tolist()):
+                # vote 1 is wrong below 1/2, where odd falls, and vote 0 above it
+                if vote and lo < 0.5:
+                    total += odd(mpmath.mpf(lo)) - odd(min(mpmath.mpf(hi), half))
+                elif not vote and hi > 0.5:
+                    total += odd(mpmath.mpf(hi)) - odd(max(mpmath.mpf(lo), half))
+            return total
+        fs, gs = ([mpmath.mpf(v) for v in row.tolist()] for row in (dist.f, dist.g))
+        breaks = [mpmath.mpf(v) for v in dist.breaks.tolist()]
+        for i, vote in enumerate(preds.tolist()):
+            lo, hi = mpmath.mpf(edges[i]), mpmath.mpf(edges[i + 1])
+            first = max(int(np.searchsorted(dist.breaks, edges[i], side="right")) - 1, 0)
+            for j in range(first, len(fs)):
+                if breaks[j] >= hi:
+                    break
+                if bool(vote) != (fs[j] > 0 and 2 * gs[j] >= fs[j]):
+                    total += (min(hi, breaks[j + 1]) - max(lo, breaks[j])) * abs(fs[j] - 2 * gs[j])
+        return total
 
 
 @pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
@@ -203,7 +223,7 @@ def test_trial_kernel_matches_spelled_out_reference(family):
         assert _trial_values(dist, n, k, 9, 0, stop) == want, (n, k)
         assert _trial_values(dist, n, k, 9, 3, stop) == want[3:], (n, k)
         reused = _Trials1D(dist, n, k)
-        assert [reused.disagreement(s) for s in block_states(mix64(9, n), 0, stop)] == want, (n, k)
+        assert [reused.value(s) for s in block_states(mix64(9, n), 0, stop)] == want, (n, k)
 
 
 @pytest.mark.parametrize("family", sorted(PURE_FAMILIES))
@@ -219,7 +239,7 @@ def test_sorted_draws_match_spelled_out_reference(family):
         want = [reference_disagreement(dist, n, k, mix64(9, n, t)) for t in range(stop)]
         assert _trial_values(dist, n, k, 9, 0, stop) == want, (n, k)
         reused = _Trials1D(dist, n, k)
-        assert [reused.disagreement(s) for s in block_states(mix64(9, n), 0, stop)] == want, (n, k)
+        assert [reused.value(s) for s in block_states(mix64(9, n), 0, stop)] == want, (n, k)
 
 
 class RecordingPCG64(np.random.PCG64):
@@ -258,7 +278,7 @@ def test_trials_read_only_the_draws_they_need():
         trials.rng = np.random.Generator(bits)
         for t, state in enumerate(block_states(mix64(9, n), 0, 4)):
             bits.sets.clear()
-            trials.disagreement(state)
+            trials.value(state)
             assert bits.sets == [generator(mix64(9, n, t)).bit_generator.state] * sets, family
             fresh = np.random.PCG64(0)
             fresh.state = state
@@ -291,7 +311,7 @@ def test_cut_local_trials_equal_the_full_sorted_path():
                 routed, full = _Trials1D(dist, n, k), _Trials1D(dist, n, k)
                 full.cut = None
                 assert routed.cut == dist.breaks[1]
-                assert [routed.disagreement(s) for s in states] == [full.disagreement(s) for s in states]
+                assert [routed.value(s) for s in states] == [full.value(s) for s in states]
                 if n > 300:
                     continue
                 for t in range(stop):
@@ -341,8 +361,8 @@ def test_label_cut_trials_take_each_branch():
         full.cut = None
         routed.rng = full.rng = FixedUniforms(np.random.default_rng(3).permutation(row))
         step = routed._step_mass(state)
-        value = routed.disagreement(state)
-        assert value == full.disagreement(state)
+        value = routed.value(state)
+        assert value == full.value(state)
         return step, value, bool(np.all(routed.u[1:] >= routed.u[:-1]))
 
     def step(row):
@@ -388,8 +408,8 @@ def test_label_cut_trials_take_the_integral_where_the_step_may_differ():
         for t, state in enumerate(block_states(mix64(9, n), 0, stop)):
             u = np.sort(dist.sample_arrays(mix64(9, n, t), n)[0])
             c = int(u.searchsorted(0.5))
-            value = full.disagreement(state)
-            assert routed.disagreement(state) == value, (n, k, t)
+            value = full.value(state)
+            assert routed.value(state) == value, (n, k, t)
             if c > a and routed._step_mass(state) is None:
                 fallbacks += 1
                 s = 1.0 if n - c < b else (u[c - a - 1] + u[c + b - 1]) / 2.0
@@ -399,17 +419,23 @@ def test_label_cut_trials_take_the_integral_where_the_step_may_differ():
     assert off > 0
 
 
-@pytest.mark.parametrize("family", sorted(ONE_D_FAMILIES))
+EXCESS_FAMILIES = {**ONE_D_FAMILIES, "power_margin_1": lambda: PowerMargin1D(1.0)}
+
+
+@pytest.mark.parametrize("family", sorted(EXCESS_FAMILIES))
 def test_excess_kernel_matches_spelled_out_reference(family):
-    # query sets smaller and larger than the training set share the buffers
-    dist = ONE_D_FAMILIES[family]()
-    for n, k, queries in [(1, 1, 5), (30, 30, 7), (200, 14, 500), (600, 25, 60)]:
-        want = [reference_excess(dist, n, k, queries, 4, t) for t in range(10)]
-        got = estimate_expected_excess(dist, n, k, 10, queries, master_seed=4).per_trial
-        assert list(got) == want, (n, k, queries)
+    # each exact excess against the 50-digit integral over the same window
+    # table, which the kernel takes only on windows whose disagreement is not 0
+    dist = EXCESS_FAMILIES[family]()
+    for n, k in [(1, 1), (30, 30), (200, 14), (600, 25), (5000, 71)]:
+        got = estimate_expected_excess(dist, n, k, 10, master_seed=4).per_trial
+        for t, value in enumerate(got):
+            want = mp_excess(dist, n, k, mix64(4, n, t))
+            assert want > 0 or value == 0.0, (n, k, t)
+            assert abs(value - want) <= 1e-13 * want, (n, k, t, value, float(want))
         # growing the budget leaves the earlier trials as they were
-        longer = estimate_expected_excess(dist, n, k, 15, queries, master_seed=4).per_trial
-        assert longer[:10] == got, (n, k, queries)
+        longer = estimate_expected_excess(dist, n, k, 15, master_seed=4).per_trial
+        assert longer[:10] == got, (n, k)
 
 
 def test_one_dimensional_trials_reuse_their_buffers():
@@ -460,7 +486,7 @@ def test_exact_oracle_large_n_stays_finite():
     fa = pure_atoms()
     tie = Fraction(math.comb(1200, 600), 2**1200)
     want = float((1 - tie) / 2)
-    assert exact_expected_mistake(fa, 1200, 1199) == pytest.approx(want, rel=1e-12)
+    assert exact_expected_mistake(fa, 1200, 1199) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_exact_oracle_enumeration_limit():
@@ -624,20 +650,42 @@ def test_atomic_trials_sum_each_rows_own_masses():
 
 def test_blocked_atomic_excess_matches_fit_predict_reference(monkeypatch):
     # the excess reads the blocked kernel's rows of wrong atoms; each trial
-    # must still be the fit/predict value bit for bit.  23 trials leave a
-    # partial last block; with 200 points a block, n = 40 runs in blocks of
-    # five trials
+    # must still be the fit/predict value bit for bit, and within 1e-14 of
+    # the exact rational sum of mass * |1 - 2 eta| over those atoms.  23
+    # trials leave a partial last block; with 200 points a block, n = 40
+    # runs in blocks of five trials
     trials = 23
     for block_points in (harness._BLOCK_POINTS, 200):
         monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
-        for fa in (tied_three_atoms(), pure_atoms()):
+        for fa in (tied_three_atoms(), pure_atoms(), four_tied_atoms()):
+            weights = [Fraction(m) * abs(1 - 2 * Fraction(e)) for m, e in zip(fa.masses, fa.etas)]
             for n, k in [(1, 1), (5, 2), (5, 5), (40, 13)]:
-                for mc_points in (1, 7, 500):
-                    want = [atomic_excess(fa, n, k, mc_points, 3, t) for t in range(trials)]
-                    got = estimate_expected_excess(fa, n, k, trials, mc_points, master_seed=3)
-                    assert list(got.per_trial) == want, (block_points, n, k, mc_points)
+                want = [atomic_excess(fa, n, k, 3, t) for t in range(trials)]
+                got = estimate_expected_excess(fa, n, k, trials, master_seed=3)
+                assert list(got.per_trial) == want, (block_points, n, k)
+                for t, value in enumerate(got.per_trial):
+                    wrong = atom_wrong(fa, n, k, mix64(3, n, t))
+                    exact = sum((w for w, bad in zip(weights, wrong) if bad), Fraction(0))
+                    assert abs(Fraction(value) - exact) <= Fraction(1e-14) * exact, (n, k, t)
     with pytest.raises(ValueError):
-        estimate_expected_excess(tied_three_atoms(), 3, 4, 5, 7)
+        estimate_expected_excess(tied_three_atoms(), 3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "family, n, k",
+    [("power_margin_1", 10_000, 100), ("multi_segment", 3000, 55), ("tied_three_atoms", 40, 13)],
+)
+def test_exact_excess_is_the_sampled_estimates_conditional_mean(family, n, k):
+    # the query-sampled excess of a trial, on a stream apart from its
+    # training draw, is unbiased for that trial's exact excess: over 1,000
+    # trials the mean of their differences lies within 4 stderr of 0
+    dist = {**EXCESS_FAMILIES, "tied_three_atoms": tied_three_atoms}[family]()
+    trials = 1000
+    exact = estimate_expected_excess(dist, n, k, trials, master_seed=11).per_trial
+    diff = np.subtract(sampled_excess(dist, n, k, 500, 11, trials), exact)
+    stderr = diff.std(ddof=1) / math.sqrt(trials)
+    assert stderr > 0.0
+    assert abs(diff.mean()) <= 4.0 * stderr, (diff.mean(), stderr)
 
 
 # -- upper bound runner ----------------------------------------------------------
@@ -690,7 +738,7 @@ def test_lower_bound_atomic_exact_path():
     # band tolerance is vacuous at k=1, so the whole support is high-error
     assert chk.high_error_mass == 1.0
     assert chk.lhs == pytest.approx(2 * 0.5 * 0.5**6, abs=1e-12)
-    assert chk.rhs == pytest.approx(chk.constant, rel=1e-12)
+    assert chk.rhs == pytest.approx(chk.constant, rel=1e-12, abs=0.0)
     assert chk.passed
 
 
@@ -709,12 +757,12 @@ def test_lower_bound_continuous_path():
 
 def test_estimate_expected_excess():
     pm = PowerMargin1D(1.0)
-    est = estimate_expected_excess(pm, 200, 14, trials=8, mc_points=500, master_seed=6)
+    est = estimate_expected_excess(pm, 200, 14, trials=8, master_seed=6)
     assert len(est.per_trial) == 8
-    assert est.mean == pytest.approx(sum(est.per_trial) / 8, rel=1e-12)
+    assert est.mean == pytest.approx(sum(est.per_trial) / 8, rel=1e-12, abs=0.0)
     assert est.mean >= 0.0
     assert est.stderr > 0.0
-    again = estimate_expected_excess(pm, 200, 14, trials=8, mc_points=500, master_seed=6)
+    again = estimate_expected_excess(pm, 200, 14, trials=8, master_seed=6)
     assert est == again
 
 
@@ -751,7 +799,7 @@ def test_k_rule_past_the_float_range_is_infeasible(rule):
 
 def test_rate_sweep_shape_and_fit():
     pm = PowerMargin1D(1.0)
-    sweep = rate_sweep(pm, [50, 100, 200, 400], KRule("sqrt"), trials=6, mc_points=300)
+    sweep = rate_sweep(pm, [50, 100, 200, 400], KRule("sqrt"), trials=6)
     assert len(sweep.rows) == 4
     assert sweep.excluded == ()
     assert sweep.slope < 0.0  # excess risk must shrink with n
@@ -764,7 +812,7 @@ def test_rate_sweep_shape_and_fit():
 
 def test_consistency_sweep_trend():
     pm = PowerMargin1D(1.0)
-    sweep = consistency_sweep(pm, [60, 240, 960], trials=12, mc_points=400, master_seed=1)
+    sweep = consistency_sweep(pm, [60, 240, 960], trials=12, master_seed=1)
     assert len(sweep.rows) == 3
     assert all(r.median_excess >= 0.0 for r in sweep.rows)
     assert -1.0 <= sweep.spearman <= 0.0
@@ -776,6 +824,6 @@ def test_wilson_interval_frozen():
     assert hi == pytest.approx(0.6032, abs=1e-4)
     lo, hi = wilson_interval(0, 500)
     assert lo == 0.0
-    assert hi == pytest.approx(3.841458820694124 / (500 + 3.841458820694124), rel=1e-9)
+    assert hi == pytest.approx(3.841458820694124 / (500 + 3.841458820694124), rel=1e-9, abs=0.0)
     with pytest.raises(ValueError):
         wilson_interval(1, 0)

@@ -7,7 +7,6 @@ stream that `generator` would not give.
 """
 
 import numpy as np
-import pytest
 
 from nnrates._rng import _splitmix64, block_states, generator, mix64, pcg64_states, seed_words
 
@@ -33,19 +32,17 @@ def test_seed_words_and_states_match_numpy():
         assert states[i] == np.random.PCG64(sequence).state, seed
 
 
-@pytest.mark.parametrize("tag", [None, 1])
-def test_block_states_are_the_generator_streams(tag):
+def test_block_states_are_the_generator_streams():
     # the block mix against scalar mix64: offset starts, a master past
     # 2^63, a negative one and indices past 2^32
-    extra = () if tag is None else (tag,)
     cases = [(0, 1, 0, 1), (9, 40, 0, 600), (2**64 - 1, 300, 517, 1100), (-3, 7, 2**40, 2**40 + 9)]
     for master, n, start, stop in cases:
-        want = [generator(mix64(master, n, t, *extra)).bit_generator.state for t in range(start, stop)]
-        assert block_states(mix64(master, n), start, stop, tag) == want, (master, n, start)
+        want = [generator(mix64(master, n, t)).bit_generator.state for t in range(start, stop)]
+        assert block_states(mix64(master, n), start, stop) == want, (master, n, start)
     # a reused bit generator set to a state draws the generator's numbers
     bits = np.random.PCG64(0)
-    bits.state = block_states(mix64(11, 300), 89, 90, tag)[0]
-    want = generator(mix64(11, 300, 89, *extra)).random(5)
+    bits.state = block_states(mix64(11, 300), 89, 90)[0]
+    want = generator(mix64(11, 300, 89)).random(5)
     assert np.array_equal(np.random.Generator(bits).random(5), want)
 
 
