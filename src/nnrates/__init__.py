@@ -61,7 +61,6 @@ from .distributions import (
     load_distribution,
     prob_radius,
     sample_labeled,
-    support_mass,
 )
 from .errors import (
     DomainError,

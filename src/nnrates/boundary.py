@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .distributions import FiniteAtomic, MassQueryResult
-from .errors import DomainError
+from .errors import DomainError, ZeroMassError
 
 __all__ = [
     "HighErrorVerdict",
@@ -336,8 +336,11 @@ def smoothness_audit(
             raise DomainError(f"probe {x} is outside the support")
         if not r > 0.0:
             raise ValueError(f"probe radii must be positive, got {r}")
-    gap = np.abs(dist.eta_closed(xs, rs) - dist.eta_point_value(xs))
-    allowance = constant * np.float_power(dist.ball_mass_value(xs, rs, "open"), exponent)
+    mass, total = dist.ball_sums(xs, rs, "closed")
+    if np.any(mass <= 0.0):
+        raise ZeroMassError("a ball in the query holds zero mass")
+    gap = np.abs(total / mass - dist.eta_point_value(xs))
+    allowance = constant * np.float_power(dist.ball_sums(xs, rs, "open")[0], exponent)
     bad = np.flatnonzero(gap > allowance)
     if bad.size == 0:
         return None

@@ -369,47 +369,20 @@ def _bounds_pairs(args) -> list[tuple[str, object]]:
     missing = [f"--{flag}" for flag in _THEOREM_FLAGS[kind] if getattr(args, flag) is None]
     if missing:
         raise ConfigError(f"theorem {kind}: {', '.join(missing)} required")
+    # each result's own fields, after the flags a theorem echoes
     if kind == "1":
-        params = bounds.upper_bound_params(args.n, args.k, args.delta)
-        return [
-            ("n", params.n),
-            ("k", params.k),
-            ("delta", params.delta),
-            ("mass_level", params.mass_level),
-            ("band", params.band),
-            ("chernoff_slack", params.chernoff_slack),
-        ]
+        return list(vars(bounds.upper_bound_params(args.n, args.k, args.delta)).items())
     if kind == "3":
-        c = bounds.lower_bound_constants(args.k)
-        return [
-            ("k", args.k),
-            ("wrong_vote", c.wrong_vote),
-            ("count_tail", c.count_tail),
-            ("product", c.product),
-        ]
+        return [("k", args.k), *vars(bounds.lower_bound_constants(args.k)).items()]
     if kind == "4":
-        result = bounds.margin_rate(
-            args.n,
-            bounds.SmoothnessSpec(args.smooth_exponent, args.smooth_constant),
-            bounds.MarginSpec(args.margin_exponent, args.margin_constant),
-            delta=args.delta,
-            k_scale=args.k_scale,
-            c_scale=args.c_scale,
-        )
-        return [("n", args.n), ("k", result.k), ("bound", result.bound), ("mode", result.mode)]
+        smooth = bounds.SmoothnessSpec(args.smooth_exponent, args.smooth_constant)
+        margin = bounds.MarginSpec(args.margin_exponent, args.margin_constant)
+        result = bounds.margin_rate(args.n, smooth, margin, args.delta, args.k_scale, args.c_scale)
+        return [("n", args.n), *result._asdict().items()]
     if kind == "exp":
-        regime = bounds.exponential_regime(
-            args.margin_floor,
-            bounds.SmoothnessSpec(args.smooth_exponent, args.smooth_constant),
-            args.n,
-        )
-        return [
-            ("n", args.n),
-            ("k", regime.k),
-            ("delta", regime.delta),
-            ("rate_constant", regime.rate_constant),
-            ("bound", regime.bound),
-        ]
+        smooth = bounds.SmoothnessSpec(args.smooth_exponent, args.smooth_constant)
+        regime = bounds.exponential_regime(args.margin_floor, smooth, args.n)
+        return [("n", args.n), *regime._asdict().items()]
     # kind == "zero"
     level = bounds.zero_bayes_params(args.n, args.k, args.delta)
     return [("n", args.n), ("k", args.k), ("delta", args.delta), ("mass_level", level)]

@@ -29,10 +29,12 @@ piecewise power functions of the interval endpoints, so every value here
 is exact up to float rounding; ``MassQueryResult.error_bound`` is zero.
 
 The geometry queries behind the public functions (``cdf``, ``eta_prefix``,
-``ball_sums``, ``prob_radius_value``, ``eta_closed``, ``eta_point_value``,
+``ball_sums``, ``prob_radius_value``, ``eta_point_value``,
 ``in_support_value``, ...) are array-first: they take an array of points,
 atom indices for finite-atomic families, and answer lane by lane with the
-same float operations a one-point query performs.
+same float operations a one-point query performs.  ``ball_sums`` is the one
+ball query: it gives a ball's mass and its eta integral, from which every
+ball mass and ball average is read.
 
 The trial kernels of `nnrates.harness` draw and query through private
 hooks: `_draw` and `_place` for samples and `_cdf_pair_into` for masses,
@@ -43,7 +45,6 @@ excess risk of a rule's wrong windows.  The draws are those of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -67,7 +68,6 @@ __all__ = [
     "load_distribution",
     "prob_radius",
     "sample_labeled",
-    "support_mass",
 ]
 
 _BALL_KINDS = ("open", "closed", "augmented")
@@ -102,13 +102,6 @@ def _check_radius(r: float) -> None:
 def _check_prob(p: float) -> None:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability level must lie in [0, 1], got {p}")
-
-
-def _ball_average(mass: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """total / mass lane by lane; ZeroMassError when any ball holds no mass."""
-    if np.any(mass <= 0.0):
-        raise ZeroMassError("a ball in the query holds zero mass")
-    return total / mass
 
 
 class FiniteAtomic:
@@ -172,9 +165,6 @@ class FiniteAtomic:
         mass = np.where(inside, self.masses, 0.0).sum(axis=-1)
         return mass, np.where(inside, self.masses * self.etas, 0.0).sum(axis=-1)
 
-    def ball_mass_value(self, xs, r, kind: str = "closed") -> np.ndarray:
-        return self.ball_sums(xs, r, kind)[0]
-
     def prob_radius_value(self, xs, p: float) -> np.ndarray:
         # walking each row in stable distance order, the radius is the first
         # distance whose whole tie group brings the running mass to p; the
@@ -200,9 +190,6 @@ class FiniteAtomic:
     def bayes_risk_value(self) -> float:
         return float((self.masses * np.minimum(self.etas, 1.0 - self.etas)).sum())
 
-    def support_mass_value(self) -> float:
-        return float(self.masses[self.masses > 0.0].sum())
-
     def margin_mass_value(self, t: float) -> float:
         mask = np.abs(self.etas - 0.5) <= t
         return float(self.masses[mask].sum())
@@ -212,9 +199,6 @@ class FiniteAtomic:
     def radius_breakpoints(self, xs) -> np.ndarray:
         """Each point's distances to every atom, ascending along the last axis."""
         return np.sort(self.space.matrix[np.asarray(xs, dtype=np.intp)], axis=-1)
-
-    def eta_closed(self, xs, r) -> np.ndarray:
-        return _ball_average(*self.ball_sums(xs, r, "closed"))
 
     def eta_small_radius_limit(self, xs) -> np.ndarray:
         return self.eta_point_value(xs)
@@ -239,11 +223,11 @@ class _Interval1D:
     def density_at(self, t) -> np.ndarray:
         raise NotImplementedError
 
-    def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
-        """Turn location uniforms u into locations, in place.
+    def _place(self, u: np.ndarray, v: np.ndarray, labels: np.ndarray, scratch: np.ndarray) -> None:
+        """Turn location uniforms u into locations, in place, and label uniforms v into labels.
 
-        When v is given, also write the labels v < eta into the bool array
-        labels.  scratch holds two float rows of at least len(u).
+        The labels v < eta go to the bool array labels.  scratch holds two
+        float rows of at least len(u).
         """
         raise NotImplementedError
 
@@ -276,14 +260,9 @@ class _Interval1D:
 
         Locations go to xs, tie-break draws to zs and labels to the bool
         array ys.  With zs None the stream skips the tie-break draws instead
-        of making them; with ys None too only the locations are drawn: they
-        are the first len(xs) numbers of the stream.  scratch holds three
-        float rows of at least len(xs).
+        of making them.  scratch holds three float rows of at least len(xs).
         """
         rng.random(out=xs)
-        if ys is None:
-            self._place(xs, None, None, scratch[1:])
-            return
         if zs is None:
             rng.bit_generator.advance(xs.size)
         else:
@@ -296,24 +275,19 @@ class _Interval1D:
         """Locations where the density or eta formula changes."""
         raise NotImplementedError
 
-    @staticmethod
-    def _interval(xs, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ends of the balls B(x, r) clipped to [0, 1], and where they are empty."""
+    def ball_sums(self, xs, r, kind: str = "closed") -> tuple[np.ndarray, np.ndarray]:
+        """Mass and eta integral of the balls B(x, r), clipped to [0, 1].
+
+        No atoms: spheres carry no mass, so open and closed balls agree.
+        """
         lo = np.maximum(0.0, np.subtract(xs, r))
         hi = np.minimum(1.0, np.add(xs, r))
-        return lo, hi, hi <= lo
-
-    # no atoms: spheres carry no mass, so open and closed balls agree
-
-    def ball_mass_value(self, xs, r, kind: str = "closed") -> np.ndarray:
-        lo, hi, empty = self._interval(xs, r)
-        return np.where(empty, 0.0, self.cdf(hi) - self.cdf(lo))
-
-    def ball_sums(self, xs, r, kind: str = "closed") -> tuple[np.ndarray, np.ndarray]:
-        """Mass and eta integral of the balls B(x, r)."""
-        lo, hi, empty = self._interval(xs, r)
-        mass = np.where(empty, 0.0, self.cdf(hi) - self.cdf(lo))
-        return mass, np.where(empty, 0.0, self.eta_prefix(hi) - self.eta_prefix(lo))
+        # cdf and eta_prefix are elementwise: one call on both ends gives the
+        # bits of one call per end, at half the fixed cost of a small query
+        ends = np.array([hi, lo])
+        cdf, eta = self.cdf(ends), self.eta_prefix(ends)
+        empty = hi <= lo
+        return np.where(empty, 0.0, cdf[0] - cdf[1]), np.where(empty, 0.0, eta[0] - eta[1])
 
     def prob_radius_value(self, xs, p: float) -> np.ndarray:
         # the candidate radii of a row are 0 and the distances to the
@@ -323,7 +297,7 @@ class _Interval1D:
         xs = np.asarray(xs, dtype=float)
         col = xs.reshape(-1, 1)
         rads = np.concatenate([np.zeros_like(col), self.radius_breakpoints(col[:, 0])], axis=1)
-        mass = self.ball_mass_value(col, rads)
+        mass = self.ball_sums(col, rads)[0]
         hit = mass >= p
         rows, b = np.arange(col.shape[0]), hit.argmax(axis=1)
         a, piece = np.maximum(b - 1, 0), b > 0
@@ -331,9 +305,6 @@ class _Interval1D:
         step = np.divide((p - m_a) * (r_b - r_a), m_b - m_a, out=np.zeros_like(r_a), where=piece)
         r = np.where(piece, r_a + step, r_b)
         return np.where(hit.any(axis=1), r, rads[:, -1]).reshape(xs.shape)
-
-    def eta_closed(self, xs, r) -> np.ndarray:
-        return _ball_average(*self.ball_sums(xs, r))
 
     def radius_breakpoints(self, xs) -> np.ndarray:
         """Each point's distances to every breakpoint, ascending along the last axis."""
@@ -389,7 +360,6 @@ class PiecewiseUniform1D(_Interval1D):
         self._u_top = float(np.nextafter(end, 0.0)) if end < 1.0 else None
         with np.errstate(invalid="ignore", divide="ignore"):
             self.seg_eta = np.where(self.f > 0.0, self.g / np.where(self.f > 0.0, self.f, 1.0), np.nan)
-        self._filled_eta = self._fill_gap_etas()
         self._bayes_one = (self.f > 0.0) & (np.nan_to_num(self.seg_eta, nan=0.0) >= 0.5)
         self._bayes_one_prefix = self._restricted_prefix()
         self.space = IntervalMetric(0.0, 1.0)
@@ -414,22 +384,6 @@ class PiecewiseUniform1D(_Interval1D):
         mids = (grid[:-1] + grid[1:]) / 2.0
         idx = np.clip(np.searchsorted(breaks, mids, side="right") - 1, 0, dens.size - 1)
         return dens[idx]
-
-    def _fill_gap_etas(self) -> np.ndarray:
-        # per-segment eta with zero-density gaps filled from the nearer
-        # positive neighbor (segment midpoints decide; exact per-point
-        # reporting lives in eta_point_value)
-        filled = self.seg_eta.copy()
-        pos = np.where(self.f > 0.0)[0]
-        for j in np.where(self.f == 0.0)[0]:
-            left = pos[pos < j]
-            right = pos[pos > j]
-            mid = (self.breaks[j] + self.breaks[j + 1]) / 2.0
-            dl = mid - self.breaks[left[-1] + 1] if left.size else math.inf
-            dr = self.breaks[right[0]] - mid if right.size else math.inf
-            src = left[-1] if dl <= dr else right[0]
-            filled[j] = self.seg_eta[src]
-        return filled
 
     def _restricted_prefix(self) -> np.ndarray:
         inc = np.where(self._bayes_one, self.f * self.widths, 0.0)
@@ -460,17 +414,19 @@ class PiecewiseUniform1D(_Interval1D):
 
     # -- distribution interface --------------------------------------------
 
-    def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
+    def _place(self, u: np.ndarray, v: np.ndarray, labels: np.ndarray, scratch: np.ndarray) -> None:
         # u lies in mass segment j when j interior mass prefixes are <= u;
-        # the location is breaks[j] + (u - prefix[j]) / f[j].  Indices are
-        # in range, so take's "clip" mode only spares it a copy of out.
+        # the location is breaks[j] + (u - prefix[j]) / f[j].  j always has
+        # mass: a zero-mass segment's two prefixes are equal, so u passes
+        # both or neither, and _u_top keeps u below a short prefix's end.
+        # Indices are in range, so take's "clip" mode only spares it a copy
+        # of out.
         if self._u_top is not None:
             np.minimum(u, self._u_top, out=u)
         j = self._count_cuts(self._mass_prefix[1:-1], u, scratch)
         tmp = scratch[1, : u.size]
-        if v is not None:
-            np.take(self._filled_eta, j, out=tmp, mode="clip")
-            np.less(v, tmp, out=labels)
+        np.take(self.seg_eta, j, out=tmp, mode="clip")
+        np.less(v, tmp, out=labels)
         np.take(self._mass_prefix, j, out=tmp, mode="clip")
         np.subtract(u, tmp, out=u)
         np.take(self.f, j, out=tmp, mode="clip")
@@ -538,9 +494,6 @@ class PiecewiseUniform1D(_Interval1D):
         risk = np.minimum(self.g, self.f - self.g) * self.widths
         return float(risk[self.f > 0.0].sum())
 
-    def support_mass_value(self) -> float:
-        return float((self.f * self.widths)[self.f > 0.0].sum())
-
     def margin_mass_value(self, t: float) -> float:
         mask = (self.f > 0.0) & (np.abs(np.nan_to_num(self.seg_eta, nan=2.0) - 0.5) <= t)
         return float((self.f * self.widths)[mask].sum())
@@ -574,11 +527,10 @@ class PowerMargin1D(_Interval1D):
         self._odd_at_zero = self._odd_antideriv(0.0)
         self._breaks = np.array([0.0, 0.5, 1.0])
 
-    def _place(self, u: np.ndarray, v, labels, scratch: np.ndarray) -> None:
+    def _place(self, u: np.ndarray, v: np.ndarray, labels: np.ndarray, scratch: np.ndarray) -> None:
         # the marginal is uniform: a location is its own uniform
-        if v is not None:
-            self._eta_into(u, scratch[0, : u.size], scratch[1:])
-            np.less(v, scratch[0, : u.size], out=labels)
+        self._eta_into(u, scratch[0, : u.size], scratch[1:])
+        np.less(v, scratch[0, : u.size], out=labels)
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """Write eta(x) for each x into out; scratch as in `_place`."""
@@ -636,9 +588,6 @@ class PowerMargin1D(_Interval1D):
     def bayes_risk_value(self) -> float:
         return 0.5 - 0.5 / (self.gamma + 1.0)
 
-    def support_mass_value(self) -> float:
-        return 1.0
-
     def margin_mass_value(self, t: float) -> float:
         if t >= 0.5:
             return 1.0
@@ -669,7 +618,7 @@ def ball_mass(dist: Distribution, x, r: float, kind: str = "closed") -> MassQuer
         raise ValueError(f"kind must be 'open' or 'closed', got {kind!r}")
     dist.space.check_point(x)
     _check_radius(r)
-    return MassQueryResult(float(dist.ball_mass_value(x, r, kind)), 0.0)
+    return MassQueryResult(float(dist.ball_sums(x, r, kind)[0]), 0.0)
 
 
 def prob_radius(dist: Distribution, x, p: float) -> float:
@@ -727,11 +676,6 @@ def in_support(dist: Distribution, x) -> bool:
 def bayes_risk(dist: Distribution) -> float:
     """Exact integral of min(eta, 1 - eta) against the marginal."""
     return float(dist.bayes_risk_value())
-
-
-def support_mass(dist: Distribution) -> float:
-    """Mass of the support; exactly 1 for every valid instance."""
-    return float(dist.support_mass_value())
 
 
 def load_distribution(config: dict, base_dir: str = ".") -> Distribution:

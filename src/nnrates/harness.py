@@ -425,7 +425,7 @@ class _Trials1D:
                 reach = np.count_nonzero(np.less_equal(u, 2.0 * s, out=self.masks[0])) > c + k
             if not reach:
                 return None
-        return abs(s - cut)
+        return float(abs(s - cut))
 
     def value(self, state: dict, excess: bool = False) -> float:
         """Exact disagreement mass, or with ``excess`` excess risk, of the rule ``state``'s stream trains.

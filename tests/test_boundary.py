@@ -179,6 +179,27 @@ def test_margin_mass():
     assert margin_mass(fa, 0.5) == 1.0
 
 
+def test_margin_mass_of_a_multi_segment_family():
+    # the segment table of multi_segment_family on its common grid 0, 0.15,
+    # 0.2, 0.4, 0.5, 0.6, 0.7, 0.85, 1: (mass f * width, eta g / f) with
+    # f = 0.4 f0 + 0.6 f1 and g = 0.6 f1, two of the segments label-0 only
+    segments = [
+        (1.1 * 0.15, 0.3 / 1.1),
+        (0.46 * 0.05, 0.3 / 0.46),
+        (1.06 * 0.2, 0.9 / 1.06),
+        (1.7 * 0.1, 0.9 / 1.7),
+        (0.8 * 0.1, 0.0),
+        (0.16 * 0.1, 0.0),
+        (1.06 * 0.15, 0.9 / 1.06),
+        ((0.4 * 0.6666666666666666 + 0.9) * 0.15, 0.9 / (0.4 * 0.6666666666666666 + 0.9)),
+    ]
+    dist = multi_segment_family()
+    for t, quoted in [(0.0, 0.0), (0.1, 0.17), (0.3, 0.533), (0.5, 1.0)]:
+        want = sum(mass for mass, eta in segments if abs(eta - 0.5) <= t)
+        assert want == pytest.approx(quoted, rel=1e-12, abs=0.0)
+        assert margin_mass(dist, t) == pytest.approx(want, rel=1e-12, abs=0.0), t
+
+
 def test_smoothness_audit_passes_power_margin():
     pm = PowerMargin1D(1.0)
     probes = [(x, r) for x in np.linspace(0.05, 0.95, 19) for r in (0.01, 0.05, 0.2)]
@@ -194,6 +215,19 @@ def test_smoothness_audit_finds_witness():
     assert witness.x == pytest.approx(0.49)
     assert witness.r == pytest.approx(0.02)
     assert witness.amount == pytest.approx(0.25 - 0.04, abs=1e-12)
+
+
+def test_smoothness_audit_on_atoms():
+    # atom 0's closed ball of radius 1 holds all three atoms, average
+    # 0.2 * 0.9 + 0.3 * 0.2 + 0.5 * 0.6 = 0.54 against eta = 0.9, while its
+    # open ball holds atom 0 alone: the allowance is 0.1 * 0.2
+    fa = three_atoms()
+    probes = [(0, 1.0), (1, 0.5), (2, 2.0)]
+    witness = smoothness_audit(fa, 1.0, 0.1, probes)
+    assert (witness.x, witness.r) == (0.0, 1.0)
+    assert witness.amount == pytest.approx(abs(0.54 - 0.9) - 0.1 * 0.2, abs=1e-12)
+    assert witness.amount == pytest.approx(0.34, abs=1e-12)
+    assert smoothness_audit(fa, 1.0, 10.0, probes) is None
 
 
 def test_smoothness_audit_validation():

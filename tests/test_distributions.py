@@ -25,7 +25,6 @@ from nnrates.distributions import (
     load_distribution,
     prob_radius,
     sample_labeled,
-    support_mass,
 )
 from nnrates._rng import mix64
 from nnrates.errors import DomainError, UnsupportedMethodError, ZeroMassError
@@ -96,7 +95,6 @@ def test_atomic_point_queries():
     assert in_support(fa, 0)
     assert not in_support(two_atoms(masses=(1.0, 0.0)), 1)
     assert bayes_risk(fa) == pytest.approx(0.5 * 0.1 + 0.5 * 0.2)
-    assert support_mass(fa) == 1.0
 
 
 def test_atomic_sampling_statistics():
@@ -176,7 +174,6 @@ def test_piecewise_eta_and_bayes_risk():
     # g = 0.25 on the left cell, f - g = 1.0; right cell g = 1.0, f - g = 0.25
     want = min(0.25, 1.0) * 0.4 + min(1.0, 0.25) * 0.4
     assert bayes_risk(dist) == pytest.approx(want, abs=1e-14)
-    assert support_mass(dist) == pytest.approx(1.0)
 
 
 def test_piecewise_gap_eta_uses_nearest_positive_side():
@@ -252,7 +249,7 @@ def test_sample_arrays_match_inverse_cdf_reference():
                 prefix = dist._mass_prefix
                 j = np.minimum(np.searchsorted(prefix, u, side="right"), dist.f.size) - 1
                 xs = dist.breaks[j] + (u - prefix[j]) / dist.f[j]
-                eta = dist._filled_eta[j]
+                eta = dist.seg_eta[j]
             got = dist.sample_arrays(seed, n)
             for part, want in zip(got, (xs, zs, (v < eta).astype(np.int8))):
                 assert part.dtype == want.dtype and part.tobytes() == want.tobytes()
@@ -294,7 +291,7 @@ def test_uniforms_past_a_short_mass_prefix_stay_in_the_last_segment_with_mass():
         got, labels = u.copy(), np.empty(u.size, dtype=bool)
         dist._place(got, v, labels, np.empty((2, u.size)))
         assert got.tobytes() == want.tobytes()
-        assert labels.tolist() == (v < dist._filled_eta[j]).tolist()
+        assert labels.tolist() == (v < dist.seg_eta[j]).tolist()
 
 
 # -- power margin --------------------------------------------------------------

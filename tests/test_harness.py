@@ -231,7 +231,7 @@ def test_sorted_draws_match_spelled_out_reference(family):
     # pure-label trials, the cut-local route and the redraw in the exact
     # order among them, against the full draw and lexsort of the reference
     dist = PURE_FAMILIES[family]()
-    assert np.isin(dist._filled_eta, (0.0, 1.0)).all()
+    assert np.isin(dist.seg_eta[dist.f > 0.0], (0.0, 1.0)).all()
     # (40, 2) is where the knife family's tie order at 0.5 moves a value;
     # its trial 54 moves with the part of a repeat that a window splits
     cases = [(1, 1, 6), (2, 2, 6), (40, 2, 60), (40, 7, 30), (300, 25, 12), (3000, 45, 3), (10_000, 100, 2)]
@@ -436,6 +436,32 @@ def test_excess_kernel_matches_spelled_out_reference(family):
         # growing the budget leaves the earlier trials as they were
         longer = estimate_expected_excess(dist, n, k, 15, master_seed=4).per_trial
         assert longer[:10] == got, (n, k)
+
+
+@pytest.mark.parametrize("excess", [False, True], ids=["disagreement", "excess"])
+def test_every_per_trial_value_is_a_python_float(excess):
+    # the disjoint family's step route reads |s* - B| off float64 order
+    # statistics, from the sorted row at n = 300 and off the band from
+    # _BAND_FROM on; the other families take the integral or the atom sums
+    assert 5000 >= harness._BAND_FROM > 300
+    cases = [
+        (disjoint_family(), 300, 25),
+        (disjoint_family(), 5000, 71),
+        (multi_segment_family(), 300, 25),
+        (tied_three_atoms(), 40, 7),
+    ]
+    for dist, n, k in cases:
+        if _label_cut(dist) is not None:
+            routed = _Trials1D(dist, n, k)
+            assert any(routed._step_mass(s) is not None for s in block_states(mix64(9, n), 0, 8)), (n, k)
+        values = _trial_values(dist, n, k, 9, 0, 8, excess)
+        assert all(type(v) is float for v in values), (n, k, {type(v).__name__ for v in values})
+    disjoint = disjoint_family()
+    if excess:
+        values = estimate_expected_excess(disjoint, 300, 25, 8, master_seed=9).per_trial
+    else:
+        values = run_upper_bound_trials(disjoint, 300, 25, 0.3, 8, master_seed=9).mistake_probs
+    assert all(type(v) is float for v in values)
 
 
 def test_one_dimensional_trials_reuse_their_buffers():
