@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
+from ._schema import REQUIRED, check, fields, is_int, real
 from .boundary import boundary_measure, region_verdicts
 from .distributions import FiniteAtomic, load_distribution
 from .errors import ResourceLimitError
@@ -50,9 +51,6 @@ from .harness import (
 )
 
 __all__ = ["main"]
-
-_EXPERIMENT_TYPES = ("upper_bound", "lower_bound", "excess", "rate_sweep", "consistency")
-
 
 def _canon(value):
     """Canonical 12-significant-digit value for report payloads."""
@@ -129,92 +127,65 @@ def _report(columns, rows, summary) -> Report:
 # -- config parsing ------------------------------------------------------------
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _is_int(value) -> bool:
-    """True for JSON integers; JSON booleans load as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require(mapping: dict, key: str, kind, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    value = mapping[key]
-    if kind is float and _is_int(value) and abs(value) <= sys.float_info.max:
-        value = float(value)  # an integer past the float range stays one, and is refused
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
-    return value
-
-
-def _parse_k_rule(raw, where: str) -> KRule:
-    if _is_int(raw):
-        return KRule("fixed", k=raw)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: k rule must be an integer or an object")
-    kind = _require(raw, "kind", str, where)
-    if kind == "fixed":
-        return KRule("fixed", k=_require(raw, "k", int, where))
-    if kind == "power":
-        return KRule("power", exponent=_require(raw, "exponent", float, where))
-    if kind == "sqrt":
-        return KRule("sqrt")
-    if kind == "rate_optimal":
-
-        def number(key: str, default, upper: float, span: str):
-            value = raw.get(key, default)
-            if value is None:
-                return None
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not numeric or not 0.0 < value < upper:
-                raise ConfigError(f"{where}: rate_optimal key {key!r} must be a number {span}")
-            return float(value)
-
-        return KRule(
-            "rate_optimal",
-            k_scale=number("k_scale", 1.0, sys.float_info.max, "> 0 and finite"),
-            alpha=number("alpha", 1.0, sys.float_info.max, "> 0 and finite"),
-            delta=number("delta", None, 1.0, "in (0, 1)"),
-        )
-    raise ConfigError(f"{where}: unknown k rule kind {kind!r}")
-
-
-def _parse_n_grid(raw, where: str) -> list[int]:
-    if not isinstance(raw, list) or not all(_is_int(v) and v >= 2 for v in raw):
-        raise ConfigError(f"{where}: n_grid must be a list of integers >= 2")
-    return raw
-
-
 def _read_json(path: Path, what: str):
-    """The JSON document in ``path``; a file that is not UTF-8 JSON is a ConfigError."""
+    """The JSON document in ``path``; a file that is not UTF-8 JSON is a ValueError."""
     try:
         return json.loads(path.read_bytes().decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _validate_experiment(i: int, block, dist, defaults: dict):
+def _parse_k_rule(raw, where: str, key: str) -> KRule:
+    """A k rule: an integer k, or an object whose kind names its keys in `_K_RULES`."""
+    if isinstance(raw, dict):
+        return KRule(**fields(raw, _K_RULES, f"{where}.{key}", "kind"))
+    return KRule("fixed", k=check(is_int, "an integer or an object")(raw, where, key))
+
+
+# the keys of each config object, each with its check and its default
+_INT = check(is_int, "an integer")
+_COUNT = check(lambda v: is_int(v) and v >= 1, "a positive integer")
+_STRING = check(lambda v: isinstance(v, str), "a string")
+_FINITE, _POSITIVE = real("a finite number"), real("a finite number > 0", 0.0)
+_K_RULES = {
+    "fixed": {"k": (_INT, REQUIRED)},
+    "power": {"exponent": (_FINITE, REQUIRED)},
+    "sqrt": {},
+    "rate_optimal": {
+        "k_scale": (_POSITIVE, 1.0),
+        "alpha": (_POSITIVE, 1.0),
+        "delta": (real("a number in (0, 1)", 0.0, 1.0), None),
+    },
+}
+_GRID = check(lambda v: isinstance(v, list) and all(is_int(n) and n >= 2 for n in v), "a list of integers >= 2")
+# mc_points is read by nothing, since excess trials are exact; the benchmark's sweep configs carry it
+_TRIALS, _MC_POINTS = (_COUNT, None), (_COUNT, None)
+_N_BLOCK = {"n": (_INT, REQUIRED), "k": (_parse_k_rule, REQUIRED), "trials": _TRIALS}
+_SWEEP = {"n_grid": (_GRID, REQUIRED), "k_rule": (_parse_k_rule, KRule("sqrt")),
+          "trials": _TRIALS, "mc_points": _MC_POINTS}
+_BLOCKS = {
+    "upper_bound": {**_N_BLOCK, "delta": (_FINITE, REQUIRED), "schedule": (_STRING, "confidence")},
+    "lower_bound": _N_BLOCK,  # without trials, the harness sizes the run
+    "excess": {**_N_BLOCK, "mc_points": _MC_POINTS},
+    "rate_sweep": _SWEEP,
+    "consistency": _SWEEP,
+}
+_ROOT = {
+    "distribution": (lambda value, where, key: value, REQUIRED),  # load_distribution reads it
+    "seed": (_INT, 0),
+    "output_dir": (_STRING, "reports"),
+    "experiments": (check(lambda v: isinstance(v, list) and v, "a nonempty list"), REQUIRED),
+}
+
+
+def _validate_experiment(i: int, block, dist, trials: int, seed: int):
     """(type, runner) of one experiment block, checked before anything runs; runner() reports."""
-    where = f"experiments[{i}]"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where}: must be an object")
-    kind = _require(block, "type", str, where)
-    if kind not in _EXPERIMENT_TYPES:
-        raise ConfigError(f"{where}: unknown type {kind!r}")
-    trials = block.get("trials", defaults["trials"])
-    mc_points = block.get("mc_points", 1)  # accepted and ignored: excess trials are exact
-    seed = defaults["master_seed"]
-    if not _is_int(trials) or trials < 1:
-        raise ConfigError(f"{where}: trials must be a positive integer")
-    if not _is_int(mc_points) or mc_points < 1:
-        raise ConfigError(f"{where}: mc_points must be a positive integer")
+    spec = fields(block, _BLOCKS, f"experiments[{i}]", "type")
+    kind, trials = spec["type"], trials if spec["trials"] is None else spec["trials"]
 
     if kind in ("rate_sweep", "consistency"):
-        n_grid = _parse_n_grid(block.get("n_grid"), where)
+        n_grid, rule = spec["n_grid"], spec["k_rule"]
         _check_grid(n_grid, "rate" if kind == "rate_sweep" else "consistency")
-        rule = _parse_k_rule(block.get("k_rule", {"kind": "sqrt"}), where)
         for n in n_grid:
             rule.k_for(n)  # raises on an out-of-range k before anything runs
 
@@ -235,12 +206,10 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
 
         return kind, run_sweep
 
-    n = _require(block, "n", int, where)
-    k = _parse_k_rule(block.get("k", block.get("k_rule")), where).k_for(n)
+    n, k = spec["n"], spec["k"].k_for(spec["n"])
 
     if kind == "upper_bound":
-        delta = _require(block, "delta", float, where)
-        schedule = block.get("schedule", "confidence")
+        delta, schedule = spec["delta"], spec["schedule"]
         bounds._upper_schedule(n, k, delta, schedule)  # the run's own refusal, before any output exists
 
         def run_upper():
@@ -262,12 +231,11 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
         return kind, run_upper
 
     if kind == "lower_bound":
-        cap = block.get("trials")  # validated above; absent, the harness sizes the run
         if isinstance(dist, FiniteAtomic):
             _oracle_groups(dist, k)  # refuses past the exact oracle's budget, before anything runs
 
         def run_lower():
-            chk = run_lower_bound_trials(dist, n, k, cap, seed)
+            chk = run_lower_bound_trials(dist, n, k, spec["trials"], seed)
             rows = [[chk.n, chk.k, chk.lhs, chk.stderr]]
             summary = {
                 "lhs": chk.lhs,
@@ -278,7 +246,7 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
                 "constant": chk.constant,
                 "passed": int(chk.passed),
             }
-            return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
+            return _report(["n", "k", "mean_disagreement", "stderr"], rows, summary)
 
         return kind, run_lower
 
@@ -297,23 +265,13 @@ def _validate_experiment(i: int, block, dist, defaults: dict):
 def _cmd_run(args) -> int:
     config_path = Path(args.config)
     config = _read_json(config_path, "config")
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be an object")
-    dist = load_distribution(config.get("distribution"), base_dir=config_path.parent)
-    seed = args.master_seed if args.master_seed is not None else config.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("config: 'seed' must be an integer")
-    out_dir = args.output_dir or config.get("output_dir", "reports")
-    if not isinstance(out_dir, str):
-        raise ConfigError("config: 'output_dir' must be a string")
-    blocks = config.get("experiments")
-    if not isinstance(blocks, list) or not blocks:
-        raise ConfigError("config: 'experiments' must be a nonempty list")
-    defaults = {
-        "trials": args.trials if args.trials is not None else 400,
-        "master_seed": seed,
-    }
-    plans = [_validate_experiment(i, b, dist, defaults) for i, b in enumerate(blocks)]
+    root = fields(config, _ROOT, "config")
+    dist = load_distribution(root["distribution"], base_dir=config_path.parent)
+    seed = root["seed"] if args.master_seed is None else args.master_seed
+    out_dir = args.output_dir or root["output_dir"]
+    if args.trials < 1:
+        raise ValueError("--trials must be a positive integer")
+    plans = [_validate_experiment(i, b, dist, args.trials, seed) for i, b in enumerate(root["experiments"])]
 
     out_path = Path(out_dir)
     if not out_path.is_absolute():
@@ -368,7 +326,7 @@ def _bounds_pairs(args) -> list[tuple[str, object]]:
     kind = args.theorem
     missing = [f"--{flag}" for flag in _THEOREM_FLAGS[kind] if getattr(args, flag) is None]
     if missing:
-        raise ConfigError(f"theorem {kind}: {', '.join(missing)} required")
+        raise ValueError(f"theorem {kind}: {', '.join(missing)} required")
     # each result's own fields, after the flags a theorem echoes
     if kind == "1":
         return list(vars(bounds.upper_bound_params(args.n, args.k, args.delta)).items())
@@ -447,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute the experiment blocks in a JSON config")
     run_p.add_argument("config", help="path to the experiment config file")
     run_p.add_argument("--master_seed", type=int, default=None)
-    run_p.add_argument("--trials", type=int, default=None)
+    run_p.add_argument("--trials", type=int, default=400)
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
     run_p.add_argument("--output_dir", default=None)
     run_p.set_defaults(func=_cmd_run)

@@ -45,13 +45,15 @@ excess risk of a rule's wrong windows.  The draws are those of
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._rng import generator
-from .errors import UnsupportedMethodError, ZeroMassError
+from ._schema import REQUIRED, check, fields, real
+from .errors import ZeroMassError
 from .metric import FiniteMetric, IntervalMetric, load_finite_metric
 
 __all__ = [
@@ -84,10 +86,14 @@ class AugmentedSample(NamedTuple):
 
 @dataclass(frozen=True)
 class MassQueryResult:
-    """A measure-valued answer together with a rigorous error bound.
+    """A measure-valued answer and the error that ``error_bound`` covers.
 
-    Closed-form queries report ``error_bound == 0.0``.  Numeric enclosures
-    (interval bisection, Monte Carlo) report the width of their guarantee.
+    Distribution queries (`ball_mass`, `eta_ball`) and finite-atomic region
+    measures are closed forms or exact sums, and report ``error_bound ==
+    0.0``.  The 1-D region measures of `nnrates.boundary` report the
+    density-weighted widths of their bisection brackets, and that is all the
+    bound covers: a region piece narrower than one scan cell is missed, in
+    the value and in the bound alike (see the `nnrates.boundary` docstring).
     """
 
     value: float
@@ -678,46 +684,38 @@ def bayes_risk(dist: Distribution) -> float:
     return float(dist.bayes_risk_value())
 
 
+_ANY = (lambda value, where, key: value, REQUIRED)  # the family's constructor checks the value
+_PIECES = {"breaks": _ANY, "densities": _ANY}  # a class of a piecewise family
+_CLASS = (lambda value, where, key: tuple(fields(value, _PIECES, f"{where}.{key}").values()), REQUIRED)
+_PATH = check(lambda v: isinstance(v, (str, os.PathLike)), "a file path")
+# the keys of each family's config object, each with its check
+_FAMILIES = {
+    "finite_atomic": {"metric_file": (_PATH, REQUIRED), "masses": _ANY, "etas": _ANY},
+    "piecewise_uniform_1d": {
+        "priors": (check(lambda v: isinstance(v, (list, tuple)) and len(v) == 2,
+                         "a list of two class probabilities"), REQUIRED),
+        "class0": _CLASS,
+        "class1": _CLASS,
+    },
+    "power_margin_1d": {"gamma": (real("a finite number > 0", 0.0), REQUIRED)},
+}
+
+
 def load_distribution(config: dict, base_dir: str = ".") -> Distribution:
     """Build a distribution from its configuration dictionary.
 
-    The ``family`` tag picks the class; remaining keys are family-specific.
-    FiniteAtomic instances reference their metric through ``metric_file``
-    (resolved against ``base_dir``).
+    The ``family`` tag picks the class, and `_FAMILIES` lists the keys each
+    family takes.  FiniteAtomic instances reference their metric through
+    ``metric_file`` (resolved against ``base_dir``).
     """
-    import os
-
-    if not isinstance(config, dict) or "family" not in config:
-        raise ValueError("distribution config must be a dict with a 'family' tag")
-    family = config["family"]
-
-    def field(key: str, kind, what: str):
-        value = config[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"distribution field {key!r} must be {what}")
-        return value
-
+    spec = fields(config, _FAMILIES, "distribution", "family")
+    family = spec.pop("family")
     try:
         if family == "finite_atomic":
-            path = field("metric_file", (str, os.PathLike), "a file path")
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            space = load_finite_metric(path)
-            return FiniteAtomic(space, config["masses"], config["etas"])
+            path = os.path.join(base_dir, spec["metric_file"])  # an absolute path stays as it is
+            return FiniteAtomic(load_finite_metric(path), spec["masses"], spec["etas"])
         if family == "piecewise_uniform_1d":
-            priors = field("priors", (list, tuple), "a list of two class probabilities")
-            if len(priors) != 2:
-                raise ValueError("distribution field 'priors' must hold two class probabilities")
-            class0, class1 = (field(key, dict, "an object") for key in ("class0", "class1"))
-            return PiecewiseUniform1D(
-                priors,
-                (class0["breaks"], class0["densities"]),
-                (class1["breaks"], class1["densities"]),
-            )
-        if family == "power_margin_1d":
-            return PowerMargin1D(field("gamma", (int, float), "a positive number"))
-    except KeyError as exc:
-        raise ValueError(f"distribution config missing field {exc}") from exc
+            return PiecewiseUniform1D(**spec)
+        return PowerMargin1D(**spec)
     except (TypeError, OverflowError) as exc:  # a list for a number, an int no float holds
         raise ValueError(f"malformed {family} distribution config: {exc}") from exc
-    raise UnsupportedMethodError(f"unknown distribution family {family!r}")

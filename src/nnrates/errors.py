@@ -20,7 +20,7 @@ class InfeasibleParametersError(ValueError):
 
 
 class UnsupportedMethodError(ValueError):
-    """The requested evaluation method is not available for this family."""
+    """A config names a distribution family, experiment type or k-rule kind that does not exist."""
 
 
 class ResourceLimitError(RuntimeError):

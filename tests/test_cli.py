@@ -273,6 +273,14 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
         cfg = write_config(tmp_path, {"distribution": POWER_DIST, "output_dir": "out", **body})
         assert run_cli(["run", str(cfg)]) == 2, body
         assert not (tmp_path / "out").exists(), body
+    # the config's seed and output_dir are checked where a flag overrides
+    # them, and --trials where every block sets its own
+    for body, flags in (
+        ({"seed": "1"}, ["--master_seed", "3"]), ({"output_dir": 5}, ["--output_dir", "out"]), ({}, ["--trials", "0"]),
+    ):
+        cfg = write_config(tmp_path, {"distribution": POWER_DIST, "output_dir": "out", "experiments": [excess], **body})
+        assert run_cli(["run", str(cfg), *flags]) == 2, flags
+        assert not (tmp_path / "out").exists(), flags
     # a rate_optimal rule needs delta in (0, 1), alpha > 0 and a finite
     # k_scale > 0; each bad value exits 2 with a message naming its key
     capsys.readouterr()
@@ -348,6 +356,8 @@ def test_run_exact_oracle_at_five_million_points(tmp_path):
     assert run_cli(["run", str(cfg), "--format", "json"]) == 0
     report = json.loads((tmp_path / "out" / "00_lower_bound.json").read_text())
     assert report["summary"]["lhs"] == 0.0
+    # the lhs is the mean disagreement Pr(g_n(X) != g(X)), which the lower bound bounds
+    assert list(report["columns"]) == ["n", "k", "mean_disagreement", "stderr"]
 
 
 def test_run_refuses_a_sample_size_past_the_float_range(tmp_path):
@@ -537,10 +547,11 @@ PURE_ATOMS = {"family": "finite_atomic", "metric_file": "m.txt", "masses": [0.5,
         ({**PURE_ATOMS, "masses": [10**400, 0.5]}, 2),
         ({**PURE_ATOMS, "etas": [math.nan, 0.0]}, 2),
         ({**PURE_ATOMS, "metric_file": "missing.txt"}, 4),
+        ({**POWER_DIST, "gamm": 1.0}, 2),
     ],
     ids=[
         "gamma_string", "class_list", "one_prior", "null_prior", "metric_file_number",
-        "mass_past_float", "nan_eta", "metric_file_missing",
+        "mass_past_float", "nan_eta", "metric_file_missing", "unknown_key",
     ],
 )
 def test_malformed_distribution_exits_with_its_code(tmp_path, capsys, dist, code):
@@ -734,3 +745,71 @@ def test_fuzzed_distribution_files_exit_cleanly(dist, p, band):
         path.write_bytes(dist if isinstance(dist, bytes) else json.dumps(dist).encode())
         argv = ["analyze", "boundary", "--dist", str(path), f"--p={p!r}", f"--delta={band!r}"]
         assert run_cli(argv) in (0, 2, 3, 4)
+
+
+# -- the config schema -------------------------------------------------------------
+#
+# A key outside its object's table once went unread: "trails": 3 in an excess
+# block ran 400 trials and exited 0.  Each case adds one such key, or moves a
+# key to a block type that does not take it, behind a block that would run.
+
+K_RULES_BY_KIND = [
+    {"kind": "fixed", "k": 3}, {"kind": "power", "exponent": 0.5}, {"kind": "sqrt"},
+    {"kind": "rate_optimal", "k_scale": 0.5},
+]
+BLOCK = {block["type"]: block for block in SKELETONS}
+
+
+def run_config(blocks, dist=POWER_DIST):
+    return {"distribution": dist, "output_dir": "out", "experiments": [BLOCK["excess"], *blocks]}
+
+
+UNKNOWN_KEYS = [
+    *[(b["type"], run_config([{**b, "trails": 3}]), "experiments[1]", "trails") for b in SKELETONS],
+    *[
+        (f"k_rule_{rule['kind']}", run_config([{**BLOCK["rate_sweep"], "k_rule": {**rule, "kidn": 1}}]),
+         "experiments[1].k_rule", "kidn")
+        for rule in K_RULES_BY_KIND
+    ],
+    ("root", {**run_config([]), "sede": 3}, "config", "sede"),
+    *[
+        (dist["family"], run_config([], {**dist, key: 1.0}), "distribution", key)
+        for dist, key in ((POWER_DIST, "gamm"), (PIECEWISE_DIST, "prior"), (TWO_ATOMS, "mass"))
+    ],
+    ("class0", run_config([], {**PIECEWISE_DIST, "class0": {**PIECEWISE_DIST["class0"], "break": [0.0, 1.0]}}),
+     "distribution.class0", "break"),
+    ("k_rule_in_an_n_block", run_config([{**BLOCK["excess"], "k_rule": {"kind": "sqrt"}}]),
+     "experiments[1]", "k_rule"),
+    ("k_in_a_sweep", run_config([{**BLOCK["rate_sweep"], "k": 3}]), "experiments[1]", "k"),
+    *[
+        (f"mc_points_in_{kind}", run_config([{**BLOCK[kind], "mc_points": 10}]), "experiments[1]", "mc_points")
+        for kind in ("upper_bound", "lower_bound")
+    ],
+]
+
+
+@pytest.mark.parametrize("config, where, key", [case[1:] for case in UNKNOWN_KEYS], ids=[c[0] for c in UNKNOWN_KEYS])
+def test_run_refuses_a_key_outside_its_table(tmp_path, capsys, config, where, key):
+    (tmp_path / "m.txt").write_text("2\n0 1\n1 0\n")
+    assert run_cli(["run", str(write_config(tmp_path, config))]) == 2
+    assert capsys.readouterr().err == f"error: {where}: unknown key {key!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "m.txt"]
+
+
+@pytest.mark.parametrize("value", [["excess"], {"kind": "sqrt"}], ids=["list", "object"])
+@pytest.mark.parametrize(
+    "tag, where, config",
+    [
+        ("type", "experiments[1]", lambda value: run_config([{**BLOCK["rate_sweep"], "type": value}])),
+        ("kind", "experiments[1].k_rule",
+         lambda value: run_config([{**BLOCK["rate_sweep"], "k_rule": {"kind": value}}])),
+        ("family", "distribution", lambda value: run_config([], {**POWER_DIST, "family": value})),
+    ],
+    ids=["type", "kind", "family"],
+)
+def test_run_refuses_a_tag_that_is_not_a_string(tmp_path, capsys, tag, where, config, value):
+    # a JSON list is unhashable, so looking one up in a table raises TypeError
+    assert run_cli(["run", str(write_config(tmp_path, config(value)))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: {tag} must be one of ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

@@ -3,13 +3,19 @@
 A comment that starts with a number states the value of its line: the
 expression itself, or a ``print`` call's first argument.  "0.00529..."
 states the leading digits; a plain number states the value to a relative
-1e-15, the rounding that a sum of a few doubles may leave.
+1e-15, the rounding that a sum of a few doubles may leave.  The README's
+run config passes the checks that `nnrates run` makes before it runs.
 """
 
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from nnrates._schema import fields
+from nnrates.cli import _ROOT, _validate_experiment
+from nnrates.distributions import load_distribution
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +48,12 @@ def test_readme_examples_match_their_comments(index, capsys):
             assert value == pytest.approx(float(stated), rel=1e-15, abs=0.0), (code, value)
         checked += 1
     assert checked >= 2
+
+
+def test_readme_run_config_validates():
+    # each block is checked as `nnrates run` checks it, and none is run
+    config = json.loads(re.findall(r"```json\n(.*?)```", README.read_text(), re.S)[0])
+    root = fields(config, _ROOT, "config")
+    dist = load_distribution(root["distribution"])
+    kinds = [_validate_experiment(i, b, dist, 400, root["seed"])[0] for i, b in enumerate(root["experiments"])]
+    assert kinds == ["upper_bound", "lower_bound", "excess", "rate_sweep", "consistency"]
