@@ -140,6 +140,7 @@ class FiniteAtomic:
         self.masses = m
         self.etas = e
         self._cum = np.cumsum(m)
+        self._top = int(np.flatnonzero(m)[-1])  # where a uniform past a short prefix's end lands
 
     # -- sampling ---------------------------------------------------------
 
@@ -156,7 +157,7 @@ class FiniteAtomic:
         maps it in one call.
         """
         xs = np.searchsorted(self._cum, u[..., 0, :], side="right")
-        np.minimum(xs, self.space.size - 1, out=xs)
+        np.minimum(xs, self._top, out=xs)
         return xs, u[..., 1, :], (u[..., 2, :] < self.etas[xs]).astype(np.int8)
 
     # -- measures ---------------------------------------------------------
@@ -172,20 +173,13 @@ class FiniteAtomic:
         return mass, np.where(inside, self.masses * self.etas, 0.0).sum(axis=-1)
 
     def prob_radius_value(self, xs, p: float) -> np.ndarray:
-        # walking each row in stable distance order, the radius is the first
-        # distance whose whole tie group brings the running mass to p; the
-        # largest distance when rounding keeps the total below p
-        rows = self.space.matrix[np.asarray(xs, dtype=np.intp)]
-        if p <= 0.0:
-            return np.zeros(rows.shape[:-1])
-        order = np.argsort(rows, axis=-1, kind="stable")
-        dist = np.take_along_axis(rows, order, axis=-1)
-        cum = np.cumsum(self.masses[order], axis=-1)
-        group_end = np.ones(dist.shape, dtype=bool)
-        group_end[..., :-1] = dist[..., 1:] > dist[..., :-1]
-        hit = group_end & (cum >= p)
-        first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), dist.shape[-1] - 1)
-        return np.take_along_axis(dist, first[..., None], axis=-1)[..., 0]
+        # walking each row in (distance, index) order, from the point's own
+        # atom at 0, the radius is the distance where the running mass first
+        # reaches p, or the largest one when rounding keeps the total below p
+        xs = np.asarray(xs, dtype=np.intp)
+        hit = np.cumsum(self.masses[self.space.order[xs]], axis=-1) >= p
+        first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), self.space.size - 1)
+        return np.take_along_axis(self.space.sorted_rows[xs], first[..., None], axis=-1)[..., 0]
 
     def eta_point_value(self, xs) -> np.ndarray:
         return self.etas[np.asarray(xs, dtype=np.intp)]
@@ -204,7 +198,7 @@ class FiniteAtomic:
 
     def radius_breakpoints(self, xs) -> np.ndarray:
         """Each point's distances to every atom, ascending along the last axis."""
-        return np.sort(self.space.matrix[np.asarray(xs, dtype=np.intp)], axis=-1)
+        return self.space.sorted_rows[np.asarray(xs, dtype=np.intp)]
 
     def eta_small_radius_limit(self, xs) -> np.ndarray:
         return self.eta_point_value(xs)

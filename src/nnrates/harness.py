@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,15 +132,27 @@ class KRule:
     kind 'fixed' uses ``k`` as given; 'power' uses ceil(n**exponent);
     'sqrt' uses ceil(sqrt(n)); 'rate_optimal' uses `margin_rate`'s k,
     k_scale * n**(2a/(2a+1)) (times ln(1/delta)**(1/(2a+1)) when delta is
-    set), rounded to the nearest integer.
+    set), rounded to the nearest integer.  Any other kind, 'power' without
+    an exponent, and a parameter its kind does not read are refused.
     """
 
     kind: str
     k: int = 0
-    exponent: float = 0.5
+    exponent: Optional[float] = None
     k_scale: float = 1.0
     alpha: float = 1.0
     delta: Optional[float] = None
+    _READS = {"fixed": ("k",), "power": ("exponent",), "sqrt": (), "rate_optimal": ("k_scale", "alpha", "delta")}
+
+    def __post_init__(self):
+        if self.kind not in self._READS:
+            raise ValueError(f"unknown k rule kind {self.kind!r}")
+        if self.kind == "power" and self.exponent is None:
+            raise ValueError("k rule 'power' needs an exponent")
+        unread = [f.name for f in fields(self) if f.name not in ("kind", *self._READS[self.kind])
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"k rule {self.kind!r} does not read {', '.join(unread)}")
 
     @_infeasible_on_overflow
     def k_for(self, n: int) -> int:
@@ -150,12 +162,9 @@ class KRule:
             k = math.ceil(n**self.exponent)
         elif self.kind == "sqrt":
             k = math.ceil(math.sqrt(n))
-        elif self.kind == "rate_optimal":
-            # k reads neither the smoothness constant nor the margin spec
+        else:  # rate_optimal; k reads neither the smoothness constant nor the margin spec
             s, m = SmoothnessSpec(self.alpha, 1.0), MarginSpec(0.0, 1.0)
             k = margin_rate(n, s, m, self.delta, self.k_scale).k
-        else:
-            raise ValueError(f"unknown k rule kind {self.kind!r}")
         if not 1 <= k < n:
             raise ValueError(f"k rule yields k={k} outside [1, n) for n={n}")
         return int(k)
@@ -465,15 +474,12 @@ def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: i
     does.
     """
     _check_k(k, n)
-    # rank[q, a]: atom a's distance group as seen from atom q; equal
-    # distances share a rank, so ranks order neighbors as distances do
-    rank = np.array([np.unique(row, return_inverse=True)[1] for row in dist.space.matrix])
-    bayes = dist.etas >= 0.5
+    group, bayes = dist.space.group, dist.etas >= 0.5  # groups order neighbors as distances do
     for block in _stream_blocks(master_seed, n, start, stop):
         xs, zs, ys = dist._draw(block)
         wrong = np.empty((len(block), bayes.size), dtype=bool)
         for q in range(bayes.size):
-            nearest = np.lexsort((zs, rank[q][xs]), axis=-1)[:, :k]
+            nearest = np.lexsort((zs, group[q][xs]), axis=-1)[:, :k]
             votes = np.take_along_axis(ys, nearest, axis=-1).sum(axis=-1, dtype=np.int64)
             wrong[:, q] = (2 * votes >= k) != bayes[q]
         yield from wrong
@@ -535,9 +541,9 @@ def _oracle_groups(dist: FiniteAtomic, k: int) -> list[tuple[int, list[tuple[int
     live = [a for a, v in enumerate(masses) if v > 0]
     table = []
     for q in live:
-        groups: dict[float, list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for a in live:
-            groups.setdefault(float(dist.space.matrix[q, a]), []).append(a)
+            groups.setdefault(int(dist.space.group[q, a]), []).append(a)
         table.append((q, [
             (sum(masses[a] for a in g), sum(ones[a] for a in g)) for _, g in sorted(groups.items())
         ]))

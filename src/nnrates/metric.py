@@ -5,6 +5,10 @@ with an explicit distance matrix, and a closed real interval under the
 absolute difference.  Both check their points and give vectorized
 distances; the classifier orders neighbors by (distance, tie-break draw,
 source index) on top of these distances.
+
+A finite metric checks the triangle inequality on every triple, about 6 ms
+at 128 atoms, 0.4 s at 500 and 3 s at 1,000 (shared 2-core box), and is the
+one place that knows which atoms tie in distance (see `FiniteMetric`).
 """
 
 from __future__ import annotations
@@ -49,14 +53,16 @@ class FiniteMetric(MetricSpace):
 
     Points are atom indices ``0 .. m-1``.  The matrix is validated on
     construction: symmetry, zero diagonal, strictly positive off-diagonal
-    entries, and the triangle inequality (exhaustively for small matrices,
-    on sampled triples for large ones).
+    entries, and the triangle inequality on every triple.  Beside it, and
+    read-only like it, the group table that the finite-atomic queries,
+    kernel and oracle read: ``order[q]``, the atoms in (distance from q,
+    index) order; ``sorted_rows[q]``, those distances; and ``group[q, a]``,
+    the number of distinct distances from q below d(q, a).  24 MB at 1,000
+    atoms, beside the matrix's 8.
     """
 
-    _TRIANGLE_EXHAUSTIVE_LIMIT = 128
-
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[float]]):
-        mat = np.asarray(matrix, dtype=float)
+        mat = np.asarray(matrix, dtype=float) + 0.0  # a copy of its own, where -0.0 is 0.0
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
         m = mat.shape[0]
@@ -74,30 +80,20 @@ class FiniteMetric(MetricSpace):
                 raise ValueError("distinct atoms must have positive distance")
         if not np.array_equal(mat, mat.T):
             raise ValueError("distance matrix must be symmetric")
-        self._check_triangle(mat)
-        self.matrix = mat
-        self.matrix.setflags(write=False)
-        self.size = m
-
-    @classmethod
-    def _check_triangle(cls, mat: np.ndarray) -> None:
-        m = mat.shape[0]
-        if m <= cls._TRIANGLE_EXHAUSTIVE_LIMIT:
-            for k in range(m):
-                relaxed = mat[:, k][:, None] + mat[k, :][None, :]
-                if np.any(mat > relaxed + 1e-12):
-                    i, j = np.unravel_index(np.argmax(mat - relaxed), mat.shape)
-                    raise ValueError(
-                        f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
-                    )
-        else:
-            rng = np.random.Generator(np.random.PCG64(0))
-            triples = rng.integers(0, m, size=(4 * m, 3))
-            for i, j, k in triples:
-                if mat[i, j] > mat[i, k] + mat[k, j] + 1e-12:
-                    raise ValueError(
-                        f"triangle inequality fails on sampled triple ({i},{j},{k})"
-                    )
+        for k in range(m):
+            relaxed = mat[:, k][:, None] + mat[k, :][None, :]
+            if np.any(mat > relaxed + 1e-12):
+                i, j = np.unravel_index(np.argmax(mat - relaxed), mat.shape)
+                raise ValueError(f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})")
+        self.matrix, self.size = mat, m
+        self.order = np.argsort(mat, axis=1, kind="stable")
+        self.sorted_rows = np.take_along_axis(mat, self.order, axis=1)
+        self.group = np.empty_like(self.order)
+        ranks = np.zeros_like(self.order)
+        np.cumsum(self.sorted_rows[:, 1:] > self.sorted_rows[:, :-1], axis=1, out=ranks[:, 1:])
+        np.put_along_axis(self.group, self.order, ranks, axis=1)
+        for table in (self.matrix, self.order, self.sorted_rows, self.group):
+            table.setflags(write=False)
 
     def __repr__(self) -> str:
         return f"FiniteMetric(m={self.size})"

@@ -14,6 +14,10 @@ excess.
 The 1-D window table is spelled out as a full lexsort and a cumsum of
 labels, with `predict` deciding each window that a repeated location
 splits.
+
+The 1-D mean is spelled out with no sample at all (`exact_mean_1d`), by the
+conditional-radius argument of the paper's lower-bound proof: it reads only
+the family's ball queries, not the kernel's sorted windows or its sampler.
 """
 
 import math
@@ -209,3 +213,75 @@ def occupancy_expected_mistake(dist, n: int, k: int) -> float:
             p_disagree = 1.0 - predict_one if bayes[query] else predict_one
             total += weight * float(dist.masses[query]) * p_disagree
     return total
+
+
+# where the radius cells of `exact_mean_1d` cut the Beta law of U, in its sd from its mean
+_U_CUTS = (-40, -20, -10, -6, -4, -3, -2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3, 4, 6, 10, 20, 40)
+
+
+def _gauss_cells(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, ``order`` of each in every cell between consecutive edges
+    along the last axis."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    half = np.diff(edges, axis=-1)[..., None] / 2.0
+    shape = edges.shape[:-1] + (-1,)
+    return (edges[..., :-1, None] + half + half * t).reshape(shape), (half * w).reshape(shape)
+
+
+def exact_mean_1d(dist, n: int, k: int, excess: bool = False) -> float:
+    """Expected Bayes-disagreement mass of the k-NN rule on a 1-D family over all training draws,
+    or with ``excess`` its expected excess risk, by quadrature.
+
+    U, the mass of the ball that reaches x's (k + 1)-th neighbor, is
+    Beta(k + 1, n - k).  Given U = u, the k nearest points are iid draws of
+    mu restricted to B(x, r(u)), r(u) = ``prob_radius_value(x, u)``, so their
+    label sum is Bin(k, eta(B)), eta(B) read off ``ball_sums``, and the rule
+    says 1 when the sum is at least k/2.  The mean is the integral over x of
+    f(x), or |1 - 2 eta(x)| f(x) for the excess, times E_U[P(the vote is not
+    the Bayes label at x)].  k = n has no (k + 1)-th neighbor, and its ball
+    is the whole support.
+
+    E_U is taken over the ball's radius r, with dU = (f(x - r) + f(x + r)) dr:
+    8-point Gauss-Legendre in each radius cell, cut where U sits at
+    `_U_CUTS` and where the ball's edge meets a breakpoint, so that no cell
+    holds a kink.  x takes 20-point Gauss-Legendre cells, 100 per unit
+    length between the family's breakpoints.  Against twice both counts,
+    the value moved by at most 4e-11 on the three families at
+    (300, 25) and (40, 16); on the disjoint family it is the finite sum over
+    the cut's two order statistics, 6.6935323005512e-03 at (300, 25), to
+    1e-16.
+    """
+    bps = np.asarray(dist.x_breakpoints(), dtype=float)
+    x_cuts = [np.linspace(a, b, math.ceil(100 * (b - a)) + 1)[:-1] for a, b in zip(bps, bps[1:])]
+    xs, wx = _gauss_cells(np.append(np.concatenate(x_cuts), bps[-1]), 20)
+    eta = dist.eta_point_value(xs)
+    weight = wx * dist.density_at(xs) * (np.abs(1.0 - 2.0 * eta) if excess else 1.0)
+    x = xs[:, None]
+    if k == n:
+        r, wr = dist.prob_radius_value(xs, 1.0)[:, None], np.ones_like(x)
+    else:
+        mean = (k + 1) / (n + 1)
+        sd = math.sqrt(mean * (1.0 - mean) / (n + 2))
+        rims = [dist.prob_radius_value(xs, u) for u in np.clip(mean + sd * np.array(_U_CUTS), 0.0, 1.0)]
+        rims = np.stack(rims, axis=1)
+        kinks = np.clip(dist.radius_breakpoints(xs), rims[:, :1], rims[:, -1:])
+        r, wr = _gauss_cells(np.sort(np.concatenate([rims, kinks], axis=1), axis=1), 8)
+    mass, ones = dist.ball_sums(x, r)
+    if k < n:
+        log_norm = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k)
+        with np.errstate(divide="ignore"):  # the Beta density at U = mass, 0 at U = 0 and at U = 1
+            log_pdf = log_norm + k * np.log(mass) + ((n - k - 1) * np.log1p(-mass) if n - k > 1 else 0.0)
+        wr = wr * (dist.density_at(x - r) + dist.density_at(x + r)) * np.exp(log_pdf)
+    p = np.divide(ones, mass, out=np.zeros_like(mass), where=mass > 0.0).clip(0.0, 1.0)
+    # the rule says 1 at a label sum i >= ceil(k/2); it errs there where the Bayes label is 0.
+    # Summed term by term over the wrong side of Bin(k, p), with 0 * log 0 = 0 at i = 0 and i = k
+    says_one_wrongly = (eta < 0.5)[:, None]
+    log_fact = [math.lgamma(i + 1) for i in range(k + 1)]
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+    p_wrong = np.zeros_like(p)
+    for i in range(k + 1):
+        log_pmf = log_fact[k] - log_fact[i] - log_fact[k - i]
+        log_pmf = log_pmf + (i * log_p if i > 0 else 0.0) + ((k - i) * log_q if i < k else 0.0)
+        p_wrong += np.where(says_one_wrongly == (2 * i >= k), np.exp(log_pmf), 0.0)
+    return float(weight @ (wr * p_wrong).sum(axis=1))

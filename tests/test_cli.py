@@ -548,17 +548,22 @@ PURE_ATOMS = {"family": "finite_atomic", "metric_file": "m.txt", "masses": [0.5,
         ({**PURE_ATOMS, "etas": [math.nan, 0.0]}, 2),
         ({**PURE_ATOMS, "metric_file": "missing.txt"}, 4),
         ({**POWER_DIST, "gamm": 1.0}, 2),
+        ({**PURE_ATOMS, "metric_file": "far.txt", "masses": [1.0] + [0.0] * 199, "etas": [1.0] * 200}, 2),
     ],
     ids=[
         "gamma_string", "class_list", "one_prior", "null_prior", "metric_file_number",
-        "mass_past_float", "nan_eta", "metric_file_missing", "unknown_key",
+        "mass_past_float", "nan_eta", "metric_file_missing", "unknown_key", "non_metric",
     ],
 )
 def test_malformed_distribution_exits_with_its_code(tmp_path, capsys, dist, code):
     # a malformed distribution field is a config error and an unreadable
     # metric file an I/O failure, on both commands that load a distribution,
-    # with a message and no traceback
+    # with a message and no traceback.  far.txt breaks the triangle
+    # inequality on one pair of its 200 atoms
     (tmp_path / "m.txt").write_text("2\n0 1\n1 0\n")
+    far = np.ones((200, 200)) - np.eye(200)
+    far[50, 150] = far[150, 50] = 2.5
+    (tmp_path / "far.txt").write_text("200\n" + "\n".join(" ".join(map(repr, row)) for row in far.tolist()))
     cfg = write_config(tmp_path, {
         "distribution": dist,
         "output_dir": "out",
@@ -566,10 +571,12 @@ def test_malformed_distribution_exits_with_its_code(tmp_path, capsys, dist, code
     })
     assert run_cli(["run", str(cfg)]) == code
     assert not (tmp_path / "out").exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     path = write_config(tmp_path, dist, name="dist.json")
     assert run_cli(["analyze", "boundary", "--dist", str(path), "--p", "0.2", "--delta", "0.1"]) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_analyze_boundary_bad_params(tmp_path):

@@ -121,6 +121,18 @@ def test_atomic_sampling_statistics():
         assert [p.index for p in sample] == list(range(50))
 
 
+def test_atomic_draw_past_a_short_mass_prefix_lands_on_mass():
+    # the masses sum to 1 - 1e-13, within the 1e-12 allowed; a location
+    # uniform past the prefix's end takes the last atom of positive mass,
+    # never the massless atom 2
+    fm = FiniteMetric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    fa = FiniteAtomic(fm, [0.5, 0.4999999999999, 0.0], [1.0, 0.0, 0.5])
+    assert fa._cum[-1] < 0.99999999999995
+    xs, _, ys = fa._draw(np.array([[0.99999999999995, 0.2], [0.5, 0.5], [0.1, 0.1]]))
+    assert xs.tolist() == [1, 0]
+    assert ys.tolist() == [0, 1]
+
+
 # -- piecewise uniform ---------------------------------------------------------
 
 

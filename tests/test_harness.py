@@ -39,6 +39,7 @@ from references import (
     atom_wrong,
     atomic_excess,
     bayes_one_cdf,
+    exact_mean_1d,
     occupancy_expected_mistake,
     reference_window,
     sampled_excess,
@@ -626,6 +627,32 @@ def test_mc_matches_exact_within_error():
     assert abs(mean - exact) < 4.0 * stderr
 
 
+@pytest.mark.parametrize(
+    "family, n, k, excess, trials",
+    [
+        ("disjoint", 300, 25, False, 40_000),
+        ("power_margin_1", 300, 25, False, 15_000),
+        ("multi_segment", 300, 25, False, 8_000),
+        ("multi_segment", 40, 16, False, 6_000),  # even k: a tied vote says 1, here not a symmetric choice
+        ("power_margin_1", 300, 25, True, 15_000),
+    ],
+    ids=["disjoint", "power_margin_1", "multi_segment", "multi_segment-even_k", "power_margin_1-excess"],
+)
+def test_one_dimensional_mc_mean_matches_the_conditional_radius_integral(family, n, k, excess, trials):
+    # the integral shares neither the kernel's sorted windows nor its sampler;
+    # its own error is under 1e-10 on these cases (see `exact_mean_1d`)
+    dist = EXCESS_FAMILIES[family]()
+    exact = exact_mean_1d(dist, n, k, excess)
+    if family == "disjoint":  # the finite sum over the cut's two order statistics
+        assert exact == pytest.approx(6.6935323005512e-03, rel=0.0, abs=1e-9)
+    if excess:
+        est = estimate_expected_excess(dist, n, k, trials, master_seed=3)
+        mean, stderr = est.mean, est.stderr
+    else:
+        mean, stderr = mc_expected_mistake(dist, n, k, trials, master_seed=3)
+    assert abs(mean - exact) < 4.0 * stderr + 1e-9
+
+
 def test_blocked_atomic_trials_match_single_trial_path(monkeypatch):
     # finite-atomic trials are ranked a block of draws at a time; each value
     # must still be the single-trial statistic bit for bit.  Seen from atom 0,
@@ -806,6 +833,25 @@ def test_k_rules():
         KRule("fixed", k=0).k_for(100)
     with pytest.raises(ValueError):
         KRule("cube").k_for(100)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": "cube"}, "unknown k rule kind 'cube'"),
+        ({"kind": "power"}, "k rule 'power' needs an exponent"),
+        ({"kind": "sqrt", "k": 5}, "k rule 'sqrt' does not read k"),
+        ({"kind": "fixed", "k": 7, "exponent": 0.9}, "k rule 'fixed' does not read exponent"),
+        ({"kind": "power", "exponent": 0.5, "alpha": 2.0, "delta": 0.1}, "k rule 'power' does not read alpha, delta"),
+        ({"kind": "rate_optimal", "k": 3}, "k rule 'rate_optimal' does not read k"),
+    ],
+    ids=["unknown_kind", "power_without_exponent", "sqrt_with_k", "fixed_with_exponent", "power_with_two", "rate_with_k"],
+)
+def test_k_rule_refuses_what_its_kind_does_not_read(kwargs, message):
+    # at construction, before any k_for: a parameter that the kind ignores
+    # would silently change nothing, and 'power' has no exponent to assume
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        KRule(**kwargs)
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,46 @@ def test_finite_metric_validation():
         FiniteMetric(np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("pair", [(10, 20), (50, 150), (198, 199), (3, 8), (0, 1)], ids=lambda p: f"{p[0]}-{p[1]}")
+def test_finite_metric_refuses_a_non_metric_of_any_size(pair):
+    # 200 atoms at distance 1 but one pair at 2.5 > 1 + 1: every triple is
+    # checked, so the one failing pair is found wherever it lies
+    mat = np.ones((200, 200)) - np.eye(200)
+    mat[pair] = mat[pair[::-1]] = 2.5
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        FiniteMetric(mat)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.0]],
+        [[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]],
+        [[0.0, 2.0, 1.0, 2.0], [2.0, 0.0, 2.0, 1.0], [1.0, 2.0, 0.0, 2.0], [2.0, 1.0, 2.0, 0.0]],
+        (np.arange(12)[:, None] // 3 != np.arange(12)[None, :] // 3) + 1.0 - np.eye(12),
+    ],
+    ids=["one_atom", "three_atoms", "two_ties_a_row", "four_tied_blocks"],
+)
+def test_group_table_matches_each_row_sorted_on_its_own(matrix):
+    fm = FiniteMetric(np.array(matrix, dtype=float))
+    for q, row in enumerate(fm.matrix):
+        assert fm.order[q].tolist() == np.argsort(row, kind="stable").tolist()
+        assert fm.sorted_rows[q].tolist() == np.sort(row).tolist()
+        assert fm.group[q].tolist() == np.unique(row, return_inverse=True)[1].tolist()
+    for table in (fm.matrix, fm.order, fm.sorted_rows, fm.group):
+        assert not table.flags.writeable
+
+
+def test_finite_metric_reads_a_negative_zero_self_distance_as_zero():
+    # -0.0 passes the zero-diagonal check; the radius queries hand the
+    # diagonal back, so a radius 0 would print as -0.0.  The caller's
+    # array is copied, not frozen
+    given = np.array([[-0.0, 1.0], [1.0, -0.0]])
+    fm = FiniteMetric(given)
+    assert not np.signbit(fm.matrix).any() and not np.signbit(fm.sorted_rows).any()
+    assert given.flags.writeable
+
+
 def test_finite_metric_point_checks():
     fm = FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
     fm.check_point(0)
