@@ -13,14 +13,17 @@ exact oracle's term budget) or exhausted memory; 4 an I/O failure (`OSError`).
 A refusal that comes up mid-run exits the same way, and a run that fails
 publishes nothing.  Observed bound violations are data, never an exit code.
 
-All numbers in reports are canonicalized to 12 significant digits at
-report construction, so CSV and JSON renderings of a run agree exactly
-and reruns are byte-identical.
+A report holds columns (name -> list of values).  Every number in it is
+canonicalized to 12 significant digits at report construction, each
+distinct value of a column once, so CSV and JSON renderings of a run agree
+exactly and reruns are byte-identical.  The argument parser is built once
+a process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,7 +45,7 @@ from .errors import ResourceLimitError
 from .harness import (
     KRule,
     _check_grid,
-    _oracle_groups,
+    _oracle_budget,
     consistency_sweep,
     estimate_expected_excess,
     rate_sweep,
@@ -93,35 +96,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _each_once(fn, values) -> list:
+    """``[fn(v) for v in values]``, with fn called once for each distinct value.
+
+    A value is looked up by its type and itself, so True stays apart from
+    1 and 1.0, and ``np.float64(x)`` from ``x``.  A zero skips the lookup,
+    as 0.0 == -0.0; a NaN may miss it, which costs only a call.
+    """
+    seen, out = {}, []
+    for v in values:
+        if not v:
+            out.append(fn(v))
+            continue
+        key = (type(v), v)
+        done = seen.get(key, seen)
+        if done is seen:
+            done = seen[key] = fn(v)
+        out.append(done)
+    return out
+
+
 @dataclass
 class Report:
-    columns: list[str]
-    rows: list[list]
+    columns: dict[str, list]  # each name's column, all of one length
     summary: dict
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in self.rows]
+        cells = [_each_once(_fmt, column) for column in self.columns.values()]
+        lines = [",".join(self.columns), *map(",".join, zip(*cells))]
         lines.append("# " + " ".join(f"{k}={_fmt(v)}" for k, v in self.summary.items()))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "columns": {
-                name: [row[i] for row in self.rows] for i, name in enumerate(self.columns)
-            },
-            "summary": self.summary,
-        }
-        return _json(payload) + "\n"
+        return _json({"columns": self.columns, "summary": self.summary}) + "\n"
 
     def render(self, fmt: str) -> str:
         return self.to_csv() if fmt == "csv" else self.to_json()
 
 
-def _report(columns, rows, summary) -> Report:
-    canon_rows = [[_canon(v) for v in row] for row in rows]
-    canon_summary = {k: _canon(v) for k, v in summary.items()}
-    return Report(list(columns), canon_rows, canon_summary)
+def _report(columns: dict, summary: dict) -> Report:
+    canon_columns = {name: _each_once(_canon, column) for name, column in columns.items()}
+    return Report(canon_columns, {k: _canon(v) for k, v in summary.items()})
 
 
 # -- config parsing ------------------------------------------------------------
@@ -201,8 +216,8 @@ def _validate_experiment(i: int, block, dist, trials: int, seed: int):
                 sweep = consistency_sweep(dist, n_grid, rule, trials, seed)
                 summary = {"spearman": sweep.spearman}
                 summary.update((f"median_{r.n}", r.median_excess) for r in sweep.rows)
-            rows = [[r.n, r.k, r.mean_excess, r.stderr] for r in sweep.rows]
-            return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
+            names = ("n", "k", "mean_excess", "stderr")
+            return _report({name: [getattr(r, name) for r in sweep.rows] for name in names}, summary)
 
         return kind, run_sweep
 
@@ -214,10 +229,16 @@ def _validate_experiment(i: int, block, dist, trials: int, seed: int):
 
         def run_upper():
             rep = run_upper_bound_trials(dist, n, k, delta, trials, seed, schedule)
-            rows = [
-                [t, rep.n, rep.k, rep.delta, p, rep.bound, v]
-                for t, (p, v) in enumerate(zip(rep.mistake_probs, rep.violated))
-            ]
+            t = len(rep.mistake_probs)
+            columns = {
+                "trial": list(range(t)),
+                "n": [rep.n] * t,
+                "k": [rep.k] * t,
+                "delta": [rep.delta] * t,
+                "mistake_prob": rep.mistake_probs,
+                "bound": [rep.bound] * t,
+                "violated": rep.violated,
+            }
             summary = {
                 "schedule": rep.schedule,
                 "boundary_mass": rep.boundary_mass,
@@ -225,18 +246,16 @@ def _validate_experiment(i: int, block, dist, trials: int, seed: int):
                 "wilson_low": rep.wilson_low,
                 "wilson_high": rep.wilson_high,
             }
-            cols = ["trial", "n", "k", "delta", "mistake_prob", "bound", "violated"]
-            return _report(cols, rows, summary)
+            return _report(columns, summary)
 
         return kind, run_upper
 
     if kind == "lower_bound":
         if isinstance(dist, FiniteAtomic):
-            _oracle_groups(dist, k)  # refuses past the exact oracle's budget, before anything runs
+            _oracle_budget(dist, k)  # refuses past the exact oracle's budget, before anything runs
 
         def run_lower():
             chk = run_lower_bound_trials(dist, n, k, spec["trials"], seed)
-            rows = [[chk.n, chk.k, chk.lhs, chk.stderr]]
             summary = {
                 "lhs": chk.lhs,
                 "rhs": chk.rhs,
@@ -246,15 +265,15 @@ def _validate_experiment(i: int, block, dist, trials: int, seed: int):
                 "constant": chk.constant,
                 "passed": int(chk.passed),
             }
-            return _report(["n", "k", "mean_disagreement", "stderr"], rows, summary)
+            columns = {"n": [chk.n], "k": [chk.k], "mean_disagreement": [chk.lhs], "stderr": [chk.stderr]}
+            return _report(columns, summary)
 
         return kind, run_lower
 
     def run_excess():
         est = estimate_expected_excess(dist, n, k, trials, seed)
-        rows = [[est.n, est.k, est.mean, est.stderr]]
-        summary = {"trials": trials}
-        return _report(["n", "k", "mean_excess", "stderr"], rows, summary)
+        columns = {"n": [est.n], "k": [est.k], "mean_excess": [est.mean], "stderr": [est.stderr]}
+        return _report(columns, {"trials": trials})
 
     return kind, run_excess
 
@@ -298,14 +317,15 @@ def _cmd_run(args) -> int:
                 {"index": i, "type": kind, "status": "ok"} for i, (kind, _) in enumerate(plans)
             ],
         }
-        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        text = json.dumps(manifest, indent=2)
+        (staging / "manifest.json").write_text(text + "\n")
         out_path.mkdir(exist_ok=True)
         for name in [*names, "manifest.json"]:
             os.replace(staging / name, out_path / name)
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
-    print(json.dumps(manifest, indent=2))
+    print(text)
     return 0
 
 
@@ -368,10 +388,12 @@ def _cmd_analyze_boundary(args) -> int:
         probes = list(range(dist.space.size))
     else:
         probes = np.linspace(0.0, 1.0, 201).tolist()
-    rows = [
-        [_canon(x), v.verdict, "" if v.binding_radius is None else _canon(v.binding_radius)]
-        for x, v in zip(probes, region_verdicts(dist, probes, args.p, args.delta))
-    ]
+    verdicts = region_verdicts(dist, probes, args.p, args.delta)
+    columns = {
+        "x": probes,
+        "verdict": [v.verdict for v in verdicts],
+        "binding_radius": ["" if v.binding_radius is None else v.binding_radius for v in verdicts],
+    }
     mass = boundary_measure(dist, args.p, args.delta)
     summary = {
         "p": args.p,
@@ -379,7 +401,7 @@ def _cmd_analyze_boundary(args) -> int:
         "boundary_mass": mass.value,
         "mass_error_bound": mass.error_bound,
     }
-    report = _report(["x", "verdict", "binding_radius"], rows, summary)
+    report = _report(columns, summary)
     rendered = report.render(args.format)
     if args.output_dir:
         out_path = Path(args.output_dir)
@@ -395,6 +417,7 @@ def _cmd_analyze_boundary(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nnrates",

@@ -133,7 +133,8 @@ class KRule:
     'sqrt' uses ceil(sqrt(n)); 'rate_optimal' uses `margin_rate`'s k,
     k_scale * n**(2a/(2a+1)) (times ln(1/delta)**(1/(2a+1)) when delta is
     set), rounded to the nearest integer.  Any other kind, 'power' without
-    an exponent, and a parameter its kind does not read are refused.
+    an exponent, a parameter its kind does not read, and a ``k`` that is not
+    an int (a bool, a float or a string; a numpy int is one) are refused.
     """
 
     kind: str
@@ -153,6 +154,8 @@ class KRule:
                   and getattr(self, f.name) != f.default]
         if unread:
             raise ValueError(f"k rule {self.kind!r} does not read {', '.join(unread)}")
+        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
+            raise ValueError(f"k rule k must be an integer, not {self.k!r}")
 
     @_infeasible_on_overflow
     def k_for(self, n: int) -> int:
@@ -530,10 +533,21 @@ def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int,
 # -- exact oracle --------------------------------------------------------------
 
 
-def _oracle_groups(dist: FiniteAtomic, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
+def _oracle_budget(dist: FiniteAtomic, k: int) -> None:
+    """Refuse with ResourceLimitError past `_ORACLE_TERM_LIMIT` terms at this k: k * (k + step)
+    terms for each atom of positive mass and each distance group of such atoms around it."""
+    live = np.flatnonzero(dist.masses > 0.0)
+    rows = np.sort(dist.space.group[np.ix_(live, live)], axis=1)
+    pairs = live.size + int(np.count_nonzero(rows[:, 1:] != rows[:, :-1]))
+    terms = k * (k + _ORACLE_STEP_TERMS) * pairs
+    if terms > _ORACLE_TERM_LIMIT:
+        raise ResourceLimitError(f"the exact oracle needs {terms} terms (limit {_ORACLE_TERM_LIMIT})")
+
+
+def _oracle_groups(dist: FiniteAtomic) -> list[tuple[int, list[tuple[int, int]]]]:
     """Each atom of positive mass, with the (mass, label-one mass) of its distance groups,
     nearest first, in exact integer multiples of 2**-2148 (as every double and every product
-    of two is); raises ResourceLimitError past `_ORACLE_TERM_LIMIT` terms at this k."""
+    of two is)."""
     ms, es = dist.masses.tolist(), dist.etas.tolist()
     pairs = [(v.as_integer_ratio(), e.as_integer_ratio()) for v, e in zip(ms, es)]
     masses = [m * (2**2148 // d) for (m, d), _ in pairs]
@@ -547,9 +561,6 @@ def _oracle_groups(dist: FiniteAtomic, k: int) -> list[tuple[int, list[tuple[int
         table.append((q, [
             (sum(masses[a] for a in g), sum(ones[a] for a in g)) for _, g in sorted(groups.items())
         ]))
-    terms = k * (k + _ORACLE_STEP_TERMS) * sum(len(groups) for _, groups in table)
-    if terms > _ORACLE_TERM_LIMIT:
-        raise ResourceLimitError(f"the exact oracle needs {terms} terms (limit {_ORACLE_TERM_LIMIT})")
     return table
 
 
@@ -599,7 +610,8 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
         raise ValueError("the exact oracle requires a finite-atomic distribution")
     if not 1 <= k <= n <= 2**53:  # n - c stays an exact float
         raise ValueError(f"need 1 <= k <= n <= 2**53, got k={k}, n={n}")
-    table = _oracle_groups(dist, k)
+    _oracle_budget(dist, k)
+    table = _oracle_groups(dist)
     log_fact = _log_sums(range(1, 4 * k + 65))
     falling = _log_sums(range(n, n - min(n, 4 * k + 64), -1))
 

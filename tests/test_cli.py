@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nnrates.cli import _report, main
+from nnrates.cli import _build_parser, _report, main
 
 
 def run_cli(args):
@@ -99,36 +100,42 @@ def test_bounds_eval_subnormal_delta(capsys):
     assert "mass_level=299.052451667" in capsys.readouterr().out
 
 
-def json_payload(report):
-    columns = {name: [row[i] for row in report.rows] for i, name in enumerate(report.columns)}
-    return {"columns": columns, "summary": report.summary}
-
-
 def test_reports_render_as_json_and_csv_would():
     # JSON reports are laid out without json's encoder and must still be its
     # bytes: the values whose repr and 12-digit forms differ, an int past
-    # int64, canonicalized bools, quotes, a backslash and non-ASCII text
+    # int64, canonicalized bools, quotes, a backslash and non-ASCII text.
+    # Each distinct value of a column is canonicalized and formatted once, so
+    # the last three rows repeat values that compare equal and render apart
     rows = [
         [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16],
         [123456789012.0, 2**63, True, False, 'say "hi" \\ back', "naïve ü 中"],
         [np.float64(1 / 3), np.int64(-7), 0.1, 1, 0.0, ""],
+        [0.0, math.nan, 1, 1.0, -0.0, float("nan")],
+        [-0.0, math.nan, np.float64(0.1), 1, 0.0, np.float64("nan")],
+        [0.0, float("nan"), 0.1, True, -0.0, math.nan],
     ]
+    columns = {name: [row[i] for row in rows] for i, name in enumerate("abcdef")}
     summary = {
         "schedule": "confidence", "n": 40, "rate": np.float64(0.25), "count": np.int64(7),
         "passed": True, "none": None, "low": -math.inf, "big": 2**63,
     }
-    report = _report(["a", "b", "c", "d", "e", "f"], rows, summary)
-    assert [type(v) for v in report.rows[1][2:4]] == [int, int]
-    assert report.to_json() == json.dumps(json_payload(report), indent=2) + "\n"
+    report = _report(columns, summary)
+    assert [type(v) for v in report.columns["c"]] == [float, int, float, int, float, float]
+    assert [type(v) for v in report.columns["d"]] == [float, int, int, float, int, int]
+    assert report.to_json() == json.dumps({"columns": report.columns, "summary": report.summary}, indent=2) + "\n"
     assert report.to_csv() == (
         "a,b,c,d,e,f\n"
         "nan,inf,-inf,-0,4.94065645841e-324,1e+16\n"
         '123456789012,9223372036854775808,1,0,say "hi" \\ back,naïve ü 中\n'
         "0.333333333333,-7,0.1,1,0,\n"
+        "0,nan,1,1,-0,nan\n"
+        "-0,nan,0.1,1,0,nan\n"
+        "0,nan,0.1,1,-0,nan\n"
         "# schedule=confidence n=40 rate=0.25 count=7 passed=1 none=None low=-inf big=9223372036854775808\n"
     )
-    for empty in (_report(["a", "b"], [], {"trials": 0}), _report([], [], {})):
-        assert empty.to_json() == json.dumps(json_payload(empty), indent=2) + "\n"
+    for empty in (_report({"a": [], "b": []}, {"trials": 0}), _report({}, {})):
+        assert empty.to_json() == json.dumps({"columns": empty.columns, "summary": empty.summary}, indent=2) + "\n"
+    assert _report({}, {}).to_csv() == "\n# \n"
 
 
 def test_run_excess_and_manifest(tmp_path, capsys):
@@ -402,6 +409,70 @@ def test_run_refuses_an_oversized_enumeration_before_running(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "m.txt"]
 
 
+# the SHA-256 of each report of two small runs, in both formats; c12 and
+# the rerun test compare a run with itself, so a change of format that every
+# rerun repeats passes them and fails here
+PINNED_RUNS = {
+    "atoms": (THREE_ATOMS, [
+        {"type": "upper_bound", "n": 400, "k": 25, "delta": 0.5, "trials": 300},
+        {"type": "lower_bound", "n": 60, "k": 7},
+        {"type": "excess", "n": 60, "k": 7, "trials": 40},
+    ]),
+    "power": ({"family": "power_margin_1d", "gamma": 2.0}, [
+        {"type": "upper_bound", "n": 300, "k": 20, "delta": 0.3, "trials": 40},
+        {"type": "excess", "n": 120, "k": 9, "trials": 20},
+        {"type": "rate_sweep", "n_grid": [40, 60, 90, 135], "trials": 5},
+    ]),
+}
+REPORT_SHA256 = {
+    "atoms/00_upper_bound.csv": "3297098faa1641849e10b4a64eb8b7683ef24c5bc8881bf28f54da7f73099337",
+    "atoms/00_upper_bound.json": "c5278910082072aa8cba223b57a1944d17cf2804bf782d0fa2dd132d6d4628cb",
+    "atoms/01_lower_bound.csv": "8c8c06f1e6aa9d9d6ffcc7fe76ee2c44d56b9d9de7a43d71cd4cacde511c27b8",
+    "atoms/01_lower_bound.json": "6cf25876f3c1867b8a6a097aba49ae923c8fca22acd9585c0f4c5fff690a8ad7",
+    "atoms/02_excess.csv": "2418f40f4f770585d07992b47e7566bb67ec2f29f69bdc20e77fd39414e2d844",
+    "atoms/02_excess.json": "d8af586b4b50e4a7a034e054bc97c8bd05f260d6c918606015b2fa22860daf37",
+    "power/00_upper_bound.csv": "399994004be8af13f7f7d740745f02684622c52846273d102934491a0879ede9",
+    "power/00_upper_bound.json": "84db10b5e93d2ede140c5c187807014dd314ff5f93f592dc91352da7aef6482f",
+    "power/01_excess.csv": "ce0317370bc7e0456ff6750d2b9568cc04254f3609854518e7f0e4bb6794c2c6",
+    "power/01_excess.json": "6e0d149ee0c7f1e6f90bb31c52d494ab26bb57ab2be04dfeb0b97701311819be",
+    "power/02_rate_sweep.csv": "8ac001c39751fc83434168012b2acf3c45f262404a32bd036b904f0883db5a9e",
+    "power/02_rate_sweep.json": "f6aa828fbd8afd371b4a700dfeed233b7fbf91bf2d007645faa6b950fcb7ac23",
+}
+
+
+def test_run_reports_keep_their_pinned_bytes(tmp_path):
+    (tmp_path / "m.txt").write_text("3\n0 1 1\n1 0 2\n1 2 0\n")
+    digests = {}
+    for name, (dist, blocks) in PINNED_RUNS.items():
+        body = {"distribution": dist, "seed": 3, "output_dir": name, "experiments": blocks}
+        cfg = write_config(tmp_path, body, f"{name}.json")
+        for fmt in ("csv", "json"):
+            assert run_cli(["run", str(cfg), "--format", fmt]) == 0
+        for report in sorted((tmp_path / name).glob("0*")):
+            digests[f"{name}/{report.name}"] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digests == REPORT_SHA256
+
+
+def test_run_builds_the_oracle_table_once(tmp_path, monkeypatch):
+    # validation checks the oracle's term budget from the distance groups
+    # alone; it once built the whole table of exact sums too, under the name
+    # the cli imported, and the oracle then built it again
+    import nnrates.cli
+    import nnrates.harness
+
+    calls = []
+    build = nnrates.harness._oracle_groups
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(nnrates.harness, "_oracle_groups", spy)
+    monkeypatch.setattr(nnrates.cli, "_oracle_groups", spy, raising=False)
+    assert run_cli(["run", str(three_atoms_run(tmp_path, 60, 7))]) == 0
+    assert len(calls) == 1
+
+
 def test_run_exact_oracle_at_three_thousand_points(tmp_path):
     # (3000, 13) once needed 4,504,501 occupancy vectors and was refused.
     # Fewer than 13 of 3,000 points land on an atom of mass 0.2 or more
@@ -586,6 +657,38 @@ def test_analyze_boundary_bad_params(tmp_path):
     assert run_cli(["analyze", "boundary", "--dist", str(tmp_path / "nope.json"), "--p", "0.2", "--delta", "0.1"]) == 4
     dist.write_bytes(b"\xff\xfe{}")  # not UTF-8
     assert run_cli(["analyze", "boundary", "--dist", str(dist), "--p", "0.2", "--delta", "0.1"]) == 2
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once a process: a refused call, a --format flag
+    # or a run before a call leave that call as it would be alone
+    _build_parser.cache_clear()
+    assert _build_parser() is _build_parser()
+    dist = write_config(tmp_path, POWER_DIST, name="dist.json")
+    printing = [
+        ["bounds", "eval", "--theorem", "1", "--n", "10000", "--k", "100", "--delta", "0.1"],
+        ["analyze", "boundary", "--dist", str(dist), "--p", "0.2", "--delta", "0.1"],
+    ]
+    alone = []
+    for argv in printing:
+        assert run_cli(argv) == 0
+        alone.append(capsys.readouterr().out)
+    cfg = write_config(tmp_path, {
+        "distribution": POWER_DIST,
+        "output_dir": "out",
+        "experiments": [{"type": "excess", "n": 80, "k": 5, "trials": 4}],
+    })
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["run", str(cfg), "--format", "xml"])
+    assert exit_info.value.code == 2
+    assert run_cli(["run", str(cfg), "--format", "json"]) == 0
+    assert run_cli(["run", str(cfg), "--output_dir", "again"]) == 0
+    assert [p.name for p in (tmp_path / "again").glob("0*")] == ["00_excess.csv"]
+    capsys.readouterr()
+    for argv, out in zip(printing, alone):
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == out
+    assert _build_parser.cache_info().misses == 1  # every call above shared the one parser
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -527,6 +527,20 @@ def test_exact_oracle_enumeration_limit():
         exact_expected_mistake(fa, 2_000_000, 30_000)
 
 
+@pytest.mark.parametrize("family", [tied_three_atoms, zero_mass_atoms, pure_atoms, four_tied_atoms])
+def test_oracle_budget_counts_the_tables_groups(family):
+    # the budget counts (atom, distance group) pairs from the group ranks
+    # alone, without the table's exact sums; it must count as many pairs as
+    # the table holds, so it refuses from the same k on
+    dist = family()
+    pairs = sum(len(groups) for _, groups in harness._oracle_groups(dist))
+    limit, step = harness._ORACLE_TERM_LIMIT, harness._ORACLE_STEP_TERMS
+    k = max(k for k in range(1, 50_000) if k * (k + step) * pairs <= limit)
+    harness._oracle_budget(dist, k)
+    with pytest.raises(ResourceLimitError, match=f"needs {(k + 1) * (k + 1 + step) * pairs} terms"):
+        harness._oracle_budget(dist, k + 1)
+
+
 def test_exact_oracle_keeps_a_rare_atom_exact_at_large_n():
     # an atom of mass 1e-9 is misread when at most one of its 3 neighbors
     # among n = 10^10 points is its own.  The sum multiplies log(1 - p) by
@@ -821,6 +835,7 @@ def test_estimate_expected_excess():
 
 def test_k_rules():
     assert KRule("fixed", k=7).k_for(100) == 7
+    assert KRule("fixed", k=np.int64(3)).k_for(100) == 3  # a numpy int is an int; 3.0 is refused
     assert KRule("power", exponent=2.0 / 3.0).k_for(1000) == 100
     assert KRule("sqrt").k_for(50) == 8
     rule = KRule("rate_optimal", k_scale=1.0, alpha=1.0, delta=0.1)
@@ -844,12 +859,18 @@ def test_k_rules():
         ({"kind": "fixed", "k": 7, "exponent": 0.9}, "k rule 'fixed' does not read exponent"),
         ({"kind": "power", "exponent": 0.5, "alpha": 2.0, "delta": 0.1}, "k rule 'power' does not read alpha, delta"),
         ({"kind": "rate_optimal", "k": 3}, "k rule 'rate_optimal' does not read k"),
+        ({"kind": "fixed", "k": 2.5}, r"k rule k must be an integer, not 2\.5"),
+        ({"kind": "fixed", "k": 3.0}, r"k rule k must be an integer, not 3\.0"),
+        ({"kind": "fixed", "k": True}, "k rule k must be an integer, not True"),
+        ({"kind": "fixed", "k": "3"}, "k rule k must be an integer, not '3'"),
     ],
-    ids=["unknown_kind", "power_without_exponent", "sqrt_with_k", "fixed_with_exponent", "power_with_two", "rate_with_k"],
+    ids=["unknown_kind", "power_without_exponent", "sqrt_with_k", "fixed_with_exponent", "power_with_two", "rate_with_k",
+         "fixed_float_k", "fixed_whole_float_k", "fixed_bool_k", "fixed_string_k"],
 )
 def test_k_rule_refuses_what_its_kind_does_not_read(kwargs, message):
     # at construction, before any k_for: a parameter that the kind ignores
-    # would silently change nothing, and 'power' has no exponent to assume
+    # would silently change nothing, 'power' has no exponent to assume, and
+    # a fixed k of 2.5 was once read as 2
     with pytest.raises(ValueError, match=f"^{message}$"):
         KRule(**kwargs)
 
