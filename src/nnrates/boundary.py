@@ -15,13 +15,13 @@ grid search: for every built-in family the map r -> eta(B(x, r)) is
 piecewise monotone with breakpoints at the distances from x to the
 family's structural breakpoints, so extremes over a radius range are
 attained at those candidate radii (plus the small-radius limit).  Points
-are classified a whole array at a time: their candidate radii form one
-(points x candidates) table, and the extremes are a masked min and max
-over its rows.
+are classified a whole array at a time: each point's row of the family's
+`ball_table` gives its candidate radii, ball sums and probability radii,
+and the extremes are a masked min and max over it.
 
 Measures of these regions are exact atom sums for finite-atomic families.
 For the 1-D families each region is a finite union of intervals.  One
-membership call classifies `grid` steps across every positive-density
+membership call classifies `_GRID` steps across every positive-density
 cell; each change of membership between neighbouring grid points is then
 bracketed to 1e-12 by bisection.  One membership call takes several
 levels of every bracket at once (about 64 points, some 6 to 12 calls in
@@ -63,6 +63,7 @@ NOT_IN_SUPPORT = "NotInSupport"
 _VERDICTS = (INTERIOR_PLUS, INTERIOR_MINUS, BOUNDARY, NOT_IN_SUPPORT)
 _SIDES = ("none", "plus", "minus")
 
+_GRID = 96  # steps across each support cell that the 1-D region scan classifies before bisecting
 _BISECT_TOL = 1e-12
 # points near which `_bisect` fills one membership call.  A call costs some 150 us plus
 # about 1 us a point; the boundary measure of `trials_large`'s n = 10^4 run took 2.4-2.7,
@@ -118,31 +119,35 @@ def _points(dist, xs) -> np.ndarray:
     return np.asarray(xs, dtype=np.intp if isinstance(dist, FiniteAtomic) else float)
 
 
-def _eta_extremes(dist, xs, r_lo, r_hi) -> tuple[np.ndarray, ...]:
+def _eta_extremes(dist, xs, p_lo: float, p_hi: float) -> tuple[np.ndarray, ...]:
     """Extremes of r -> eta(B(x, r)) over [r_lo, r_hi] with witness radii, per point.
 
-    A row's candidate radii are r_lo, the breakpoint distances strictly
-    inside (r_lo, r_hi) in ascending order, and r_hi when r_hi > r_lo,
-    less any whose ball holds no mass.  Masked lanes are evaluated at
-    radius inf (a ball holding everything) and never win; ties go to the
-    first candidate.  Radius 0 evaluates to the small-radius limit (the
-    atom's own value for atomic families, the side-averaged density limit
-    for continuous ones).  Returns (min_value, min_radius, max_value,
-    max_radius).
+    r_lo and r_hi are the probability radii at mass p_lo and p_hi, read off
+    the points' one `ball_table`.  A row's candidates are r_lo, the table's
+    radii strictly inside (r_lo, r_hi), each at the last of its repeats (the
+    entry that holds its closed ball), and r_hi when r_hi > r_lo, less any
+    whose ball holds no mass; only r_lo and r_hi are summed afresh.  Masked
+    lanes never win; ties go to the first candidate.  Radius 0 takes the
+    small-radius limit (the atom's own value, or the side-averaged density
+    limit on the line).  Returns (min, min radius, max, max radius).
     """
-    d = dist.radius_breakpoints(xs)
-    lo, hi = r_lo[:, None], r_hi[:, None]
-    rads = np.concatenate([lo, d, hi], axis=1)
-    live = np.concatenate([np.ones_like(lo, dtype=bool), (lo < d) & (d < hi), hi > lo], axis=1)
-    mass, total = dist.ball_sums(xs[:, None], np.where(live & (rads > 0.0), rads, np.inf))
-    # a ball whose mass rounds to 0 (one double beside a low-density
-    # breakpoint) lies inside one segment, where the small-radius limit
-    # already stands for it
+    table = dist.ball_table(xs)
+    r_hi = dist.radius_at(table, p_hi)
+    r_lo = dist.radius_at(table, p_lo) if p_lo > 0.0 else np.zeros_like(r_hi)
+    ends = np.array([r_lo, r_hi]).T
+    fresh = dist.ball_sums(xs[:, None], ends)
+    rads, mass, total = (np.concatenate([e[:, :1], t, e[:, 1:]], axis=1) for e, t in zip((ends, *fresh), table))
+    live = (ends[:, :1] < rads) & (rads < ends[:, 1:])
+    live[:, 1:-2] &= rads[:, 1:-2] < rads[:, 2:-1]  # a repeated table radius counts at its last entry
+    live[:, 0], live[:, -1] = True, r_hi > r_lo
+    # a ball whose mass rounds to 0 (one double beside a low-density breakpoint) lies inside
+    # one segment, where the small-radius limit already stands for it
     live &= mass > 0.0
     vals = np.divide(total, mass, out=np.zeros_like(mass), where=live)
     at_zero = r_lo == 0.0
     if at_zero.any():
         vals[at_zero, 0] = dist.eta_small_radius_limit(xs[at_zero])
+        live[:, 0] |= at_zero
     rows = np.arange(xs.size)
     lo_i = np.where(live, vals, np.inf).argmin(axis=1)
     hi_i = np.where(live, vals, -np.inf).argmax(axis=1)
@@ -167,8 +172,7 @@ def _region_verdict(dist, xs, p: float, band: float) -> tuple[np.ndarray, np.nda
     radius = np.full(xs.shape, np.nan)
     support, live, eta = _definite(dist, xs)
     code[support] = _VERDICTS.index(BOUNDARY)
-    r_p = dist.prob_radius_value(xs[live], p)
-    mn, mn_r, mx, mx_r = _eta_extremes(dist, xs[live], np.zeros_like(r_p), r_p)
+    mn, mn_r, mx, mx_r = _eta_extremes(dist, xs[live], 0.0, p)
     plus = eta > 0.5
     interior = np.where(plus, mn >= 0.5 + band, mx <= 0.5 - band)
     code[live[interior & plus]] = _VERDICTS.index(INTERIOR_PLUS)
@@ -199,9 +203,7 @@ def _high_error_verdict(dist, xs, n: int, k: int) -> np.ndarray:
     """Side codes (indices into _SIDES) of the points; 0 is outside the set."""
     side = np.zeros(xs.shape, dtype=np.intp)
     _, live, eta = _definite(dist, xs)
-    r_lo = dist.prob_radius_value(xs[live], k / n)
-    r_hi = dist.prob_radius_value(xs[live], min(1.0, (k + math.sqrt(k) + 1.0) / n))
-    mn, _, mx, _ = _eta_extremes(dist, xs[live], r_lo, r_hi)
+    mn, _, mx, _ = _eta_extremes(dist, xs[live], k / n, min(1.0, (k + math.sqrt(k) + 1.0) / n))
     tol = 1.0 / math.sqrt(k)
     plus = eta > 0.5
     side[live] = np.where(plus, np.where(mx <= 0.5 + tol, 1, 0), np.where(mn >= 0.5 - tol, 2, 0))
@@ -262,12 +264,12 @@ def _bisect(member: Callable[[np.ndarray], np.ndarray], lo, hi, flags) -> None:
         live = live[hi[live] - lo[live] > _BISECT_TOL]
 
 
-def _region_mass(dist, member: Callable[[np.ndarray], np.ndarray], grid: int) -> MassQueryResult:
+def _region_mass(dist, member: Callable[[np.ndarray], np.ndarray]) -> MassQueryResult:
     """Mass of {x : member(x)}, where member flags an array of points.
 
     An exact sum over the positive-mass atoms of a finite-atomic family.
     On the 1-D families one membership call covers every support cell's
-    `grid` steps; then every change of membership between neighbouring
+    `_GRID` steps; then every change of membership between neighbouring
     grid points is bisected to 1e-12, several levels of all of them a call
     (`_bisect`).  Sums run in root order, one float add at a time.
     """
@@ -279,7 +281,7 @@ def _region_mass(dist, member: Callable[[np.ndarray], np.ndarray], grid: int) ->
             total += mass
         return MassQueryResult(total, err)
     cells = _support_cells(dist)
-    xs = np.stack([np.linspace(a, b, grid + 1) for a, b in cells])
+    xs = np.stack([np.linspace(a, b, _GRID + 1) for a, b in cells])
     flags = member(xs.ravel()).reshape(xs.shape)
     cell, step = np.nonzero(flags[:, :-1] != flags[:, 1:])
     lo, hi = xs[cell, step], xs[cell, step + 1]
@@ -295,18 +297,18 @@ def _region_mass(dist, member: Callable[[np.ndarray], np.ndarray], grid: int) ->
     return MassQueryResult(total, err)
 
 
-def boundary_measure(dist, p: float, band: float, grid: int = 96) -> MassQueryResult:
+def boundary_measure(dist, p: float, band: float) -> MassQueryResult:
     """Exact mass of the effective boundary at level (p, band)."""
     _check_level(p)
     _check_band(band)
     code = _VERDICTS.index(BOUNDARY)
-    return _region_mass(dist, lambda xs: _region_verdict(dist, xs, p, band)[0] == code, grid)
+    return _region_mass(dist, lambda xs: _region_verdict(dist, xs, p, band)[0] == code)
 
 
-def high_error_measure(dist, n: int, k: int, grid: int = 96) -> MassQueryResult:
+def high_error_measure(dist, n: int, k: int) -> MassQueryResult:
     """Exact mass of the high-error set for (n, k)."""
     _check_sizes(n, k)
-    return _region_mass(dist, lambda xs: _high_error_verdict(dist, xs, n, k) != 0, grid)
+    return _region_mass(dist, lambda xs: _high_error_verdict(dist, xs, n, k) != 0)
 
 
 def margin_mass(dist, t: float) -> float:

@@ -29,12 +29,13 @@ piecewise power functions of the interval endpoints, so every value here
 is exact up to float rounding; ``MassQueryResult.error_bound`` is zero.
 
 The geometry queries behind the public functions (``cdf``, ``eta_prefix``,
-``ball_sums``, ``prob_radius_value``, ``eta_point_value``,
-``in_support_value``, ...) are array-first: they take an array of points,
-atom indices for finite-atomic families, and answer lane by lane with the
-same float operations a one-point query performs.  ``ball_sums`` is the one
-ball query: it gives a ball's mass and its eta integral, from which every
-ball mass and ball average is read.
+``ball_sums``, ``ball_table``, ``radius_at``, ``eta_point_value``, ...) are
+array-first: they take an array of points, atom indices for finite-atomic
+families, and answer lane by lane with the same float operations a
+one-point query performs.  ``ball_sums`` gives a ball's mass and its eta
+integral, from which every ball mass and ball average is read;
+``ball_table`` gives them at each of a point's candidate radii, where they
+change, and ``radius_at`` reads probability radii off that table.
 
 The trial kernels of `nnrates.harness` draw and query through private
 hooks: `_draw` and `_place` for samples and `_cdf_pair_into` for masses,
@@ -141,6 +142,9 @@ class FiniteAtomic:
         self.etas = e
         self._cum = np.cumsum(m)
         self._top = int(np.flatnonzero(m)[-1])  # where a uniform past a short prefix's end lands
+        # running mass and eta-weighted mass along each row of the group table, after a 0
+        self._runs = np.zeros((2, space.size, space.size + 1))
+        np.cumsum(np.stack([m, m * e])[:, space.order], axis=-1, out=self._runs[:, :, 1:])
 
     # -- sampling ---------------------------------------------------------
 
@@ -165,21 +169,26 @@ class FiniteAtomic:
     # and answer lane by lane, broadcasting radii against the points.
 
     def ball_sums(self, xs, r, kind: str = "closed") -> tuple[np.ndarray, np.ndarray]:
-        """Mass and eta-weighted mass of the open or closed balls B(x, r)."""
-        rows = self.space.matrix[np.asarray(xs, dtype=np.intp)]
-        r = np.asarray(r, dtype=float)[..., None]
-        inside = rows < r if kind == "open" else rows <= r
-        mass = np.where(inside, self.masses, 0.0).sum(axis=-1)
-        return mass, np.where(inside, self.masses * self.etas, 0.0).sum(axis=-1)
-
-    def prob_radius_value(self, xs, p: float) -> np.ndarray:
-        # walking each row in (distance, index) order, from the point's own
-        # atom at 0, the radius is the distance where the running mass first
-        # reaches p, or the largest one when rounding keeps the total below p
+        """Mass and eta-weighted mass of the open or closed balls B(x, r): the running sums of
+        `ball_table` read at the last atom inside r, zero before the first."""
         xs = np.asarray(xs, dtype=np.intp)
-        hit = np.cumsum(self.masses[self.space.order[xs]], axis=-1) >= p
-        first = np.where(hit.any(axis=-1), hit.argmax(axis=-1), self.space.size - 1)
-        return np.take_along_axis(self.space.sorted_rows[xs], first[..., None], axis=-1)[..., 0]
+        r = np.asarray(r, dtype=float)[..., None]
+        rows = self.space.sorted_rows[xs]
+        inside = np.add.reduce(rows < r if kind == "open" else rows <= r, axis=-1)
+        return tuple(self._runs[:, xs, inside])
+
+    def ball_table(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (points x radii) table of a 1-D array of atoms: each one's `FiniteMetric.sorted_rows`
+        row, with the running mass and eta-weighted mass along it (a tie group's last entry is its ball)."""
+        xs = np.asarray(xs, dtype=np.intp)
+        return self.space.sorted_rows[xs], self._runs[0, xs, 1:], self._runs[1, xs, 1:]
+
+    def radius_at(self, table, p: float) -> np.ndarray:
+        # the first radius whose running mass reaches p, or the largest one
+        # when rounding keeps the total below p
+        hit = table[1] >= p
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1] - 1)
+        return table[0][np.arange(hit.shape[0]), first]
 
     def eta_point_value(self, xs) -> np.ndarray:
         return self.etas[np.asarray(xs, dtype=np.intp)]
@@ -193,12 +202,6 @@ class FiniteAtomic:
     def margin_mass_value(self, t: float) -> float:
         mask = np.abs(self.etas - 0.5) <= t
         return float(self.masses[mask].sum())
-
-    # -- radius structure for extremal scans ------------------------------
-
-    def radius_breakpoints(self, xs) -> np.ndarray:
-        """Each point's distances to every atom, ascending along the last axis."""
-        return self.space.sorted_rows[np.asarray(xs, dtype=np.intp)]
 
     def eta_small_radius_limit(self, xs) -> np.ndarray:
         return self.eta_point_value(xs)
@@ -289,27 +292,25 @@ class _Interval1D:
         empty = hi <= lo
         return np.where(empty, 0.0, cdf[0] - cdf[1]), np.where(empty, 0.0, eta[0] - eta[1])
 
-    def prob_radius_value(self, xs, p: float) -> np.ndarray:
-        # the candidate radii of a row are 0 and the distances to the
-        # breakpoints; 0 and 1 are breakpoints, so the last one is the reach
+    def ball_table(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (points x radii) table of a 1-D array of points: 0 and the distances to every
+        breakpoint in ascending order, with the `ball_sums` at each."""
+        xs = np.asarray(xs, dtype=float)[:, None]
+        rads = np.concatenate([np.zeros_like(xs), np.sort(np.abs(xs - self.x_breakpoints()), axis=1)], axis=1)
+        return (rads, *self.ball_sums(xs, rads))
+
+    def radius_at(self, table, p: float) -> np.ndarray:
+        # 0 and 1 are breakpoints, so a row's last radius is the reach
         # max(x, 1 - x).  Ball mass is linear in r between candidates: find
         # the first one holding p and interpolate on the piece it ends
-        xs = np.asarray(xs, dtype=float)
-        col = xs.reshape(-1, 1)
-        rads = np.concatenate([np.zeros_like(col), self.radius_breakpoints(col[:, 0])], axis=1)
-        mass = self.ball_sums(col, rads)[0]
+        rads, mass, _ = table
         hit = mass >= p
-        rows, b = np.arange(col.shape[0]), hit.argmax(axis=1)
+        rows, b = np.arange(rads.shape[0]), hit.argmax(axis=1)
         a, piece = np.maximum(b - 1, 0), b > 0
         r_a, r_b, m_a, m_b = rads[rows, a], rads[rows, b], mass[rows, a], mass[rows, b]
         step = np.divide((p - m_a) * (r_b - r_a), m_b - m_a, out=np.zeros_like(r_a), where=piece)
         r = np.where(piece, r_a + step, r_b)
-        return np.where(hit.any(axis=1), r, rads[:, -1]).reshape(xs.shape)
-
-    def radius_breakpoints(self, xs) -> np.ndarray:
-        """Each point's distances to every breakpoint, ascending along the last axis."""
-        xs = np.asarray(xs, dtype=float)
-        return np.sort(np.abs(xs[..., None] - self.x_breakpoints()), axis=-1)
+        return np.where(hit.any(axis=1), r, rads[:, -1])
 
 
 class PiecewiseUniform1D(_Interval1D):
@@ -625,7 +626,7 @@ def prob_radius(dist: Distribution, x, p: float) -> float:
     """Smallest radius whose closed ball reaches mass p (infimum convention)."""
     dist.space.check_point(x)
     _check_prob(p)
-    return float(dist.prob_radius_value(x, p))
+    return float(dist.radius_at(dist.ball_table([x]), p)[0])
 
 
 def eta_point(dist: Distribution, x) -> float:
@@ -653,15 +654,11 @@ def eta_ball(
     elif z_cut is not None:
         raise ValueError("z_cut only applies to augmented queries")
 
+    nu = {"closed": 1.0, "open": 0.0}.get(kind, z_cut)  # 1.0 * m + 0.0 * m' is m, bit for bit
     m_closed, s_closed = dist.ball_sums(x, r, "closed")
     m_open, s_open = dist.ball_sums(x, r, "open")
-    if kind == "closed":
-        mass, total = m_closed, s_closed
-    elif kind == "open":
-        mass, total = m_open, s_open
-    else:
-        mass = z_cut * m_closed + (1.0 - z_cut) * m_open
-        total = z_cut * s_closed + (1.0 - z_cut) * s_open
+    mass = nu * m_closed + (1.0 - nu) * m_open
+    total = nu * s_closed + (1.0 - nu) * s_open
     if mass <= 0.0:
         raise ZeroMassError(f"{kind} ball of radius {r} at {x} has zero mass")
     return MassQueryResult(float(total / mass), 0.0)

@@ -56,9 +56,10 @@ class FiniteMetric(MetricSpace):
     entries, and the triangle inequality on every triple.  Beside it, and
     read-only like it, the group table that the finite-atomic queries,
     kernel and oracle read: ``order[q]``, the atoms in (distance from q,
-    index) order; ``sorted_rows[q]``, those distances; and ``group[q, a]``,
-    the number of distinct distances from q below d(q, a).  24 MB at 1,000
-    atoms, beside the matrix's 8.
+    index) order, along which every atomic ball's sums run;
+    ``sorted_rows[q]``, those distances, q's candidate radii; and
+    ``group[q, a]``, the number of distinct distances from q below d(q, a).
+    24 MB at 1,000 atoms, beside the matrix's 8.
     """
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[float]]):

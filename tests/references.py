@@ -234,7 +234,7 @@ def exact_mean_1d(dist, n: int, k: int, excess: bool = False) -> float:
 
     U, the mass of the ball that reaches x's (k + 1)-th neighbor, is
     Beta(k + 1, n - k).  Given U = u, the k nearest points are iid draws of
-    mu restricted to B(x, r(u)), r(u) = ``prob_radius_value(x, u)``, so their
+    mu restricted to B(x, r(u)), r(u) = ``radius_at(ball_table(x), u)``, so their
     label sum is Bin(k, eta(B)), eta(B) read off ``ball_sums``, and the rule
     says 1 when the sum is at least k/2.  The mean is the integral over x of
     f(x), or |1 - 2 eta(x)| f(x) for the excess, times E_U[P(the vote is not
@@ -257,14 +257,15 @@ def exact_mean_1d(dist, n: int, k: int, excess: bool = False) -> float:
     eta = dist.eta_point_value(xs)
     weight = wx * dist.density_at(xs) * (np.abs(1.0 - 2.0 * eta) if excess else 1.0)
     x = xs[:, None]
+    table = dist.ball_table(xs)
     if k == n:
-        r, wr = dist.prob_radius_value(xs, 1.0)[:, None], np.ones_like(x)
+        r, wr = dist.radius_at(table, 1.0)[:, None], np.ones_like(x)
     else:
         mean = (k + 1) / (n + 1)
         sd = math.sqrt(mean * (1.0 - mean) / (n + 2))
-        rims = [dist.prob_radius_value(xs, u) for u in np.clip(mean + sd * np.array(_U_CUTS), 0.0, 1.0)]
+        rims = [dist.radius_at(table, u) for u in np.clip(mean + sd * np.array(_U_CUTS), 0.0, 1.0)]
         rims = np.stack(rims, axis=1)
-        kinks = np.clip(dist.radius_breakpoints(xs), rims[:, :1], rims[:, -1:])
+        kinks = np.clip(table[0][:, 1:], rims[:, :1], rims[:, -1:])
         r, wr = _gauss_cells(np.sort(np.concatenate([rims, kinks], axis=1), axis=1), 8)
     mass, ones = dist.ball_sums(x, r)
     if k < n:

@@ -6,6 +6,8 @@ band has mass 2*sqrt(k)/n.  The power-margin family at gamma=1 has
 eta(x) = x, where a ball's label frequency equals its clipped midpoint.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -268,17 +270,36 @@ def multi_segment_family():
 
 
 @pytest.mark.parametrize("make", [disjoint_family, multi_segment_family, lambda: PowerMargin1D(1.0)])
-def test_scan_measures_agree_with_an_eight_times_finer_grid(make):
+def test_scan_measures_agree_with_an_eight_times_finer_grid(make, monkeypatch):
     # the scan's error_bound covers bisection widths only; a region piece
-    # narrower than one cell would be missed at grid=96 and found at 768
+    # narrower than one cell would be missed at 96 steps a cell and found at 768
     dist = make()
-    for p in (0.05, 0.4):
-        for band in (0.05, 0.25):
-            coarse, fine = (boundary_measure(dist, p, band, grid) for grid in (96, 768))
-            assert abs(fine.value - coarse.value) <= coarse.error_bound + fine.error_bound, (p, band)
-    for n, k in ((100, 9), (400, 16)):
-        coarse, fine = (high_error_measure(dist, n, k, grid) for grid in (96, 768))
-        assert abs(fine.value - coarse.value) <= coarse.error_bound + fine.error_bound, (n, k)
+    cases = [(boundary_measure, p, band) for p in (0.05, 0.4) for band in (0.05, 0.25)]
+    cases += [(high_error_measure, n, k) for n, k in ((100, 9), (400, 16))]
+    coarse = [measure(dist, *args) for measure, *args in cases]
+    monkeypatch.setattr(boundary, "_GRID", 8 * boundary._GRID)
+    fine = [measure(dist, *args) for measure, *args in cases]
+    for case, c, f in zip(cases, coarse, fine):
+        assert abs(f.value - c.value) <= c.error_bound + f.error_bound, case
+
+
+def test_region_scans_of_300_planar_atoms_stay_small():
+    # each point's one ball table is (points x atoms); a scan that summed
+    # every candidate ball afresh built a (points x candidates x atoms) mask
+    # and peaked at 238 MB here
+    rng = np.random.default_rng(300)
+    pts = rng.random((300, 2))
+    space = FiniteMetric(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)))
+    dist = FiniteAtomic(space, rng.dirichlet(np.ones(300)), rng.random(300))
+    tracemalloc.start()
+    try:
+        region_verdicts(dist, range(300), 0.1, 0.05)
+        boundary_measure(dist, 0.1, 0.05)
+        high_error_measure(dist, 1000, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- the scalar scan, spelled out ----------------------------------------------
@@ -537,7 +558,7 @@ def test_probability_radii_match_the_scalar_scan(family):
 
     for p in (0.0, 0.01, 0.05, 0.2, 0.4, 0.77, 1.0):
         want = [ref_prob_radius(dist, x, p) for x in probes]
-        assert dist.prob_radius_value(np.asarray(probes), p).tolist() == want
+        assert dist.radius_at(dist.ball_table(np.asarray(probes)), p).tolist() == want
         assert [prob_radius(dist, x, p) for x in probes[:5]] == want[:5]
 
 

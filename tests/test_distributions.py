@@ -5,6 +5,7 @@ closed forms before the implementations existed; none were read back
 from the code under test.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -362,6 +363,36 @@ def test_prob_radius_law_property(x, p, gamma):
     pm = PowerMargin1D(gamma)
     r = prob_radius(pm, x, p)
     assert ball_mass(pm, x, r, kind="closed").value >= p - 1e-9
+
+
+def random_atoms(rng, m: int, grid: bool) -> FiniteAtomic:
+    """m planar atoms: at random under the Euclidean metric, or on a 5 x 5 integer grid under the
+    L1 metric, where many distances tie; some atoms have no mass."""
+    if grid:
+        pts = rng.choice(25, size=min(m, 25), replace=False)
+        pts = np.stack([pts // 5, pts % 5], axis=1).astype(float)
+        matrix = np.abs(pts[:, None] - pts[None]).sum(axis=-1)
+    else:
+        pts = rng.random((m, 2))
+        matrix = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    masses = rng.dirichlet(np.ones(len(pts))) * (rng.random(len(pts)) < 0.8)
+    masses[0] += 1.0 - masses.sum()
+    return FiniteAtomic(FiniteMetric(matrix), masses, rng.random(len(pts)))
+
+
+def test_atomic_prob_radius_reaches_every_running_mass_exactly():
+    # p runs through the masses of x's row summed in (distance, index)
+    # order; the closed ball at the radius must hold p with no tolerance.
+    # A ball summed in another order than its radius fell short by up to
+    # 5.6e-16 in about a quarter of these cases
+    rng = np.random.default_rng(24)
+    for trial in range(60):
+        dist = random_atoms(rng, int(rng.integers(2, 40)), grid=trial % 2 == 1)
+        for x in range(dist.space.size):
+            running = itertools.accumulate(dist.masses[dist.space.order[x]].tolist())
+            for p in (p for p in running if p <= 1.0):  # rounding may carry the last sums past 1
+                r = prob_radius(dist, x, p)
+                assert ball_mass(dist, x, r).value >= p, (trial, x, p)
 
 
 # -- shared ops ----------------------------------------------------------------

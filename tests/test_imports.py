@@ -1,7 +1,9 @@
-"""Every module of the library and of its tests uses each name it imports.
+"""Every module of the library and of its tests uses each name it imports,
+and every private name the library defines is read somewhere in it.
 
 A package's ``__init__.py`` imports names to re-export them, and a
-``__future__`` import switches on a language feature; both are left out.
+``__future__`` import switches on a language feature; both are left out of
+the first check.
 """
 
 import ast
@@ -36,3 +38,38 @@ def test_modules_use_every_name_they_import():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The single-underscore functions, classes and module-level names that the sources define and
+    none of them reads (as a loaded name, an attribute or an imported name), sorted."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+        for statement in tree.body:
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__") and name != "_"}
+    return sorted(private - read)
+
+
+def test_the_check_finds_unread_private_names():
+    sources = [
+        "_A, B = 1, 2\n_C: int = 3\n__all__ = []\ndef _f(): pass\nclass _K:\n    def _m(self): pass\n",
+        "from a import _A\nx = _K()._n\n_f = None\nx._m = 1\n",
+    ]
+    assert unread_private_names(sources) == ["_C", "_f", "_m"]  # a store is not a read
+
+
+def test_the_library_reads_every_private_name_it_defines():
+    assert unread_private_names([p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]) == []
