@@ -72,7 +72,9 @@ def _json(value, pad: str = "") -> str:
     With an indent, json encodes in pure Python, several calls a value.
     Here a dict (with string keys) or a list is laid out as json lays it
     out, and its finite floats and ints are written with ``repr``, as json
-    writes them; anything else goes to json itself.
+    writes them.  Other scalars go to ``json.dumps`` without an indent,
+    which gives the same bytes from json's one default encoder, where an
+    indent builds a new encoder a call; anything else goes to json itself.
     """
     inner = pad + "  "
     if type(value) is dict and value:
@@ -84,6 +86,8 @@ def _json(value, pad: str = "") -> str:
         ]
     elif type(value) is int or type(value) is float and math.isfinite(value):
         return repr(value)
+    elif value is None or type(value) in (str, float):
+        return json.dumps(value)
     else:
         return json.dumps(value, indent=2).replace("\n", "\n" + pad)
     ends = "{}" if type(value) is dict else "[]"

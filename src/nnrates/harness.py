@@ -56,9 +56,14 @@ that both the disagreement and the excess statistics read.  A draw of n
 points reads its stream's first 3n numbers in order, so each trial sets
 its state and makes one ``random`` call into its row of a (trials, 3, n)
 array (`_stream_blocks`); the atom lookup, the labels and the neighbor
-ranking then run once over the block.  At n = 40 a trial took 13-18 us on
-a shared 2-core machine, of which deriving, setting and reading its
-stream took about 7.
+ranking then run once over the block.  One argsort of the block's
+tie-break draws ranks every row's points, and each query atom then takes
+one sort of packed int64 (distance group, rank, label) keys.  On a block
+of 512 trials of n = 40 draws on three atoms that ranking and vote take
+0.66-0.67 ms, where a stable lexsort per query atom and a gather of the
+labels took 2.6-2.8.  A trial (k = 13) takes 5.5-5.7 us on a shared
+2-core machine, of which deriving, setting and reading its stream take
+about 3.6.
 
 Every trial runs in the calling thread.  A trial holds the GIL between
 short numpy calls, so a second thread paid only on large runs: on a
@@ -110,7 +115,10 @@ __all__ = [
 ]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-_BLOCK_TRIALS = 512  # trials whose streams are derived at once, or ranked by one atomic block
+# trials whose streams are derived at once, or drawn and ranked by one atomic block.  At
+# n = 40, k = 13 on three atoms a trial took 5.5-5.7 us at 512, 5.8-6.0 at 256 and 5.4-5.7
+# at 1,024 (min of 25 runs of 4,096 trials, shared 2-core box)
+_BLOCK_TRIALS = 512
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 # cut-local trials sort a band near the cut from this n on.  At k = ceil(sqrt(n)), a trial
 # that sorted its row took 6 us against the band's 12-13 at n = 300, 24-25 vs 26-28 at
@@ -468,24 +476,45 @@ class _Trials1D:
 
 
 def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: int, stop: int):
-    """Per trial in [start, stop), in order, the bool row of atoms where its rule is not Bayes.
+    """The (trials, atoms) bool array of trials [start, stop): where each trial's rule is not Bayes.
 
-    Trial by trial these rows equal the fit/predict path's bit for bit:
-    each trial keeps its own mix64 seed, and one stable lexsort per query
-    atom over a block of draws ranks neighbors by (distance, tie-break
-    draw) with remaining ties falling to the training index, as `predict`
-    does.
+    Row by row it equals the fit/predict path's bit for bit: each trial
+    keeps its own mix64 seed, and neighbors rank by (distance, tie-break
+    draw, training index), as `predict` ranks them.  `_by_rank` puts each
+    row of a block in (draw, index) order once; then for each query atom q
+    a row's keys ``group[q, x] << (bits(n - 1) + 1) | rank << 1 | label``
+    are distinct, so one int64 sort puts its k nearest first, and their low
+    bits are the votes.  A key needs bits(m) + bits(n) + 1 <= 63 bits for m
+    atoms, which any m x m matrix and row of n draws that fit in memory meet.
     """
     _check_k(k, n)
-    group, bayes = dist.space.group, dist.etas >= 0.5  # groups order neighbors as distances do
+    bayes = dist.etas >= 0.5
+    keyed = dist.space.group << (n - 1).bit_length() + 1  # groups order neighbors as distances do
+    wrong = np.empty((stop - start, bayes.size), dtype=bool)
+    lo = 0
     for block in _stream_blocks(master_seed, n, start, stop):
-        xs, zs, ys = dist._draw(block)
-        wrong = np.empty((len(block), bayes.size), dtype=bool)
+        xs, rank_label = _by_rank(*dist._draw(block))
+        keys = np.empty_like(rank_label)
         for q in range(bayes.size):
-            nearest = np.lexsort((zs, group[q][xs]), axis=-1)[:, :k]
-            votes = np.take_along_axis(ys, nearest, axis=-1).sum(axis=-1, dtype=np.int64)
-            wrong[:, q] = (2 * votes >= k) != bayes[q]
-        yield from wrong
+            np.take(keyed[q], xs, out=keys)
+            keys |= rank_label
+            keys.sort(axis=-1)
+            votes = np.add.reduce(keys[:, :k] & 1, axis=-1)
+            wrong[lo : lo + len(block), q] = (2 * votes >= k) != bayes[q]
+        lo += len(block)
+    return wrong
+
+
+def _by_rank(xs: np.ndarray, zs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block's atoms and ``rank << 1 | label``, each row put in (tie-break draw, index) order
+    by one argsort of the block: a stable one only if some row repeats a draw."""
+    n = xs.shape[-1]
+    rows = np.arange(0, xs.size, n)[:, None]
+    at = zs.argsort(axis=-1) + rows  # flat positions, in rank order
+    drawn = zs.ravel()[at]
+    if (drawn[:, 1:] == drawn[:, :-1]).any():
+        at = zs.argsort(axis=-1, kind="stable") + rows
+    return xs.ravel()[at], ys.ravel()[at] | np.arange(0, 2 * n, 2)
 
 
 def _stream_blocks(master_seed: int, n: int, start: int, stop: int):
@@ -522,7 +551,7 @@ def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int,
         # sum per distinct row, of that row's weights alone: numpy sums 8 terms
         # or more pairwise, so a masked sum of all weights would differ
         weight = dist.masses * np.abs(1.0 - 2.0 * dist.etas) if excess else dist.masses
-        wrong = np.array(list(_atomic_wrong(dist, n, k, master_seed, start, stop)))
+        wrong = _atomic_wrong(dist, n, k, master_seed, start, stop)
         keys = wrong.view(np.dtype((np.void, wrong.shape[1]))).ravel()
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
         return np.array([weight[wrong[i]].sum() for i in first])[which].tolist()

@@ -700,6 +700,47 @@ def test_blocked_atomic_trials_match_single_trial_path(monkeypatch):
         _trial_values(fa, 3, 4, 9, 0, 10)
 
 
+def test_atomic_kernel_ranks_tied_draws_as_a_spelled_out_lexsort(monkeypatch):
+    # tie-break draws floored to quarters repeat in every row of more than
+    # four points, so the kernel takes its stable ranking, and the training
+    # index decides between the k-th and (k + 1)-th neighbors when they tie
+    # in distance and draw.  Each row of wrong atoms must be the one a stable
+    # lexsort by (distance, draw) gives, on tied distance groups and with a
+    # zero-mass atom (a query atom no point lands on)
+    stream_blocks = harness._stream_blocks
+
+    def floored(*args):
+        for block in stream_blocks(*args):
+            block[:, 1] = np.floor(block[:, 1] * 4.0) / 4.0
+            yield block
+
+    monkeypatch.setattr(harness, "_stream_blocks", floored)
+    four = four_tied_atoms()
+    spaces = [tied_three_atoms(), FiniteAtomic(four.space, [0.3, 0.3, 0.4, 0.0], four.etas)]
+    stop, cut_ties, default_points = 80, 0, harness._BLOCK_POINTS
+    for fa in spaces:
+        for n, k in [(1, 1), (6, 1), (6, 3), (6, 6), (40, 1), (40, 13), (40, 40)]:
+            want = []
+            for t in range(stop):
+                u = generator(mix64(9, n, t)).random((1, 3, n))
+                u[:, 1] = np.floor(u[:, 1] * 4.0) / 4.0
+                xs, zs, ys = (a[0] for a in fa._draw(u))
+                row = []
+                for q in range(fa.masses.size):
+                    d = fa.space.matrix[q][xs]
+                    order = np.lexsort((zs, d))  # stable: index order among equal keys
+                    row.append((2 * int(ys[order[:k]].sum()) >= k) != (fa.etas[q] >= 0.5))
+                    near, far = order[k - 1], order[min(k, n - 1)]
+                    cut_ties += k < n and d[near] == d[far] and zs[near] == zs[far]
+                want.append(row)
+            for block_points in (default_points, 200, 1):
+                monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
+                got = harness._atomic_wrong(fa, n, k, 9, 0, stop)
+                assert got.tolist() == want, (fa.masses, n, k, block_points)
+                assert harness._atomic_wrong(fa, n, k, 9, 7, stop).tolist() == want[7:]
+    assert cut_ties > 1_000
+
+
 def test_atomic_trials_sum_each_rows_own_masses():
     # trials with the same wrong atoms share one sum, and that sum is the
     # row's own subset sum: over 12 atoms numpy groups a masked sum of all

@@ -11,6 +11,7 @@ neighbor order" and "the points inside the ball spanned by the k-th
 neighbor, plus that neighbor" describe the same set.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnrates import metric as metric_module
 from nnrates.errors import DomainError
 from nnrates.metric import (
     FiniteMetric,
@@ -277,3 +279,58 @@ def test_load_finite_metric(tmp_path):
     fm = load_finite_metric(path)
     assert fm.size == 2
     assert fm.distance(0, 1) == 1.25
+
+
+def test_loading_300_atoms_holds_about_its_text(tmp_path, monkeypatch):
+    # the parse, FiniteMetric's own checks and tables aside, peaks near twice
+    # the file's 1.7 MB of text (tracemalloc): a list of the 90,000 token
+    # strings and one of their floats peaked at 10.5 MB
+    rng = np.random.default_rng(7)
+    pts = rng.random((300, 2))
+    matrix = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    text = "300\n" + "\n".join(" ".join(map(repr, row)) for row in matrix.tolist()) + "\n"
+    path = tmp_path / "space.txt"
+    path.write_text(text)
+    monkeypatch.setattr(metric_module, "FiniteMetric", lambda values: values)
+    tracemalloc.start()
+    try:
+        values = load_finite_metric(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tobytes() == matrix.tobytes()
+    assert peak < 3 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty metric file"),
+        (" \n\n", "empty metric file"),
+        ("two\n0 1\n1 0\n", "first token must be the atom count"),
+        ("2\n0 1\n1\n", r"expected 2x2 matrix entries after the count, got 3"),
+        ("2\n0 x\n1 0 7\n", r"expected 2x2 matrix entries after the count, got 5"),  # the count first
+        ("2\n0 x\n1 y\n", "could not convert string to float: 'x'"),  # the first bad token
+        ("2 0 1\n1 0", None),  # tokens may break across lines anywhere
+    ],
+)
+def test_load_finite_metric_refuses_in_order(tmp_path, text, message):
+    path = tmp_path / "space.txt"
+    path.write_text(text)
+    if message is None:
+        assert load_finite_metric(path).matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        return
+    with pytest.raises(ValueError, match=message):
+        load_finite_metric(path)
+
+
+def test_load_finite_metric_reports_undecodable_text_at_its_file_offset(tmp_path):
+    # before the count or a bad head, as a whole-file read did, and at its
+    # offset in the file, past the first chunk a line-by-line read decodes
+    for head in (b"300\n", b"x\n"):
+        data = head + b"0.5 " * 30_000 + b"\xff" + b" 1" * 59_999
+        path = tmp_path / "space.txt"
+        path.write_bytes(data)
+        at = data.index(b"\xff")
+        with pytest.raises(UnicodeDecodeError, match=f"position {at}:"):
+            load_finite_metric(path)
