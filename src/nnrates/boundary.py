@@ -222,7 +222,7 @@ def high_error_classify(dist, x, n: int, k: int) -> HighErrorVerdict:
 
 
 def _support_cells(dist) -> np.ndarray:
-    bps = np.unique(np.asarray(dist.x_breakpoints(), dtype=float))
+    bps = dist.x_breakpoints()  # strictly increasing on both 1-D families
     cells = np.stack([bps[:-1], bps[1:]], axis=1)
     return cells[dist.density_at((cells[:, 0] + cells[:, 1]) / 2.0) > 0.0]
 
@@ -282,6 +282,8 @@ def _region_mass(dist, member: Callable[[np.ndarray], np.ndarray]) -> MassQueryR
         return MassQueryResult(total, err)
     cells = _support_cells(dist)
     xs = np.stack([np.linspace(a, b, _GRID + 1) for a, b in cells])
+    # each cell's ends at their inward limits: at a breakpoint the verdict reads the next segment
+    xs[:, 0], xs[:, -1] = np.nextafter(cells[:, 0], cells[:, 1]), np.nextafter(cells[:, 1], cells[:, 0])
     flags = member(xs.ravel()).reshape(xs.shape)
     cell, step = np.nonzero(flags[:, :-1] != flags[:, 1:])
     lo, hi = xs[cell, step], xs[cell, step + 1]

@@ -321,7 +321,7 @@ def _cmd_run(args) -> int:
                 {"index": i, "type": kind, "status": "ok"} for i, (kind, _) in enumerate(plans)
             ],
         }
-        text = json.dumps(manifest, indent=2)
+        text = _json(manifest)
         (staging / "manifest.json").write_text(text + "\n")
         out_path.mkdir(exist_ok=True)
         for name in [*names, "manifest.json"]:

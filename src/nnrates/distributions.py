@@ -535,7 +535,11 @@ class PowerMargin1D(_Interval1D):
 
     def _eta_into(self, xs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """Write eta(x) for each x into out; scratch as in `_place`."""
-        # 0.5 + 0.5 * sign(s) * |s|**gamma with s = 2x - 1, operation for operation
+        # 0.5 + 0.5 * sign(s) * |s|**gamma with s = 2x - 1, operation for operation.  Every draw
+        # passes here, so it keeps np.power where the closed forms below take float_power, which
+        # took 0.64-1.07 ms against 21-38 us on 5*10^4 lanes at gamma = 1 (shared 2-core box).
+        # The two differ in the last bit on 5.5 % of lanes at gamma = 1.7 and 0.06-0.09 % at 2:
+        # a label whose uniform falls within one ulp of eta follows numpy's pow dispatch
         s = scratch[0, : xs.size]
         np.multiply(xs, 2.0, out=s)
         s -= 1.0

@@ -13,7 +13,8 @@ training draw itself.  For label-deterministic families (frequencies 0 or
 probability.
 
 The finite-atomic exact oracle, `exact_expected_mistake`, conditions on
-the k-th neighbor's distance group: its cost does not grow with n.
+the k-th neighbor's distance group, each summed when its walk of the group
+table reaches it: its cost does not grow with n.
 
 Reproducibility contract: every trial's generator seed is a documented
 64-bit mix of (master_seed, n, trial_index).  Trials are therefore
@@ -78,6 +79,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -562,35 +564,22 @@ def _trial_values(dist, n: int, k: int, master_seed: int, start: int, stop: int,
 # -- exact oracle --------------------------------------------------------------
 
 
+def _live_groups(dist: FiniteAtomic) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atoms q of positive mass; for each, those atoms along q's `order` row, nearest first;
+    and a mask, True where each starts a distance group of that row."""
+    live = dist.masses > 0.0
+    qs = np.flatnonzero(live)
+    rows = dist.space.order[qs]
+    rows = rows[live[rows]].reshape(qs.size, qs.size)
+    return qs, rows, np.diff(dist.space.group[qs[:, None], rows], axis=1, prepend=-1) > 0
+
+
 def _oracle_budget(dist: FiniteAtomic, k: int) -> None:
     """Refuse with ResourceLimitError past `_ORACLE_TERM_LIMIT` terms at this k: k * (k + step)
     terms for each atom of positive mass and each distance group of such atoms around it."""
-    live = np.flatnonzero(dist.masses > 0.0)
-    rows = np.sort(dist.space.group[np.ix_(live, live)], axis=1)
-    pairs = live.size + int(np.count_nonzero(rows[:, 1:] != rows[:, :-1]))
-    terms = k * (k + _ORACLE_STEP_TERMS) * pairs
+    terms = k * (k + _ORACLE_STEP_TERMS) * int(np.count_nonzero(_live_groups(dist)[2]))
     if terms > _ORACLE_TERM_LIMIT:
         raise ResourceLimitError(f"the exact oracle needs {terms} terms (limit {_ORACLE_TERM_LIMIT})")
-
-
-def _oracle_groups(dist: FiniteAtomic) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Each atom of positive mass, with the (mass, label-one mass) of its distance groups,
-    nearest first, in exact integer multiples of 2**-2148 (as every double and every product
-    of two is)."""
-    ms, es = dist.masses.tolist(), dist.etas.tolist()
-    pairs = [(v.as_integer_ratio(), e.as_integer_ratio()) for v, e in zip(ms, es)]
-    masses = [m * (2**2148 // d) for (m, d), _ in pairs]
-    ones = [m * e * (2**2148 // (d * f)) for (m, d), (e, f) in pairs]
-    live = [a for a, v in enumerate(masses) if v > 0]
-    table = []
-    for q in live:
-        groups: dict[int, list[int]] = {}
-        for a in live:
-            groups.setdefault(int(dist.space.group[q, a]), []).append(a)
-        table.append((q, [
-            (sum(masses[a] for a in g), sum(ones[a] for a in g)) for _, g in sorted(groups.items())
-        ]))
-    return table
 
 
 def _log_sums(factors) -> np.ndarray:
@@ -617,9 +606,11 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
 
     Conditioned on where the k-th neighbor falls, with no sampling and no
     enumeration of training sets.  Group the positive-mass atoms by their
-    distance from a query atom q.  Exactly c < k of the n points land in the
-    groups closer than group g (mass F, label frequency p) and at least k - c
-    in g (mass mu, label frequency eta) with probability
+    distance from a query atom q, walking q's `order` row (`_live_groups`),
+    and sum a group's exact mass and label-one mass when the walk reaches
+    it.  Exactly c < k of the n points land in the groups closer than group
+    g (mass F, label frequency p) and at least k - c in g (mass mu, label
+    frequency eta) with probability
 
         Bin(n, F)(c) * P(Bin(n - c, mu / (mu + mass past g)) >= k - c),
 
@@ -640,21 +631,25 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
     if not 1 <= k <= n <= 2**53:  # n - c stays an exact float
         raise ValueError(f"need 1 <= k <= n <= 2**53, got k={k}, n={n}")
     _oracle_budget(dist, k)
-    table = _oracle_groups(dist)
+    qs, rows, starts = _live_groups(dist)
+    # masses and label-one masses in exact multiples of 2**-2148, as every double and product of two is
+    masses = [int(Fraction(v) * 2**2148) for v in dist.masses.tolist()]
+    ones = [int(v * Fraction(e)) for v, e in zip(masses, dist.etas.tolist())]
+    whole = sum(masses)
     log_fact = _log_sums(range(1, 4 * k + 65))
     falling = _log_sums(range(n, n - min(n, 4 * k + 64), -1))
 
     def pmf(size, js, log_comb, logs):  # Bin(size, p) at js; logs = (log p, log(1 - p))
         return np.exp(log_comb + js * logs[0] + (float(size) - js) * logs[1])
     total = []
-    for q, groups in table:
+    for q, row, start in zip(qs.tolist(), rows, starts):
         # the vote errs once `least` of the k neighbors carry the label that
         # the Bayes rule at q rejects: label one where eta < 1/2, else label 0
         flip = 1 if dist.etas[q] < 0.5 else -1
         least = (k + 1) // 2 if flip == 1 else k // 2 + 1
-        whole = sum(mu for mu, _ in groups)
         closer = closer_one = 0
-        for mu, one in groups:
+        for atoms in map(np.ndarray.tolist, np.split(row, np.flatnonzero(start)[1:])):
+            mu, one = sum(masses[a] for a in atoms), sum(ones[a] for a in atoms)
             log_f, log_m = _log_shares(closer, whole)
             into = _log_shares(mu, whole - closer)
             near_wrong = _log_shares(closer_one, closer or 1)[::flip]

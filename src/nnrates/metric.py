@@ -53,14 +53,14 @@ class FiniteMetric(MetricSpace):
     """Finite atom set whose metric is an explicit symmetric matrix.
 
     Points are atom indices ``0 .. m-1``.  The matrix is validated on
-    construction: symmetry, zero diagonal, strictly positive off-diagonal
-    entries, and the triangle inequality on every triple.  Beside it, and
-    read-only like it, the group table that the finite-atomic queries,
-    kernel and oracle read: ``order[q]``, the atoms in (distance from q,
-    index) order, along which every atomic ball's sums run;
-    ``sorted_rows[q]``, those distances, q's candidate radii; and
-    ``group[q, a]``, the number of distinct distances from q below d(q, a).
-    24 MB at 1,000 atoms, beside the matrix's 8.
+    construction: zero diagonal, positive distances between distinct atoms
+    (read off ``sorted_rows[:, 1]``), symmetry, and the triangle inequality
+    on every triple.  Beside it, and read-only like it, the group table:
+    ``order[q]``, the atoms by (distance from q, index), along which atomic
+    ball sums and the exact oracle's walk run; ``sorted_rows[q]``, those
+    distances, q's candidate radii; and ``group[q, a]``, the number of
+    distinct distances from q below d(q, a), by which the trial kernel ranks
+    and the oracle cuts its walk.  24 MB at 1,000 atoms, beside the matrix's 8.
     """
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[float]]):
@@ -76,10 +76,10 @@ class FiniteMetric(MetricSpace):
             raise ValueError("distances must be nonnegative")
         if np.any(np.diag(mat) != 0.0):
             raise ValueError("self-distances must be zero")
-        if m > 1:
-            off = mat[~np.eye(m, dtype=bool)]
-            if np.any(off <= 0.0):
-                raise ValueError("distinct atoms must have positive distance")
+        order = np.argsort(mat, axis=1, kind="stable")
+        sorted_rows = np.take_along_axis(mat, order, axis=1)
+        if np.any(sorted_rows[:, 1:2] <= 0.0):  # each row's nearest other atom
+            raise ValueError("distinct atoms must have positive distance")
         if not np.array_equal(mat, mat.T):
             raise ValueError("distance matrix must be symmetric")
         for k in range(m):
@@ -87,9 +87,7 @@ class FiniteMetric(MetricSpace):
             if np.any(mat > relaxed + 1e-12):
                 i, j = np.unravel_index(np.argmax(mat - relaxed), mat.shape)
                 raise ValueError(f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})")
-        self.matrix, self.size = mat, m
-        self.order = np.argsort(mat, axis=1, kind="stable")
-        self.sorted_rows = np.take_along_axis(mat, self.order, axis=1)
+        self.matrix, self.size, self.order, self.sorted_rows = mat, m, order, sorted_rows
         self.group = np.empty_like(self.order)
         ranks = np.zeros_like(self.order)
         np.cumsum(self.sorted_rows[:, 1:] > self.sorted_rows[:, :-1], axis=1, out=ranks[:, 1:])

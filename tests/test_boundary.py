@@ -283,6 +283,25 @@ def test_scan_measures_agree_with_an_eight_times_finer_grid(make, monkeypatch):
         assert abs(f.value - c.value) <= c.error_bound + f.error_bound, case
 
 
+def test_scan_counts_a_piece_that_ends_open_at_a_breakpoint():
+    # the boundary piece [0.823756, 0.830104) is narrower than one grid step
+    # and ends open at the class-1 breakpoint 0.8301..., where the verdict
+    # reads the next segment's.  A scan that evaluated the cell's end at the
+    # breakpoint itself read 0.0490449184, 4.5e-3 short.  0.0535557657 is
+    # the midpoint sum of the verdicts at 4*10**6 evenly spaced points
+    dist = PiecewiseUniform1D(
+        [0.5240503765690198, 0.47594962343098024],
+        ([0.0, 1.0], [1.0]),
+        (
+            [0.0, 0.8301043336468918, 0.9604855193247818, 0.9924870041900088, 1.0],
+            [0.3919896620253297, 4.717468641324353, 1.7035494068382329, 0.6684972973205269],
+        ),
+    )
+    got = boundary_measure(dist, 0.012038827915807241, 0.12812068941554527)
+    assert got.value == pytest.approx(0.0535557657, rel=0.0, abs=1e-7)
+    assert got.error_bound < 1e-11
+
+
 def test_region_scans_of_300_planar_atoms_stay_small():
     # each point's one ball table is (points x atoms); a scan that summed
     # every candidate ball afresh built a (points x candidates x atoms) mask
@@ -433,6 +452,7 @@ def ref_region_mass(dist, member, grid=96):
         if not dist.density_at((a + b) / 2.0) > 0.0:
             continue
         xs = np.linspace(a, b, grid + 1)
+        xs[0], xs[-1] = np.nextafter(a, b), np.nextafter(b, a)  # the ends' inward limits
         flags = [member(float(x)) for x in xs]
         roots = []
         for i in range(grid):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nnrates.cli import _build_parser, _report, main
+from nnrates.cli import _build_parser, _json, _report, main
 
 
 def run_cli(args):
@@ -455,8 +455,8 @@ REPORT_SHA256 = {
     "atoms/01_lower_bound.json": "6cf25876f3c1867b8a6a097aba49ae923c8fca22acd9585c0f4c5fff690a8ad7",
     "atoms/02_excess.csv": "2418f40f4f770585d07992b47e7566bb67ec2f29f69bdc20e77fd39414e2d844",
     "atoms/02_excess.json": "d8af586b4b50e4a7a034e054bc97c8bd05f260d6c918606015b2fa22860daf37",
-    "power/00_upper_bound.csv": "399994004be8af13f7f7d740745f02684622c52846273d102934491a0879ede9",
-    "power/00_upper_bound.json": "84db10b5e93d2ede140c5c187807014dd314ff5f93f592dc91352da7aef6482f",
+    "power/00_upper_bound.csv": "3348bc656844cd9415697b251326ca90b3532cacd2455f87e38ccc4aa296c760",
+    "power/00_upper_bound.json": "1989c21883b35ccacd02aac1f5c60559f195b44329f658b08ce0420d9e5be5f6",
     "power/01_excess.csv": "ce0317370bc7e0456ff6750d2b9568cc04254f3609854518e7f0e4bb6794c2c6",
     "power/01_excess.json": "6e0d149ee0c7f1e6f90bb31c52d494ab26bb57ab2be04dfeb0b97701311819be",
     "power/02_rate_sweep.csv": "8ac001c39751fc83434168012b2acf3c45f262404a32bd036b904f0883db5a9e",
@@ -477,24 +477,15 @@ def test_run_reports_keep_their_pinned_bytes(tmp_path):
     assert digests == REPORT_SHA256
 
 
-def test_run_builds_the_oracle_table_once(tmp_path, monkeypatch):
-    # validation checks the oracle's term budget from the distance groups
-    # alone; it once built the whole table of exact sums too, under the name
-    # the cli imported, and the oracle then built it again
-    import nnrates.cli
-    import nnrates.harness
-
-    calls = []
-    build = nnrates.harness._oracle_groups
-
-    def spy(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(nnrates.harness, "_oracle_groups", spy)
-    monkeypatch.setattr(nnrates.cli, "_oracle_groups", spy, raising=False)
+def test_run_manifest_is_jsons_indented_text(tmp_path, capsys):
+    # the manifest is written by the reports' own encoder, which must lay
+    # out a value as json.dumps(value, indent=2) does, odd scalars included
     assert run_cli(["run", str(three_atoms_run(tmp_path, 60, 7))]) == 0
-    assert len(calls) == 1
+    text = (tmp_path / "out" / "manifest.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert capsys.readouterr().out == text
+    odd = {"a": [[], {}, [{"b": None}]], "c": [True, False, 10**30, 5e-324, -0.0], "d": {"e": "naïve"}}
+    assert _json(odd) == json.dumps(odd, indent=2)
 
 
 def test_run_exact_oracle_at_three_thousand_points(tmp_path):

@@ -9,6 +9,7 @@ of the k-th neighbor), so agreement is meaningful evidence.
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -527,18 +528,65 @@ def test_exact_oracle_enumeration_limit():
         exact_expected_mistake(fa, 2_000_000, 30_000)
 
 
-@pytest.mark.parametrize("family", [tied_three_atoms, zero_mass_atoms, pure_atoms, four_tied_atoms])
+def random_atoms(seed, m, metric, massless=0):
+    """m atoms at random points of the plane (Euclidean) or of an integer grid (L1, with ties),
+    of which `massless` carry no mass."""
+    rng = np.random.default_rng(seed)
+    if metric == "planar":
+        pts = rng.random((m, 2))
+        matrix = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    else:
+        cells = rng.choice(36, size=m, replace=False)
+        pts = np.stack([cells // 6, cells % 6], axis=1).astype(float)
+        matrix = np.abs(pts[:, None] - pts[None]).sum(axis=-1)
+    masses = rng.random(m) + 0.01
+    masses[rng.choice(m, size=massless, replace=False)] = 0.0
+    return FiniteAtomic(FiniteMetric(matrix), masses / masses.sum(), rng.random(m))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [tied_three_atoms, zero_mass_atoms, pure_atoms, four_tied_atoms]
+    + [
+        pytest.param(lambda s=seed, k=kind, d=dead: random_atoms(s, 24, k, d), id=f"{kind}_{seed}{tag}")
+        for seed, kind, dead, tag in [
+            (1, "planar", 0, ""),
+            (2, "planar", 6, "_quarter_massless"),
+            (3, "l1_grid", 0, ""),
+            (4, "l1_grid", 6, "_quarter_massless"),
+        ]
+    ],
+)
 def test_oracle_budget_counts_the_tables_groups(family):
-    # the budget counts (atom, distance group) pairs from the group ranks
-    # alone, without the table's exact sums; it must count as many pairs as
-    # the table holds, so it refuses from the same k on
+    # the budget counts (atom, distance group) pairs: for each atom of
+    # positive mass, the distinct distances from it to such atoms, the
+    # groups that mp_expected_mistake sums.  It refuses from the first k
+    # past the term limit, and the oracle refuses with it
     dist = family()
-    pairs = sum(len(groups) for _, groups in harness._oracle_groups(dist))
+    live = np.flatnonzero(dist.masses > 0.0).tolist()
+    pairs = sum(len({dist.space.matrix[q, a] for a in live}) for q in live)
     limit, step = harness._ORACLE_TERM_LIMIT, harness._ORACLE_STEP_TERMS
     k = max(k for k in range(1, 50_000) if k * (k + step) * pairs <= limit)
     harness._oracle_budget(dist, k)
-    with pytest.raises(ResourceLimitError, match=f"needs {(k + 1) * (k + 1 + step) * pairs} terms"):
+    message = f"needs {(k + 1) * (k + 1 + step) * pairs} terms"
+    with pytest.raises(ResourceLimitError, match=message):
         harness._oracle_budget(dist, k + 1)
+    with pytest.raises(ResourceLimitError, match=message):
+        exact_expected_mistake(dist, 10**6, k + 1)
+
+
+def test_exact_oracle_on_60_planar_atoms_holds_no_group_table():
+    # the oracle sums each distance group's exact masses when its loop
+    # reaches the group; a table of every (atom, group) pair's sums, each an
+    # integer of about 2,200 bits, peaked at 2.5 MB here
+    dist = random_atoms(60, 60, "planar")
+    tracemalloc.start()
+    try:
+        exact_expected_mistake(dist, 100, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"{peak / 1e6:.2f} MB"
 
 
 def test_exact_oracle_keeps_a_rare_atom_exact_at_large_n():

@@ -157,6 +157,24 @@ def test_finite_metric_validation():
         FiniteMetric(np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "distinct atoms must have positive distance"),
+        ([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "distinct atoms must have positive distance"),
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], "distance matrix must be symmetric"),
+        ([[0.0, 0.0, 9.0], [0.0, 0.0, 1.0], [9.0, 1.0, 0.0]], "distinct atoms must have positive distance"),
+    ],
+    ids=["zero_and_asymmetric", "zero_on_one_side", "asymmetric", "zero_and_no_triangle"],
+)
+def test_finite_metric_refuses_a_zero_distance_before_the_later_checks(matrix, message):
+    # the positivity check reads each sorted row's nearest other atom, which
+    # the zero self-distance leaves in column 1; it still comes before the
+    # symmetry and triangle checks
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteMetric(np.array(matrix))
+
+
 @pytest.mark.parametrize("pair", [(10, 20), (50, 150), (198, 199), (3, 8), (0, 1)], ids=lambda p: f"{p[0]}-{p[1]}")
 def test_finite_metric_refuses_a_non_metric_of_any_size(pair):
     # 200 atoms at distance 1 but one pair at 2.5 > 1 + 1: every triple is
