@@ -20,16 +20,16 @@ are classified a whole array at a time: each point's row of the family's
 and the extremes are a masked min and max over it.
 
 Measures of these regions are exact atom sums for finite-atomic families.
-For the 1-D families each region is a finite union of intervals.  One
-membership call classifies `_GRID` steps across every positive-density
-cell; each change of membership between neighbouring grid points is then
-bracketed to 1e-12 by bisection.  One membership call takes several
-levels of every bracket at once (about 64 points, some 6 to 12 calls in
-all), and each bracket stops at its own width, exactly where a bisection
-of it alone would.  The reported error_bound sums the density-weighted
-bracket widths.  Interval endpoints centered on structural breakpoints
-are anchored by the cell grid; features strictly inside a cell must be
-wider than the cell's grid spacing to be detected.
+For the 1-D families each region is a finite union of intervals.  Each
+positive-density cell starts as one bracket, and each membership call
+splits every live bracket into equal parts (`_GRID` of them on the first
+call) and keeps each part whose two ends disagree, until every kept part
+is at most 1e-12 wide (7 to 9 calls on the stock families at the levels
+the tests pin; more when many roots stay live, two parts each a call).  The
+reported error_bound sums the density-weighted widths of those final
+brackets.  Interval endpoints at structural breakpoints are anchored by
+the cells; a piece that starts and ends between two neighbouring points
+of one split is missed, in the value and in the bound alike.
 """
 
 from __future__ import annotations
@@ -63,13 +63,10 @@ NOT_IN_SUPPORT = "NotInSupport"
 _VERDICTS = (INTERIOR_PLUS, INTERIOR_MINUS, BOUNDARY, NOT_IN_SUPPORT)
 _SIDES = ("none", "plus", "minus")
 
-_GRID = 96  # steps across each support cell that the 1-D region scan classifies before bisecting
+# the 1-D region scan's first membership call splits each support cell into _GRID parts, and
+# each later call every live bracket into max(2, _GRID // live) parts: about _GRID points a call
+_GRID = 96
 _BISECT_TOL = 1e-12
-# points near which `_bisect` fills one membership call.  A call costs some 150 us plus
-# about 1 us a point; the boundary measure of `trials_large`'s n = 10^4 run took 2.4-2.7,
-# 2.3, 2.1-2.5, 2.2 and 2.7-3.8 ms at 16, 32, 64, 128 and 256 points, against 5.3 ms for
-# one level a call (min of 7 runs of 5, shared 2-core box)
-_BISECT_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -227,51 +224,16 @@ def _support_cells(dist) -> np.ndarray:
     return cells[dist.density_at((cells[:, 0] + cells[:, 1]) / 2.0) > 0.0]
 
 
-def _bisect(member: Callable[[np.ndarray], np.ndarray], lo, hi, flags) -> None:
-    """Narrow every bracket [lo, hi] in place until it is 1e-12 wide.
-
-    flags holds membership at each lo.  One membership call takes the next
-    `levels` bisection levels of every live bracket, as many as keep the
-    call near `_BISECT_POINTS` points.  A bracket's 2**levels + 1 ends are
-    built level by level, e[2i + 1] = 0.5 * (e[i] + e[i + 1]) on the
-    halved index grid: the very floats ``mid = 0.5 * (lo + hi)`` takes on
-    any bisection path.  Each bracket then walks its levels, testing its
-    own width before each step, so it stops exactly where a bisection of it
-    alone would.  The points off its path are evaluated and never read.
-    That is exact as long as member keeps two properties, as
-    `_region_verdict` and `_high_error_verdict` do:
-
-    - it answers each point independently of the others in the call (their
-      1-D paths use only IEEE arithmetic, min/max, sort/searchsorted and
-      float_power, lane by lane);
-    - it raises at no interior point of a positive-density cell, where
-      every point of a call lies.
-    """
-    live = np.flatnonzero(hi - lo > _BISECT_TOL)
-    while live.size:
-        levels = max(1, (_BISECT_POINTS // live.size + 1).bit_length() - 1)
-        ends = np.empty((live.size, (1 << levels) + 1))
-        ends[:, 0], ends[:, -1] = lo[live], hi[live]
-        for step in (1 << j for j in range(levels, 0, -1)):
-            ends[:, step // 2 :: step] = 0.5 * (ends[:, :-1:step] + ends[:, step::step])
-        same = member(ends[:, 1:-1].ravel()).reshape(live.size, -1) == flags[live, None]
-        for i, e, right in zip(live.tolist(), ends.tolist(), same.tolist()):
-            a, b = 0, len(e) - 1
-            while b - a > 1 and e[b] - e[a] > _BISECT_TOL:
-                mid = (a + b) // 2
-                a, b = (mid, b) if right[mid - 1] else (a, mid)
-            lo[i], hi[i] = e[a], e[b]
-        live = live[hi[live] - lo[live] > _BISECT_TOL]
-
-
 def _region_mass(dist, member: Callable[[np.ndarray], np.ndarray]) -> MassQueryResult:
     """Mass of {x : member(x)}, where member flags an array of points.
 
     An exact sum over the positive-mass atoms of a finite-atomic family.
-    On the 1-D families one membership call covers every support cell's
-    `_GRID` steps; then every change of membership between neighbouring
-    grid points is bisected to 1e-12, several levels of all of them a call
-    (`_bisect`).  Sums run in root order, one float add at a time.
+    On the 1-D families, the split-and-keep loop of the module docstring:
+    one membership call takes the split points of every live bracket, so
+    member must answer each point independently of the others, as
+    `_region_verdict` and `_high_error_verdict` do (their 1-D paths work
+    lane by lane); every point lies strictly inside a positive-density
+    cell.  Sums run in root order, one float add at a time.
     """
     total = 0.0
     err = 0.0
@@ -281,20 +243,27 @@ def _region_mass(dist, member: Callable[[np.ndarray], np.ndarray]) -> MassQueryR
             total += mass
         return MassQueryResult(total, err)
     cells = _support_cells(dist)
-    xs = np.stack([np.linspace(a, b, _GRID + 1) for a, b in cells])
     # each cell's ends at their inward limits: at a breakpoint the verdict reads the next segment
-    xs[:, 0], xs[:, -1] = np.nextafter(cells[:, 0], cells[:, 1]), np.nextafter(cells[:, 1], cells[:, 0])
-    flags = member(xs.ravel()).reshape(xs.shape)
-    cell, step = np.nonzero(flags[:, :-1] != flags[:, 1:])
-    lo, hi = xs[cell, step], xs[cell, step + 1]
-    _bisect(member, lo, hi, flags[cell, step])
+    lo, hi = np.nextafter(cells[:, 0], cells[:, 1]), np.nextafter(cells[:, 1], cells[:, 0])
+    starts, done = None, []
+    while lo.size:
+        parts = _GRID if starts is None else max(2, _GRID // lo.size)
+        xs = np.linspace(lo, hi, parts + 1, axis=1)
+        flags = member(xs.ravel()).reshape(xs.shape)
+        starts = flags[:, 0] if starts is None else starts
+        row, step = np.nonzero(flags[:, :-1] != flags[:, 1:])
+        lo, hi = xs[row, step], xs[row, step + 1]
+        narrow = hi - lo <= _BISECT_TOL
+        done.append((lo[narrow], hi[narrow]))
+        lo, hi = lo[~narrow], hi[~narrow]
+    lo, hi = (np.sort(np.concatenate(ends)) for ends in zip(*done))  # disjoint: both sort alike
     roots = 0.5 * (lo + hi)
     for term in (dist.density_at(roots) * (hi - lo)).tolist():
         err += term
-    for c, (a, b) in enumerate(cells):
-        # the cell alternates between in and out at its roots, starting at flags[c, 0]
-        cdfs = dist.cdf(np.concatenate([[a], roots[cell == c], [b]])).tolist()
-        for i in range(0 if flags[c, 0] else 1, len(cdfs) - 1, 2):
+    for start, (a, b) in zip(starts.tolist(), cells):
+        # the cell alternates between in and out at its roots, starting at its first flag
+        cdfs = dist.cdf(np.concatenate([[a], roots[(a < roots) & (roots < b)], [b]])).tolist()
+        for i in range(0 if start else 1, len(cdfs) - 1, 2):
             total += cdfs[i + 1] - cdfs[i]
     return MassQueryResult(total, err)
 

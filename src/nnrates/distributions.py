@@ -92,9 +92,9 @@ class MassQueryResult:
     Distribution queries (`ball_mass`, `eta_ball`) and finite-atomic region
     measures are closed forms or exact sums, and report ``error_bound ==
     0.0``.  The 1-D region measures of `nnrates.boundary` report the
-    density-weighted widths of their bisection brackets, and that is all the
-    bound covers: a region piece narrower than one scan cell is missed, in
-    the value and in the bound alike (see the `nnrates.boundary` docstring).
+    density-weighted widths of their final brackets, and that is all the
+    bound covers: a region piece between two neighbouring points of one
+    split is missed, in the value and in the bound alike (see the `nnrates.boundary` docstring).
     """
 
     value: float

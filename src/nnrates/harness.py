@@ -718,9 +718,9 @@ def run_upper_bound_trials(
     interval.
 
     The boundary mass is exact on finite-atomic families.  On the 1-D
-    families it comes from a grid scan, and the error_bound added to the
-    violation cutoff covers only the bisection widths: a boundary piece
-    narrower than one scan cell is missed (see `nnrates.boundary`).
+    families it comes from a region scan, and the error_bound added to the
+    violation cutoff covers only the bracket widths: a boundary piece
+    narrower than one split of the scan is missed (see `nnrates.boundary`).
     """
     if trials < 1:
         raise ValueError("trials must be positive")

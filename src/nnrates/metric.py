@@ -159,6 +159,8 @@ def load_finite_metric(path: str) -> FiniteMetric:
         m = int(head)
     except ValueError as exc:
         raise ValueError(f"{path}: first token must be the atom count") from exc
+    if m < 1:
+        raise ValueError(f"{path}: atom count must be at least 1, got {m}")
     count = sum(len(line.split()) for line in lines) - 1
     if count != m * m:
         raise ValueError(f"{path}: expected {m}x{m} matrix entries after the count, got {count}")

@@ -246,7 +246,7 @@ def test_smoothness_audit_validation():
 
 
 def test_scan_measure_against_monte_carlo():
-    # cross-check the bisection scanner on a family with no closed form
+    # cross-check the region scan on a family with no closed form
     dist = PiecewiseUniform1D(
         [0.4, 0.6],
         ([0.0, 0.3, 0.7, 1.0], [1.5, 1.0, 0.5]),
@@ -271,8 +271,8 @@ def multi_segment_family():
 
 @pytest.mark.parametrize("make", [disjoint_family, multi_segment_family, lambda: PowerMargin1D(1.0)])
 def test_scan_measures_agree_with_an_eight_times_finer_grid(make, monkeypatch):
-    # the scan's error_bound covers bisection widths only; a region piece
-    # narrower than one cell would be missed at 96 steps a cell and found at 768
+    # the scan's error_bound covers bracket widths only; a region piece
+    # narrower than one split would be missed at 96 parts a cell and found at 768
     dist = make()
     cases = [(boundary_measure, p, band) for p in (0.05, 0.4) for band in (0.05, 0.25)]
     cases += [(high_error_measure, n, k) for n, k in ((100, 9), (400, 16))]
@@ -322,11 +322,12 @@ def test_region_scans_of_300_planar_atoms_stay_small():
 
 
 # -- the scalar scan, spelled out ----------------------------------------------
-# The library classifies whole arrays of points and bisects every root in
-# lockstep.  Below is the point-at-a-time scan it replaced, one scalar
-# query per candidate radius and one bisection per root; the array path
-# must reproduce it bit for bit: verdicts, witness radii and both numbers
-# of every measure.
+# The library classifies whole arrays of points and splits every live
+# bracket of a pass in one membership call.  Below is the point-at-a-time
+# scan, one scalar query per candidate radius and per split point, and one
+# linspace per bracket, run pass by pass in lockstep; the array path must
+# reproduce it bit for bit: verdicts, witness radii and both numbers of
+# every measure.
 
 
 def ref_radius_breakpoints(dist, x):
@@ -448,28 +449,27 @@ def ref_region_mass(dist, member, grid=96):
                 total += float(dist.masses[atom])
         return total, err
     bps = np.unique(np.asarray(dist.x_breakpoints(), dtype=float))
-    for a, b in zip(bps[:-1].tolist(), bps[1:].tolist()):
-        if not dist.density_at((a + b) / 2.0) > 0.0:
-            continue
-        xs = np.linspace(a, b, grid + 1)
-        xs[0], xs[-1] = np.nextafter(a, b), np.nextafter(b, a)  # the ends' inward limits
-        flags = [member(float(x)) for x in xs]
-        roots = []
-        for i in range(grid):
-            if flags[i] == flags[i + 1]:
-                continue
-            lo_x, hi_x = float(xs[i]), float(xs[i + 1])
-            while hi_x - lo_x > 1e-12:
-                mid = 0.5 * (lo_x + hi_x)
-                if member(mid) == flags[i]:
-                    lo_x = mid
-                else:
-                    hi_x = mid
-            roots.append(0.5 * (lo_x + hi_x))
-            err += float(dist.density_at(0.5 * (lo_x + hi_x))) * (hi_x - lo_x)
-        inside = flags[0]
+    cells = [(a, b) for a, b in zip(bps[:-1].tolist(), bps[1:].tolist()) if dist.density_at((a + b) / 2.0) > 0.0]
+    brackets = [(float(np.nextafter(a, b)), float(np.nextafter(b, a))) for a, b in cells]  # the ends' inward limits
+    starts, done, parts = [], [], grid
+    while brackets:
+        kept = []
+        for lo, hi in brackets:
+            xs = np.linspace(lo, hi, parts + 1).tolist()
+            flags = [member(x) for x in xs]
+            if len(starts) < len(cells):
+                starts.append(flags[0])
+            kept += [(xs[i], xs[i + 1]) for i in range(parts) if flags[i] != flags[i + 1]]
+        done += [(lo, hi) for lo, hi in kept if hi - lo <= 1e-12]
+        brackets = [(lo, hi) for lo, hi in kept if hi - lo > 1e-12]
+        parts = max(2, grid // max(1, len(brackets)))
+    roots = []
+    for lo, hi in sorted(done):
+        roots.append(0.5 * (lo + hi))
+        err += float(dist.density_at(roots[-1])) * (hi - lo)
+    for inside, (a, b) in zip(starts, cells):
         current = a
-        for root in roots:
+        for root in (r for r in roots if a < r < b):
             if inside:
                 total += float(dist.cdf(root)) - float(dist.cdf(current))
             inside = not inside
@@ -582,43 +582,26 @@ def test_probability_radii_match_the_scalar_scan(family):
         assert [prob_radius(dist, x, p) for x in probes[:5]] == want[:5]
 
 
-def bisect_alone(member, lo, hi, flag):
-    """One bracket bisected by itself, one point a membership call."""
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if member(np.array([mid]))[0] == flag:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def test_three_membership_changes_inside_one_grid_step_are_all_found():
+    # each triple of changes falls inside one grid step of its cell; a scan
+    # that followed one change a bracket was off by 1e-5 to 2e-4 while it
+    # reported an error bound of 6e-13
+    dist = PowerMargin1D(1.0)
+    for changes in ([0.3, 0.30001, 0.30002], [0.3001, 0.3002, 0.3004], [0.1, 0.1000001, 0.1000003]):
+        changes = np.array(changes)
+
+        def member(xs):
+            return changes.searchsorted(xs, side="right") % 2 == 1
+
+        got = boundary._region_mass(dist, member)
+        want = (changes[1] - changes[0]) + (1.0 - changes[2])
+        assert abs(got.value - want) <= got.error_bound + 1e-12, changes
 
 
-def test_bisect_ends_where_a_bisection_of_each_bracket_alone_ends():
-    # _bisect evaluates several levels of every bracket a call; each bracket
-    # must still end on the very floats of its own one-level bisection.
-    # Brackets of widths 1e-13 to 0.1 (some no wider than 1e-12 from the
-    # start), with one or three membership changes inside each
-    rng = np.random.default_rng(17)
-    for count in (1, 2, 9):
-        for flips in (1, 3):
-            lo = rng.random(count)
-            width = 10.0 ** rng.uniform(-13.0, -1.0, count)
-            width[1::3] = 1e-12
-            hi = lo + width
-            changes = np.sort((lo[:, None] + rng.random((count, flips)) * width[:, None]).ravel())
-
-            def member(xs):
-                return changes.searchsorted(xs, side="right") % 2 == 1
-
-            flags = member(lo)
-            want = [bisect_alone(member, *args) for args in zip(lo.tolist(), hi.tolist(), flags.tolist())]
-            boundary._bisect(member, lo, hi, flags)
-            assert list(zip(lo.tolist(), hi.tolist())) == want, (count, flips)
-
-
-def test_disjoint_measures_take_few_membership_calls(monkeypatch):
+def test_one_dimensional_measures_take_few_membership_calls(monkeypatch):
     # at the sizes of the benchmark's trials_large, one membership call a
-    # bisection level took 34 calls a measure
+    # bisection level took 34 calls a measure; on the reference families a
+    # bisection that took several levels a call still took up to 12
     calls = []
 
     def counted(verdict):
@@ -639,3 +622,12 @@ def test_disjoint_measures_take_few_membership_calls(monkeypatch):
         calls.clear()
         high_error_measure(dist, n, k)
         assert 1 < len(calls) <= 10, (n, k)
+    for family, make in REFERENCE_FAMILIES.items():
+        dist = make()
+        if isinstance(dist, FiniteAtomic):
+            continue
+        cases = [(boundary_measure, *args) for args in LEVELS_AND_BANDS]
+        for measure, *args in cases + [(high_error_measure, *args) for args in SIZES]:
+            calls.clear()
+            measure(dist, *args)
+            assert len(calls) <= 10, (family, measure.__name__, args)

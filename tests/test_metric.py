@@ -11,6 +11,7 @@ neighbor order" and "the points inside the ball spanned by the k-th
 neighbor, plus that neighbor" describe the same set.
 """
 
+import re
 import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
@@ -330,6 +331,8 @@ def test_loading_300_atoms_holds_about_its_text(tmp_path, monkeypatch):
         ("2\n0 x\n1 0 7\n", r"expected 2x2 matrix entries after the count, got 5"),  # the count first
         ("2\n0 x\n1 y\n", "could not convert string to float: 'x'"),  # the first bad token
         ("2 0 1\n1 0", None),  # tokens may break across lines anywhere
+        ("0\n", "^{path}: atom count must be at least 1, got 0$"),  # before FiniteMetric's refusal
+        ("-1\n0\n", "^{path}: atom count must be at least 1, got -1$"),  # (-1)**2 entries fit
     ],
 )
 def test_load_finite_metric_refuses_in_order(tmp_path, text, message):
@@ -338,7 +341,7 @@ def test_load_finite_metric_refuses_in_order(tmp_path, text, message):
     if message is None:
         assert load_finite_metric(path).matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         return
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message.format(path=re.escape(str(path)))):
         load_finite_metric(path)
 
 
