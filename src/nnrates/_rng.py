@@ -2,14 +2,17 @@
 
 Every randomized routine in the package derives its generator from a
 64-bit seed produced by ``mix64``.  The mix is a SplitMix64 chain over the
-integer parts, so a (master_seed, n, trial_index) triple always maps to
-the same substream on every platform, in any thread.
+integer parts, so a (master_seed, n, trial_index) triple, or a
+finite-atomic run's (master_seed, n, stream_index), always maps to the
+same stream on every platform, in any thread.
 
 ``generator`` seeds PCG64 through numpy's ``SeedSequence`` hash (O'Neill's
 ``seed_seq_fe``), about 15 us a seed.  ``block_states`` restates that hash
-in wrapping uint32 array arithmetic for a block of trials: a seed below
-2**32 hashes as if its high word were 0, and the hash constants do not
-depend on the data.  `tests/test_rng.py` checks it against numpy.
+in wrapping uint32 array arithmetic for a block of 1-D trials, each of
+which has a stream of its own (finite-atomic trials split one stream per
+block instead; see `nnrates.harness`): a seed below 2**32 hashes as if
+its high word were 0, and the hash constants do not depend on the data.
+`tests/test_rng.py` checks it against numpy.
 """
 
 from __future__ import annotations

@@ -201,6 +201,9 @@ def _high_error_verdict(dist, xs, n: int, k: int) -> np.ndarray:
     side = np.zeros(xs.shape, dtype=np.intp)
     _, live, eta = _definite(dist, xs)
     mn, _, mx, _ = _eta_extremes(dist, xs[live], k / n, min(1.0, (k + math.sqrt(k) + 1.0) / n))
+    # ball averages of eta lie in [0, 1], but a pure segment's may round past 1 (or below 0),
+    # and at k = 4, where tol = 1/2, that rounding alone would decide membership
+    mn, mx = np.clip(mn, 0.0, 1.0), np.clip(mx, 0.0, 1.0)
     tol = 1.0 / math.sqrt(k)
     plus = eta > 0.5
     side[live] = np.where(plus, np.where(mx <= 0.5 + tol, 1, 0), np.where(mn >= 0.5 - tol, 2, 0))

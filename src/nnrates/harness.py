@@ -16,14 +16,22 @@ The finite-atomic exact oracle, `exact_expected_mistake`, conditions on
 the k-th neighbor's distance group, each summed when its walk of the group
 table reaches it: its cost does not grow with n.
 
-Reproducibility contract: every trial's generator seed is a documented
-64-bit mix of (master_seed, n, trial_index).  Trials are therefore
-order-independent: growing a trial budget never changes earlier trials,
-and a run from an offset start reproduces the same trials bit for bit.
-Aggregation always reduces in trial order.  `_states` derives the PCG64
-states of `generator(seed)` for a block of trials at once, and a run sets
-them in turn on the one generator it owns: a fresh generator per trial
-cost 20 us, more than a whole finite-atomic trial at n = 40 now takes.
+Reproducibility contract: every trial's draw is a documented function of
+(master_seed, n, trial_index t), in one of two stream layouts.  Trials are
+therefore order-independent: growing a trial budget never changes earlier
+trials, and a run from an offset start reproduces the same trials bit for
+bit.  Aggregation always reduces in trial order.
+
+- A 1-D trial has a stream of its own, ``generator(mix64(master_seed, n,
+  t))``.  `_states` derives the PCG64 states of a block of trials at once,
+  and a run sets them in turn on the one generator it owns: a fresh
+  generator per trial cost 20 us.
+- Finite-atomic trial t reads numbers [3n j, 3n (j + 1)) of the stream
+  ``generator(master_seed, n, b)``, where (b, j) = divmod(t,
+  `_BLOCK_TRIALS`): each stream of 512 trials is split by jump-ahead
+  (PCG64's ``advance``; O'Neill 2014), and no draw of n points reads more
+  than 3n numbers.  So changing `_BLOCK_TRIALS` moves every finite-atomic
+  value.
 
 Trials of the 1-D families run through one kernel, `_Trials1D`, that
 allocates nothing per trial.  Each run of trials sizes one set of
@@ -53,18 +61,18 @@ of equal locations takes its part of the run from the run's start: the
 smallest tie-break draws, as `predict` takes them.
 
 Finite-atomic trials run a block at a time in one kernel, `_atomic_wrong`,
-that both the disagreement and the excess statistics read.  A draw of n
-points reads its stream's first 3n numbers in order, so each trial sets
-its state and makes one ``random`` call into its row of a (trials, 3, n)
-array (`_stream_blocks`); the atom lookup, the labels and the neighbor
-ranking then run once over the block.  One argsort of the block's
-tie-break draws ranks every row's points, and each query atom then takes
-one sort of packed int64 (distance group, rank, label) keys.  On a block
-of 512 trials of n = 40 draws on three atoms that ranking and vote take
-0.66-0.67 ms, where a stable lexsort per query atom and a gather of the
-labels took 2.6-2.8.  A trial (k = 13) takes 5.5-5.7 us on a shared
-2-core machine, of which deriving, setting and reading its stream take
-about 3.6.
+that both the disagreement and the excess statistics read.  The trials of
+a block read consecutive numbers of one stream, so one ``random`` call
+fills the block's (trials, 3, n) array (`_stream_blocks`); the atom
+lookup, the labels and the neighbor ranking then run once over the block.
+One argsort of the block's tie-break draws ranks every row's points, and
+each query atom then takes one sort of packed int64 (distance group, rank,
+label) keys.  On a block of 512 trials of n = 40 draws on three atoms that
+ranking and vote take 0.66-0.67 ms, where a stable lexsort per query atom
+and a gather of the labels took 2.6-2.8.  A trial (k = 13) takes 2.2-3.0 us
+on a shared 2-core machine, of which its stream takes 0.3-0.5; with a
+PCG64 state of its own, derived and set per trial, it took 5.5-5.7, 3.2-3.5
+of them the stream.
 
 Every trial runs in the calling thread.  A trial holds the GIL between
 short numpy calls, so a second thread paid only on large runs: on a
@@ -84,7 +92,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import block_states, mix64
+from ._rng import block_states, generator, mix64
 from .boundary import boundary_measure, high_error_measure
 from .bounds import (
     MarginSpec,
@@ -117,9 +125,10 @@ __all__ = [
 ]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-# trials whose streams are derived at once, or drawn and ranked by one atomic block.  At
-# n = 40, k = 13 on three atoms a trial took 5.5-5.7 us at 512, 5.8-6.0 at 256 and 5.4-5.7
-# at 1,024 (min of 25 runs of 4,096 trials, shared 2-core box)
+# finite-atomic trials that split one stream, a contract constant: changing it moves every
+# finite-atomic value.  Also the most trials one atomic block draws and ranks, and the 1-D
+# trials whose states are derived at once.  At n = 40, k = 13 on three atoms a trial took
+# 2.2-2.3 us at 256, 512 and 1,024 alike (min of 25 runs of 4,096 trials, shared 2-core box)
 _BLOCK_TRIALS = 512
 _BLOCK_POINTS = 1 << 20  # training points held at once by one finite-atomic block
 # cut-local trials sort a band near the cut from this n on.  At k = ceil(sqrt(n)), a trial
@@ -481,12 +490,12 @@ def _atomic_wrong(dist: FiniteAtomic, n: int, k: int, master_seed: int, start: i
     """The (trials, atoms) bool array of trials [start, stop): where each trial's rule is not Bayes.
 
     Row by row it equals the fit/predict path's bit for bit: each trial
-    keeps its own mix64 seed, and neighbors rank by (distance, tie-break
-    draw, training index), as `predict` ranks them.  `_by_rank` puts each
-    row of a block in (draw, index) order once; then for each query atom q
-    a row's keys ``group[q, x] << (bits(n - 1) + 1) | rank << 1 | label``
-    are distinct, so one int64 sort puts its k nearest first, and their low
-    bits are the votes.  A key needs bits(m) + bits(n) + 1 <= 63 bits for m
+    reads its own 3n numbers of its block's stream, and neighbors rank by
+    (distance, tie-break draw, training index), as `predict` ranks them.
+    `_by_rank` puts each row of a block in (draw, index) order once; then
+    for each query atom q a row's keys ``group[q, x] << (bits(n - 1) + 1) |
+    rank << 1 | label`` are distinct, so one int64 sort puts its k nearest
+    first, and their low bits are the votes.  A key needs bits(m) + bits(n) + 1 <= 63 bits for m
     atoms, which any m x m matrix and row of n draws that fit in memory meet.
     """
     _check_k(k, n)
@@ -520,27 +529,30 @@ def _by_rank(xs: np.ndarray, zs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
 
 
 def _stream_blocks(master_seed: int, n: int, start: int, stop: int):
-    """Blocks of trials [start, stop), in order: each row holds the first 3n numbers of its trial's stream.
+    """Blocks of trials [start, stop), in order: row t holds numbers [3n j, 3n (j + 1)) of the stream
+    ``generator(master_seed, n, b)``, (b, j) = divmod(t, `_BLOCK_TRIALS`), as a (3, n) row in C order.
 
-    One ``random(out=row)`` call fills a (3, n) row, in C order.  A block
-    holds at most `_BLOCK_TRIALS` rows and `_BLOCK_POINTS` draws of n
-    points, and at least one row.  Every block is a view of one array:
-    read it before asking for the next.
+    A run that starts inside a stream advances it to its start once, and
+    one ``random(out=block)`` call fills each block.  A block holds at most
+    `_BLOCK_POINTS` draws of n points, and at least one row, and never
+    crosses a stream's end.  Every block is a view of one array: read it
+    before asking for the next.
     """
     rows = max(1, min(_BLOCK_TRIALS, _BLOCK_POINTS // n))
     buf = np.empty((rows, 3, n))
-    states = _states(master_seed, n, start, stop)
-    rng = np.random.Generator(np.random.PCG64(0))
-    for lo in range(start, stop, rows):
-        block = buf[: min(rows, stop - lo)]
-        for row, state in zip(block, states):
-            rng.bit_generator.state = state
-            rng.random(out=row)
-        yield block
+    for first in range(start - start % _BLOCK_TRIALS, stop, _BLOCK_TRIALS):
+        rng = generator(master_seed, n, first // _BLOCK_TRIALS)
+        begin, end = max(start, first), min(stop, first + _BLOCK_TRIALS)
+        if begin > first:
+            rng.bit_generator.advance(3 * n * (begin - first))
+        for lo in range(begin, end, rows):
+            block = buf[: min(rows, end - lo)]
+            rng.random(out=block)
+            yield block
 
 
 def _states(master_seed: int, n: int, start: int, stop: int):
-    """The PCG64 state of each trial's stream in [start, stop), derived a block at a time."""
+    """The PCG64 state of each 1-D trial's stream in [start, stop), derived a block at a time."""
     prefix = mix64(master_seed, n)
     for lo in range(start, stop, _BLOCK_TRIALS):
         yield from block_states(prefix, lo, min(lo + _BLOCK_TRIALS, stop))

@@ -4,9 +4,10 @@ The Bayes-one cdf is the mass of [0, t] on which the Bayes label is 1.
 The trial kernel computes it in bulk (`_cdf_pair_into`); the spelled-out
 form here, one point at a time, is what the kernel is tested against.
 
-The finite-atomic trials are spelled out the same way: one trial trains a
-model with `fit_arrays` and labels each atom with `predict`, the path
-that the blocked kernel (`harness._atomic_wrong`) must match bit for bit.
+The finite-atomic trials are spelled out the same way: one trial reads its
+own uniforms off its block's stream (`atomic_uniforms`), trains a model
+with `fit_arrays` and labels each atom with `predict`, the path that the
+blocked kernel (`harness._atomic_wrong`) must match bit for bit.
 A trial's excess is spelled out twice: exactly, as a sum over its wrong
 atoms, and as the harness once estimated it, from query draws on a second
 stream (`sampled_excess`), whose mean over training draws is the exact
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from nnrates._rng import mix64
+from nnrates._rng import generator, mix64
 from nnrates.bounds import _binom_log_pmf
 from nnrates.classifier import fit_arrays, predict
 from nnrates.distributions import FiniteAtomic, PowerMargin1D
@@ -48,19 +49,28 @@ def atom_labels(model) -> np.ndarray:
     return np.array([predict(model, a) for a in range(model.space.size)])
 
 
-def atom_wrong(dist, n: int, k: int, seed: int) -> np.ndarray:
-    """The bool row of atoms where one freshly trained finite-atomic rule is not Bayes."""
-    return atom_labels(fit_arrays(dist.space, *dist.sample_arrays(seed, n), k)) != (dist.etas >= 0.5)
+def atomic_uniforms(master_seed: int, n: int, t: int) -> np.ndarray:
+    """The (3, n) uniforms of finite-atomic trial t: numbers [3n j, 3n (j + 1)) of the stream
+    ``generator(master_seed, n, b)``, where (b, j) = divmod(t, 512)."""
+    rng = generator(master_seed, n, t // 512)
+    rng.bit_generator.advance(3 * n * (t % 512))
+    return rng.random((3, n))
 
 
-def trial_disagreement(dist, n: int, k: int, seed: int) -> float:
-    """Exact Bayes-disagreement mass of one freshly trained finite-atomic rule."""
-    return float(dist.masses[atom_wrong(dist, n, k, seed)].sum())
+def atom_wrong(dist, n: int, k: int, master_seed: int, t: int) -> np.ndarray:
+    """The bool row of atoms where the rule of finite-atomic trial t is not Bayes."""
+    xs, zs, ys = dist._draw(atomic_uniforms(master_seed, n, t))
+    return atom_labels(fit_arrays(dist.space, xs, zs, ys, k)) != (dist.etas >= 0.5)
+
+
+def trial_disagreement(dist, n: int, k: int, master_seed: int, t: int) -> float:
+    """Exact Bayes-disagreement mass of the rule of finite-atomic trial t."""
+    return float(dist.masses[atom_wrong(dist, n, k, master_seed, t)].sum())
 
 
 def atomic_excess(dist, n: int, k: int, master_seed: int, t: int) -> float:
     """Exact excess of finite-atomic trial t: mass * |1 - 2 eta| over the atoms where the rule is wrong."""
-    wrong = atom_wrong(dist, n, k, mix64(master_seed, n, t))
+    wrong = atom_wrong(dist, n, k, master_seed, t)
     return float((dist.masses * np.abs(1.0 - 2.0 * dist.etas))[wrong].sum())
 
 
@@ -78,7 +88,7 @@ def sampled_excess(dist, n: int, k: int, queries: int, master_seed: int, trials:
         xq = dist.sample_arrays(mix64(master_seed, n, t, 1), queries)[0]
         etas = dist.eta_point_value(xq)
         if kernel is None:
-            wrong = atom_wrong(dist, n, k, mix64(master_seed, n, t))[xq]
+            wrong = atom_wrong(dist, n, k, master_seed, t)[xq]
         else:
             edges, preds = kernel._train(state)
             wrong = preds[np.searchsorted(edges[1:-1], xq)] != (etas >= 0.5)

@@ -120,7 +120,6 @@ def test_c02_boundary_nesting_and_closed_form():
     print("criterion 02 PASS: 10x10 grid monotone, 2*band*level exact at 20 points")
 
 
-@pytest.mark.slow
 def test_c03_classifier_matches_exact_oracle():
     """Monte Carlo over trials reproduces the exact expected disagreement."""
     start = time.perf_counter()

@@ -161,6 +161,20 @@ def test_high_error_measure_matches_classifier_at_k_four(n):
     assert got.error_bound == 0.0
 
 
+@pytest.mark.parametrize("n", [68, 200, 1000])
+def test_high_error_at_k_four_holds_a_pure_segment_whose_averages_round_past_one(n):
+    # label 1 alone on [0.41, 1]: its ball averages of eta are 1, but the mass and
+    # eta-mass prefixes that they divide round apart, and some averages come out
+    # above 1 (by up to 1.3e-15 at n = 68 and 2.1e-14 at n = 1,000).  At k = 4
+    # every definite point is in, so the set is the whole support
+    dist = PiecewiseUniform1D([0.5, 0.5], ([0.0, 0.3, 0.41, 1.0], [2.0, 0.4 / 0.11, 0.0]), ([0.0, 1.0], [1.0]))
+    probes = np.linspace(0.41, 1.0, 2001)[1:-1]
+    assert all(high_error_classify(dist, float(x), n, 4).verdict for x in probes)
+    got = high_error_measure(dist, n, 4)
+    assert got.value == 1.0
+    assert got.error_bound == 0.0
+
+
 def test_high_error_requires_definite_label():
     pm = PowerMargin1D(1.0)
     got = high_error_classify(pm, 0.5, 400, 16)

@@ -449,12 +449,12 @@ PINNED_RUNS = {
     ]),
 }
 REPORT_SHA256 = {
-    "atoms/00_upper_bound.csv": "3297098faa1641849e10b4a64eb8b7683ef24c5bc8881bf28f54da7f73099337",
-    "atoms/00_upper_bound.json": "c5278910082072aa8cba223b57a1944d17cf2804bf782d0fa2dd132d6d4628cb",
+    "atoms/00_upper_bound.csv": "bfcacde1c8aae14a7a2c7cf1aa842efd936b5feaa37f8c29047990e847adbd7c",
+    "atoms/00_upper_bound.json": "6f15de1e9b0edddcb5984db59f2b484e9455fd16aeec28578a9acf4f06d35ea7",
     "atoms/01_lower_bound.csv": "8c8c06f1e6aa9d9d6ffcc7fe76ee2c44d56b9d9de7a43d71cd4cacde511c27b8",
     "atoms/01_lower_bound.json": "6cf25876f3c1867b8a6a097aba49ae923c8fca22acd9585c0f4c5fff690a8ad7",
-    "atoms/02_excess.csv": "2418f40f4f770585d07992b47e7566bb67ec2f29f69bdc20e77fd39414e2d844",
-    "atoms/02_excess.json": "d8af586b4b50e4a7a034e054bc97c8bd05f260d6c918606015b2fa22860daf37",
+    "atoms/02_excess.csv": "a1d887a052099bfe902d1b36b2cbe5164348c9f87eefca004e69a446b1960de5",
+    "atoms/02_excess.json": "85e02962c73d25b43af47f968c2e1cdb5b9ec858c70cb4c555ca3782bb54fd34",
     "power/00_upper_bound.csv": "3348bc656844cd9415697b251326ca90b3532cacd2455f87e38ccc4aa296c760",
     "power/00_upper_bound.json": "1989c21883b35ccacd02aac1f5c60559f195b44329f658b08ce0420d9e5be5f6",
     "power/01_excess.csv": "ce0317370bc7e0456ff6750d2b9568cc04254f3609854518e7f0e4bb6794c2c6",

@@ -39,6 +39,7 @@ from nnrates.metric import FiniteMetric
 from references import (
     atom_wrong,
     atomic_excess,
+    atomic_uniforms,
     bayes_one_cdf,
     exact_mean_1d,
     occupancy_expected_mistake,
@@ -725,7 +726,7 @@ def test_blocked_atomic_trials_match_single_trial_path(monkeypatch):
     fa = tied_three_atoms()
     stop = _BLOCK_TRIALS + 37
     for n, k in [(5, 2), (5, 3), (5, 5), (1, 1), (40, 13)]:
-        want = [trial_disagreement(fa, n, k, mix64(9, n, t)) for t in range(stop)]
+        want = [trial_disagreement(fa, n, k, 9, t) for t in range(stop)]
         for block_points in (harness._BLOCK_POINTS, 200, 1):
             monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
             assert _trial_values(fa, n, k, 9, 0, stop) == want, (n, k, block_points)
@@ -746,6 +747,41 @@ def test_blocked_atomic_trials_match_single_trial_path(monkeypatch):
                 assert got[0].tobytes() == sampled.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         _trial_values(fa, 3, 4, 9, 0, 10)
+
+
+def blocks_from(n: int, start: int, stop: int) -> list[np.ndarray]:
+    """The memory blocks of `_stream_blocks` for trials [start, stop) of seed 9, each a copy."""
+    return [block.copy() for block in harness._stream_blocks(9, n, start, stop)]
+
+
+def test_atomic_streams_follow_the_block_layout():
+    # trial t reads numbers [3n j, 3n (j + 1)) of stream (9, n, b), (b, j) =
+    # divmod(t, 512), whichever trial a run starts from.  At n = 40 one memory
+    # block holds a whole stream, and trials 511 and 512 sit on either side of
+    # a stream's end
+    rows = np.concatenate(blocks_from(40, 500, 530))
+    for t in (500, 511, 512, 529):
+        assert rows[t - 500].tobytes() == atomic_uniforms(9, 40, t).tobytes(), t
+    assert [len(b) for b in blocks_from(40, 500, 530)] == [12, 18]
+    # at n = 3,000 a memory block holds 2**20 // 3,000 = 349 trials, fewer than
+    # a stream's 512: each stream is cut into blocks of 349 and 163, and a run
+    # from trial 300 starts with the 212 left of stream 0
+    assert harness._BLOCK_POINTS // 3000 == 349
+    assert [len(b) for b in blocks_from(3000, 0, 1100)] == [349, 163, 349, 163, 76]
+    assert [len(b) for b in blocks_from(3000, 300, 1100)] == [212, 349, 163, 76]
+    rows = np.concatenate(blocks_from(3000, 300, 1100))
+    for t in (300, 348, 349, 511, 512, 860, 861, 1023, 1024, 1099):
+        assert rows[t - 300].tobytes() == atomic_uniforms(9, 3000, t).tobytes(), t
+
+
+def test_atomic_trials_from_an_offset_start_are_the_same_trials():
+    # a run from trial 700 starts 188 trials into stream 1 and crosses into
+    # stream 2 at trial 1,024; its values are trials [700, 1500) of a run from 0
+    fa = tied_three_atoms()
+    for n, k in [(1, 1), (5, 2), (40, 13)]:
+        whole = _trial_values(fa, n, k, 9, 0, 1500)
+        assert _trial_values(fa, n, k, 9, 700, 1500) == whole[700:], (n, k)
+        assert whole[700:702] == [trial_disagreement(fa, n, k, 9, t) for t in (700, 701)]
 
 
 def test_atomic_kernel_ranks_tied_draws_as_a_spelled_out_lexsort(monkeypatch):
@@ -770,7 +806,7 @@ def test_atomic_kernel_ranks_tied_draws_as_a_spelled_out_lexsort(monkeypatch):
         for n, k in [(1, 1), (6, 1), (6, 3), (6, 6), (40, 1), (40, 13), (40, 40)]:
             want = []
             for t in range(stop):
-                u = generator(mix64(9, n, t)).random((1, 3, n))
+                u = atomic_uniforms(9, n, t)[None]
                 u[:, 1] = np.floor(u[:, 1] * 4.0) / 4.0
                 xs, zs, ys = (a[0] for a in fa._draw(u))
                 row = []
@@ -797,7 +833,7 @@ def test_atomic_trials_sum_each_rows_own_masses():
     masses = np.random.default_rng(5).random(12)
     fa = FiniteAtomic(FiniteMetric(np.abs(pos[:, None] - pos)), masses / masses.sum(), [0.9, 0.1] * 6)
     n, k, stop = 3, 1, 300
-    want = [trial_disagreement(fa, n, k, mix64(9, n, t)) for t in range(stop)]
+    want = [trial_disagreement(fa, n, k, 9, t) for t in range(stop)]
     assert _trial_values(fa, n, k, 9, 0, stop) == want
     rows = list(harness._atomic_wrong(fa, n, k, 9, 0, stop))
     assert len({row.tobytes() for row in rows}) < stop / 2
@@ -820,7 +856,7 @@ def test_blocked_atomic_excess_matches_fit_predict_reference(monkeypatch):
                 got = estimate_expected_excess(fa, n, k, trials, master_seed=3)
                 assert list(got.per_trial) == want, (block_points, n, k)
                 for t, value in enumerate(got.per_trial):
-                    wrong = atom_wrong(fa, n, k, mix64(3, n, t))
+                    wrong = atom_wrong(fa, n, k, 3, t)
                     exact = sum((w for w, bad in zip(weights, wrong) if bad), Fraction(0))
                     assert abs(Fraction(value) - exact) <= Fraction(1e-14) * exact, (n, k, t)
     with pytest.raises(ValueError):
