@@ -14,10 +14,12 @@ A refusal that comes up mid-run exits the same way, and a run that fails
 publishes nothing.  Observed bound violations are data, never an exit code.
 
 A report holds columns (name -> list of values).  Every number in it is
-canonicalized to 12 significant digits at report construction, each
-distinct value of a column once, so CSV and JSON renderings of a run agree
-exactly and reruns are byte-identical.  The argument parser is built once
-a process.
+canonicalized to 12 significant digits at report construction, so CSV and
+JSON renderings of a run agree exactly and reruns are byte-identical.
+Canonicalizing and rendering go a column at a time, each distinct value of
+a column once (`_each_once`): a column of one numeric type, as every trial
+column is, takes C-level passes with no Python step per cell.  The
+argument parser is built once a process.
 """
 
 from __future__ import annotations
@@ -71,23 +73,21 @@ def _json(value, pad: str = "") -> str:
 
     With an indent, json encodes in pure Python, several calls a value.
     Here a dict (with string keys) or a list is laid out as json lays it
-    out, and its finite floats and ints are written with ``repr``, as json
-    writes them.  Other scalars go to ``json.dumps`` without an indent,
-    which gives the same bytes from json's one default encoder, where an
-    indent builds a new encoder a call; anything else goes to json itself.
+    out, a list's items through `_each_once`, and finite floats and ints
+    are written with ``repr``, as json writes them.  Other scalars go to
+    ``json.dumps`` without an indent, which gives the same bytes from
+    json's one default encoder, where an indent builds a new encoder a
+    call; anything else goes to json itself.
     """
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    if value is None or type(value) in (str, float):
+        return json.dumps(value)
     inner = pad + "  "
     if type(value) is dict and value:
         items = [f"{json.dumps(key)}: {_json(v, inner)}" for key, v in value.items()]
     elif type(value) is list and value:
-        items = [
-            repr(v) if type(v) is int or type(v) is float and math.isfinite(v) else _json(v, inner)
-            for v in value
-        ]
-    elif type(value) is int or type(value) is float and math.isfinite(value):
-        return repr(value)
-    elif value is None or type(value) in (str, float):
-        return json.dumps(value)
+        items = _each_once(lambda v: _json(v, inner), value)
     else:
         return json.dumps(value, indent=2).replace("\n", "\n" + pad)
     ends = "{}" if type(value) is dict else "[]"
@@ -103,13 +103,45 @@ def _fmt(value) -> str:
 def _each_once(fn, values) -> list:
     """``[fn(v) for v in values]``, with fn called once for each distinct value.
 
-    A value is looked up by its type and itself, so True stays apart from
-    1 and 1.0, and ``np.float64(x)`` from ``x``.  A zero skips the lookup,
-    as 0.0 == -0.0; a NaN may miss it, which costs only a call.
+    fn is `_canon`, or writes an `int` as ``repr`` does.  A column whose
+    values all have one numeric type, `int` or `float`, as every trial
+    column's do, takes C-level passes with no Python step per cell.  One
+    repeated nonzero value costs one call.  An int is its own canonical
+    value, and ``repr`` writes it.  Otherwise ``set`` finds the distinct
+    floats, fn maps each, and ``map`` reads the results back; if no float
+    repeats, fn maps the column itself.  The set keeps the column's first
+    zero, as 0.0 == -0.0, and a numpy pass gives the zeros of the other
+    sign their own result.  Distinct NaN objects stay apart in a set, so a
+    NaN costs at most a call.
+
+    Any other column is looked up cell by cell, by type and value, so True
+    stays apart from 1 and 1.0, and ``np.float64(x)`` from x.  A zero skips
+    the lookup, as does a dict or a list, which has no hash.
     """
+    first = values[0] if values else None
+    kind = type(first)
+    if kind in (int, float) and list(map(type, values)).count(kind) == len(values):
+        if first and values.count(first) == len(values):
+            return [fn(first)] * len(values)
+        if kind is int:
+            return list(values) if fn is _canon else list(map(repr, values))
+        distinct = set(values)
+        if len(distinct) == len(values):
+            return list(map(fn, values))
+        done = dict(zip(distinct, map(fn, distinct)))
+        out = list(map(done.__getitem__, values))
+        if 0.0 in done:
+            zero = values[values.index(0.0)]
+            cells = np.fromiter(values, float, len(values))
+            other = (cells == 0.0) & (np.signbit(cells) != np.signbit(zero))
+            if other.any():
+                out = np.array(out, dtype=object)
+                out[other] = fn(-zero)
+                out = out.tolist()
+        return out
     seen, out = {}, []
     for v in values:
-        if not v:
+        if not v or type(v) in (dict, list):
             out.append(fn(v))
             continue
         key = (type(v), v)
@@ -122,6 +154,8 @@ def _each_once(fn, values) -> list:
 
 @dataclass
 class Report:
+    """Canonical columns and a summary, rendered a column at a time by `_each_once`."""
+
     columns: dict[str, list]  # each name's column, all of one length
     summary: dict
 

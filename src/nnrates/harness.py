@@ -306,7 +306,7 @@ def _window_votes(t, sums, k: int, switches, preds) -> None:
     sums[0] = 0
     np.cumsum(sums[1:], out=sums[1:])
     np.add(t[: n - k], t[k:], out=switches)
-    switches /= 2.0
+    switches *= 0.5  # x * 0.5 is x / 2 correctly rounded, for every double
     votes = t.view(np.int64)[: n - k + 1]
     np.subtract(sums[k:], sums[: n + 1 - k], out=votes)
     np.greater_equal(votes, (k + 1) // 2, out=preds)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nnrates import cli
 from nnrates.cli import _build_parser, _json, _report, main
 
 
@@ -105,7 +106,10 @@ def test_reports_render_as_json_and_csv_would():
     # bytes: the values whose repr and 12-digit forms differ, an int past
     # int64, canonicalized bools, quotes, a backslash and non-ASCII text.
     # Each distinct value of a column is canonicalized and formatted once, so
-    # the last three rows repeat values that compare equal and render apart
+    # the last three rows repeat values that compare equal and render apart.
+    # Columns g-k are each of one type, which the column path serves: zeros
+    # alone, of both signs, a -0.0 first; distinct NaN objects and repeated infs;
+    # bools, which become ints; distinct ints past int64; np.float64s
     rows = [
         [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16],
         [123456789012.0, 2**63, True, False, 'say "hi" \\ back', "naïve ü 中"],
@@ -115,6 +119,14 @@ def test_reports_render_as_json_and_csv_would():
         [0.0, float("nan"), 0.1, True, -0.0, math.nan],
     ]
     columns = {name: [row[i] for row in rows] for i, name in enumerate("abcdef")}
+    nans = [float("nan") for _ in range(3)]
+    columns.update(
+        g=[-0.0, 0.0, 0.0, -0.0, 0.0, -0.0],
+        h=[nans[0], math.inf, nans[1], -math.inf, math.inf, nans[2]],
+        i=[True, False, True, True, False, True],
+        j=[2**63, -1, 0, 7, 10**20, -(2**63) - 1],
+        k=[np.float64(x) for x in (0.1, 1 / 3, 0.1, -0.0, 0.0, 2.5e-7)],
+    )
     summary = {
         "schedule": "confidence", "n": 40, "rate": np.float64(0.25), "count": np.int64(7),
         "passed": True, "none": None, "low": -math.inf, "big": 2**63,
@@ -122,20 +134,42 @@ def test_reports_render_as_json_and_csv_would():
     report = _report(columns, summary)
     assert [type(v) for v in report.columns["c"]] == [float, int, float, int, float, float]
     assert [type(v) for v in report.columns["d"]] == [float, int, int, float, int, int]
+    assert {name: {type(v) for v in report.columns[name]} for name in "ghijk"} == {
+        "g": {float}, "h": {float}, "i": {int}, "j": {int}, "k": {float}
+    }
+    assert report.columns["h"][0] is nans[0] and report.columns["i"] == [1, 0, 1, 1, 0, 1]
     assert report.to_json() == json.dumps({"columns": report.columns, "summary": report.summary}, indent=2) + "\n"
     assert report.to_csv() == (
-        "a,b,c,d,e,f\n"
-        "nan,inf,-inf,-0,4.94065645841e-324,1e+16\n"
-        '123456789012,9223372036854775808,1,0,say "hi" \\ back,naïve ü 中\n'
-        "0.333333333333,-7,0.1,1,0,\n"
-        "0,nan,1,1,-0,nan\n"
-        "-0,nan,0.1,1,0,nan\n"
-        "0,nan,0.1,1,-0,nan\n"
+        "a,b,c,d,e,f,g,h,i,j,k\n"
+        "nan,inf,-inf,-0,4.94065645841e-324,1e+16,-0,nan,1,9223372036854775808,0.1\n"
+        '123456789012,9223372036854775808,1,0,say "hi" \\ back,naïve ü 中,0,inf,0,-1,0.333333333333\n'
+        "0.333333333333,-7,0.1,1,0,,0,nan,1,0,0.1\n"
+        "0,nan,1,1,-0,nan,-0,-inf,1,7,-0\n"
+        "-0,nan,0.1,1,0,nan,0,inf,0,100000000000000000000,0\n"
+        "0,nan,0.1,1,-0,nan,-0,nan,1,-9223372036854775809,2.5e-07\n"
         "# schedule=confidence n=40 rate=0.25 count=7 passed=1 none=None low=-inf big=9223372036854775808\n"
     )
     for empty in (_report({"a": [], "b": []}, {"trials": 0}), _report({}, {})):
         assert empty.to_json() == json.dumps({"columns": empty.columns, "summary": empty.summary}, indent=2) + "\n"
     assert _report({}, {}).to_csv() == "\n# \n"
+
+
+def test_a_column_of_one_type_calls_each_function_once_a_distinct_value(monkeypatch):
+    # a trial column has thousands of cells and a few distinct values, most
+    # of them zeros here, as upper_bound's mistake_prob column has
+    values = np.random.default_rng(29).choice([0.0, 0.0, 0.0, 0.1, 1 / 3, 0.25, 2e-7, 0.5, 0.75], 4000).tolist()
+    assert len(set(values)) == 7
+    calls = []
+    for name in ("_canon", "_fmt"):
+        real_fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda v, f=real_fn, name=name: calls.append(name) or f(v))
+    report = cli._report({"p": values}, {})
+    assert calls.count("_canon") <= 7
+    csv = report.to_csv()
+    assert calls.count("_fmt") <= 7
+    monkeypatch.undo()
+    assert report.columns["p"] == [cli._canon(v) for v in values]
+    assert csv == "p\n" + "".join(f"{cli._fmt(cli._canon(v))}\n" for v in values) + "# \n"
 
 
 def test_json_reports_write_scalars_without_an_encoder_each(monkeypatch):
