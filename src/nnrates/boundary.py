@@ -44,6 +44,10 @@ from .distributions import FiniteAtomic, MassQueryResult
 from .errors import DomainError, ZeroMassError
 
 __all__ = [
+    "BOUNDARY",
+    "INTERIOR_MINUS",
+    "INTERIOR_PLUS",
+    "NOT_IN_SUPPORT",
     "HighErrorVerdict",
     "RegionVerdict",
     "SmoothnessViolation",
@@ -67,6 +71,7 @@ _SIDES = ("none", "plus", "minus")
 # each later call every live bracket into max(2, _GRID // live) parts: about _GRID points a call
 _GRID = 96
 _BISECT_TOL = 1e-12
+_ROUND_SLACK = 2.0**-40  # 9.1e-13 < _BISECT_TOL; a band up to 1/2 - _ROUND_SLACK keeps its thresholds
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,12 @@ def _region_verdict(dist, xs, p: float, band: float) -> tuple[np.ndarray, np.nda
     support, live, eta = _definite(dist, xs)
     code[support] = _VERDICTS.index(BOUNDARY)
     mn, mn_r, mx, mx_r = _eta_extremes(dist, xs[live], 0.0, p)
+    # a pure segment's ball averages are ratios of prefix sums that round apart, to just
+    # below 1 (or above 0), and at band = 1/2 that rounding alone would decide membership:
+    # each threshold stays _ROUND_SLACK, just under the scan's resolution, inside [0, 1]
+    hi, lo = min(0.5 + band, 1.0 - _ROUND_SLACK), max(0.5 - band, _ROUND_SLACK)
     plus = eta > 0.5
-    interior = np.where(plus, mn >= 0.5 + band, mx <= 0.5 - band)
+    interior = np.where(plus, mn >= hi, mx <= lo)
     code[live[interior & plus]] = _VERDICTS.index(INTERIOR_PLUS)
     code[live[interior & ~plus]] = _VERDICTS.index(INTERIOR_MINUS)
     radius[live] = np.where(interior, np.nan, np.where(plus, mn_r, mx_r))

@@ -16,10 +16,11 @@ publishes nothing.  Observed bound violations are data, never an exit code.
 A report holds columns (name -> list of values).  Every number in it is
 canonicalized to 12 significant digits at report construction, so CSV and
 JSON renderings of a run agree exactly and reruns are byte-identical.
-Canonicalizing and rendering go a column at a time, each distinct value of
-a column once (`_each_once`): a column of one numeric type, as every trial
-column is, takes C-level passes with no Python step per cell.  The
-argument parser is built once a process.
+Canonicalizing and rendering go a column at a time (`_each_once`).  Only a
+column of one type (`int`, `float` or `str`, as every trial column is) is
+read once per distinct value, in C-level passes with no Python step per
+cell; any other column is read cell by cell.  The argument parser is built
+once a process.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import functools
 import json
 import math
 import os
-import shutil
 import sys
 import tempfile
 import time
@@ -101,26 +101,23 @@ def _fmt(value) -> str:
 
 
 def _each_once(fn, values) -> list:
-    """``[fn(v) for v in values]``, with fn called once for each distinct value.
+    """``[fn(v) for v in values]``; a column of one type calls fn once a distinct value.
 
     fn is `_canon`, or writes an `int` as ``repr`` does.  A column whose
-    values all have one numeric type, `int` or `float`, as every trial
+    values all have one type, `int`, `float` or `str`, as every trial
     column's do, takes C-level passes with no Python step per cell.  One
-    repeated nonzero value costs one call.  An int is its own canonical
+    repeated nonempty value costs one call.  An int is its own canonical
     value, and ``repr`` writes it.  Otherwise ``set`` finds the distinct
-    floats, fn maps each, and ``map`` reads the results back; if no float
-    repeats, fn maps the column itself.  The set keeps the column's first
-    zero, as 0.0 == -0.0, and a numpy pass gives the zeros of the other
-    sign their own result.  Distinct NaN objects stay apart in a set, so a
-    NaN costs at most a call.
-
-    Any other column is looked up cell by cell, by type and value, so True
-    stays apart from 1 and 1.0, and ``np.float64(x)`` from x.  A zero skips
-    the lookup, as does a dict or a list, which has no hash.
+    values, fn maps each, and ``map`` reads the results back; if no value
+    repeats, fn maps the column itself.  The set keeps a float column's
+    first zero, as 0.0 == -0.0, and a numpy pass gives the zeros of the
+    other sign their own result.  Distinct NaN objects stay apart in a
+    set, so a NaN costs at most a call.  Any other column is mapped cell
+    by cell.
     """
     first = values[0] if values else None
     kind = type(first)
-    if kind in (int, float) and list(map(type, values)).count(kind) == len(values):
+    if kind in (int, float, str) and list(map(type, values)).count(kind) == len(values):
         if first and values.count(first) == len(values):
             return [fn(first)] * len(values)
         if kind is int:
@@ -139,17 +136,7 @@ def _each_once(fn, values) -> list:
                 out[other] = fn(-zero)
                 out = out.tolist()
         return out
-    seen, out = {}, []
-    for v in values:
-        if not v or type(v) in (dict, list):
-            out.append(fn(v))
-            continue
-        key = (type(v), v)
-        done = seen.get(key, seen)
-        if done is seen:
-            done = seen[key] = fn(v)
-        out.append(done)
-    return out
+    return [fn(v) for v in values]
 
 
 @dataclass
@@ -338,10 +325,11 @@ def _cmd_run(args) -> int:
     # reports are staged beside the output directory and moved in only
     # once every experiment has run, the manifest last: a failed run
     # publishes nothing
-    staging = None
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=f".{out_path.name}-", dir=out_path.parent))
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(
+        prefix=f".{out_path.name}-", dir=out_path.parent, ignore_cleanup_errors=True
+    ) as staging_dir:
+        staging = Path(staging_dir)
         names = [f"{i:02d}_{kind}.{ext}" for i, (kind, _) in enumerate(plans)]
         for name, (_, runner) in zip(names, plans):
             (staging / name).write_text(runner().render(ext))
@@ -360,9 +348,6 @@ def _cmd_run(args) -> int:
         out_path.mkdir(exist_ok=True)
         for name in [*names, "manifest.json"]:
             os.replace(staging / name, out_path / name)
-    finally:
-        if staging is not None:
-            shutil.rmtree(staging, ignore_errors=True)
     print(text)
     return 0
 

@@ -5,6 +5,14 @@ callers (and the CLI exit-code mapping) can distinguish bad arguments from
 exhausted budgets without parsing messages.
 """
 
+__all__ = [
+    "DomainError",
+    "InfeasibleParametersError",
+    "ResourceLimitError",
+    "UnsupportedMethodError",
+    "ZeroMassError",
+]
+
 
 class DomainError(ValueError):
     """A point lies outside the declared domain of a space or distribution."""

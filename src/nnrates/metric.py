@@ -25,7 +25,6 @@ __all__ = [
     "FiniteMetric",
     "IntervalMetric",
     "MetricSpace",
-    "Point",
     "load_finite_metric",
 ]
 

@@ -175,6 +175,17 @@ def test_high_error_at_k_four_holds_a_pure_segment_whose_averages_round_past_one
     assert got.error_bound == 0.0
 
 
+@pytest.mark.parametrize("p", [0.01, 0.05])
+def test_boundary_at_band_half_of_a_pure_segment_whose_averages_round_below_one(p):
+    # the family above: at band = 1/2 a point is interior only if every ball average of
+    # eta is exactly 1 (or 0), and the pure segment's averages round to just below 1.
+    # The boundary is the mixed cells [0, 0.41) (mass 0.705) and the points of [0.41, 1]
+    # whose level-p ball, of radius p there, reaches them (mass p / 2)
+    dist = PiecewiseUniform1D([0.5, 0.5], ([0.0, 0.3, 0.41, 1.0], [2.0, 0.4 / 0.11, 0.0]), ([0.0, 1.0], [1.0]))
+    got = boundary_measure(dist, p, 0.5)
+    assert abs(got.value - (0.705 + p / 2)) <= got.error_bound + 1e-12
+
+
 def test_high_error_requires_definite_label():
     pm = PowerMargin1D(1.0)
     got = high_error_classify(pm, 0.5, 400, 16)

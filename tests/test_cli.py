@@ -107,9 +107,10 @@ def test_reports_render_as_json_and_csv_would():
     # int64, canonicalized bools, quotes, a backslash and non-ASCII text.
     # Each distinct value of a column is canonicalized and formatted once, so
     # the last three rows repeat values that compare equal and render apart.
-    # Columns g-k are each of one type, which the column path serves: zeros
-    # alone, of both signs, a -0.0 first; distinct NaN objects and repeated infs;
-    # bools, which become ints; distinct ints past int64; np.float64s
+    # Columns g-l are each of one type, and the column path serves g, h, j and l:
+    # zeros alone, of both signs, a -0.0 first; distinct NaN objects and repeated
+    # infs; bools, which become ints; distinct ints past int64; np.float64s;
+    # strings alone, an empty one first and both repeated
     rows = [
         [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16],
         [123456789012.0, 2**63, True, False, 'say "hi" \\ back', "naïve ü 中"],
@@ -126,6 +127,7 @@ def test_reports_render_as_json_and_csv_would():
         i=[True, False, True, True, False, True],
         j=[2**63, -1, 0, 7, 10**20, -(2**63) - 1],
         k=[np.float64(x) for x in (0.1, 1 / 3, 0.1, -0.0, 0.0, 2.5e-7)],
+        l=["", "Boundary", 'say "hi"', "Boundary", "", "naïve ü"],
     )
     summary = {
         "schedule": "confidence", "n": 40, "rate": np.float64(0.25), "count": np.int64(7),
@@ -134,19 +136,20 @@ def test_reports_render_as_json_and_csv_would():
     report = _report(columns, summary)
     assert [type(v) for v in report.columns["c"]] == [float, int, float, int, float, float]
     assert [type(v) for v in report.columns["d"]] == [float, int, int, float, int, int]
-    assert {name: {type(v) for v in report.columns[name]} for name in "ghijk"} == {
-        "g": {float}, "h": {float}, "i": {int}, "j": {int}, "k": {float}
+    assert {name: {type(v) for v in report.columns[name]} for name in "ghijkl"} == {
+        "g": {float}, "h": {float}, "i": {int}, "j": {int}, "k": {float}, "l": {str}
     }
     assert report.columns["h"][0] is nans[0] and report.columns["i"] == [1, 0, 1, 1, 0, 1]
+    assert report.columns["l"] == columns["l"]
     assert report.to_json() == json.dumps({"columns": report.columns, "summary": report.summary}, indent=2) + "\n"
     assert report.to_csv() == (
-        "a,b,c,d,e,f,g,h,i,j,k\n"
-        "nan,inf,-inf,-0,4.94065645841e-324,1e+16,-0,nan,1,9223372036854775808,0.1\n"
-        '123456789012,9223372036854775808,1,0,say "hi" \\ back,naïve ü 中,0,inf,0,-1,0.333333333333\n'
-        "0.333333333333,-7,0.1,1,0,,0,nan,1,0,0.1\n"
-        "0,nan,1,1,-0,nan,-0,-inf,1,7,-0\n"
-        "-0,nan,0.1,1,0,nan,0,inf,0,100000000000000000000,0\n"
-        "0,nan,0.1,1,-0,nan,-0,nan,1,-9223372036854775809,2.5e-07\n"
+        "a,b,c,d,e,f,g,h,i,j,k,l\n"
+        "nan,inf,-inf,-0,4.94065645841e-324,1e+16,-0,nan,1,9223372036854775808,0.1,\n"
+        '123456789012,9223372036854775808,1,0,say "hi" \\ back,naïve ü 中,0,inf,0,-1,0.333333333333,Boundary\n'
+        '0.333333333333,-7,0.1,1,0,,0,nan,1,0,0.1,say "hi"\n'
+        "0,nan,1,1,-0,nan,-0,-inf,1,7,-0,Boundary\n"
+        "-0,nan,0.1,1,0,nan,0,inf,0,100000000000000000000,0,\n"
+        "0,nan,0.1,1,-0,nan,-0,nan,1,-9223372036854775809,2.5e-07,naïve ü\n"
         "# schedule=confidence n=40 rate=0.25 count=7 passed=1 none=None low=-inf big=9223372036854775808\n"
     )
     for empty in (_report({"a": [], "b": []}, {"trials": 0}), _report({}, {})):

@@ -1,5 +1,6 @@
 """Every module of the library and of its tests uses each name it imports,
-and every private name the library defines is read somewhere in it.
+every private name the library defines is read somewhere in it, and the
+package's public API is its modules' ``__all__`` lists and nothing else.
 
 A package's ``__init__.py`` imports names to re-export them, and a
 ``__future__`` import switches on a language feature; both are left out of
@@ -7,9 +8,14 @@ the first check.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
+import nnrates
+
 ROOT = Path(__file__).resolve().parent.parent
+API_MODULES = ("boundary", "bounds", "classifier", "distributions", "errors", "harness", "metric")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,3 +79,23 @@ def test_the_check_finds_unread_private_names():
 
 def test_the_library_reads_every_private_name_it_defines():
     assert unread_private_names([p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]) == []
+
+
+def test_the_package_publishes_its_modules_all_and_nothing_else():
+    modules = [importlib.import_module(f"nnrates.{name}") for name in API_MODULES]
+    joined = [name for module in modules for name in module.__all__]
+    assert nnrates.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    assert [name for name in joined if not hasattr(nnrates, name)] == []
+    public = {
+        name for name, value in vars(nnrates).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(joined)
+    for module in modules:
+        tree = ast.parse(Path(module.__file__).read_text())
+        defined = {
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        assert sorted(defined - set(module.__all__)) == [], module.__name__
