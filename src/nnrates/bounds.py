@@ -9,9 +9,9 @@ Monte Carlo side lives in the harness.
 Numeric conventions:
 
 * All logarithms are natural.
-* ``binomial_tail`` is exact to relative error 1e-12 up to n = 5,000
+* ``binomial_tail`` is exact to relative error 1e-12 up to n = 10^4
   (stable pmf recurrence anchored next to the mode, exactly-rounded
-  summation).
+  summation); past it, to 3.2e-11 at 2*10^4 and 2.3e-10 at 10^5.
 * ``normal_cdf`` evaluates through the platform complementary error
   function, a documented rational/continued-fraction implementation
   accurate to under one ulp, well inside the 1e-12 contract.
@@ -323,8 +323,11 @@ def binomial_tail(n: int, q: float, count: int, direction: str = "ge") -> float:
     Anchored by the log-pmf at the summed index nearest the mode, where it
     cannot underflow, a multiplicative recurrence walks away from the mode
     both ways and stops after its first term of exactly 0.0.  Summed with
-    exactly-rounded accumulation; the relative error stayed within 5e-13
-    up to n = 5,000 against mpmath, and grows in proportion to n past that.
+    exactly-rounded accumulation.  Against 40-digit mpmath (both tails, q
+    in {0.01, 0.1, 0.5}, counts at the mean and 3 sd either side) the worst
+    relative error was 4.9e-13 at n = 5,000 and 7.4e-13 at 10^4.  Past 10^4
+    log C(n, j) is an lgamma difference (the exact integer's log took 0.14 s
+    at 10^5): 2.9e-11 at 10,001, 3.2e-11 at 2*10^4 and 2.3e-10 at 10^5.
     """
     if direction not in ("ge", "le"):
         raise ValueError(f"direction must be 'ge' or 'le', got {direction!r}")

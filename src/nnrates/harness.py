@@ -45,8 +45,7 @@ per family, is taken only on the windows whose disagreement is not 0.  On
 the disjoint family's shape (`_label_cut`) the rule is a step at the
 midpoint s* of two order statistics, and a trial returns |s* - B| with no
 window table and no integral.  From n = `_BAND_FROM` on it sorts only the
-uniforms near B (322 of 10^4 at k = 100), or all if they miss s*'s two;
-a rare row where |s* - B| may not be the integral takes the integral.
+uniforms near B (247 of 10^4 at k = 100), or all if they miss s*'s two.
 
 The sorted-window identity gives a 1-D trial its prediction table: the k
 nearest neighbors of a query on the line form a contiguous block of the
@@ -87,7 +86,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -326,22 +324,8 @@ def _label_cut(dist) -> Optional[float]:
     window i votes 1 from i = c - a on (a = k // 2, b = k - a), so the rule
     predicts 1 from s* = (u[c - a - 1] + u[c + b - 1]) / 2 on (that switch,
     rounded as `_window_votes` rounds it), with s* = 1.0 if n - c < b and
-    0.0 if c <= a, and gets the mass |s* - B| wrong.
-
-    The integral is |s* - B| bit for bit if s* >= B, or if 2 s* >= u[c + k]
-    (2 s* >= 1.0 if c + k >= n).  `_cdf_pair_into` writes cdf = t and
-    ones = 0.0 at t < B, and cdf = (t - B) + B = t and ones = t - B
-    (Sterbenz) at t >= B.  A window left of s* and B adds 0.0 - 0.0, and
-    one right of both (e2 - e1) - (e2 - e1) = 0.0 (Sterbenz).  The rest
-    run from s* to the window whose edges straddle B, e1 < B <= e2, and add
-    e2 - B or (e2 - B) - (e1 - B) if s* >= B, and e2 - e1 or
-    (e2 - e1) - (e2 - B) = B - e1 if s* < B: exact (Sterbenz), the latter
-    as 2 s* >= e2, the first switch >= B, switch c or earlier, <= u[c + k].
-    Each term is then a multiple of the spacing of the doubles at
-    min(s*, B), and so is each sum of terms, in [0, |s* - B|] with
-    |s* - B| <= min(s*, B): a double.  So the pairwise sum is exact in any
-    grouping, as is s* - B.  s* = 0.0 fails the condition; a row that
-    fails it takes the integral.
+    0.0 if c <= a.  |s* - B| is the exact disagreement mass of the
+    window-table rule, rounded once.
     """
     if isinstance(dist, PiecewiseUniform1D) and dist.f.tolist() == [1.0, 1.0]:
         if dist.seg_eta.tolist() == [0.0, 1.0] and dist.breaks[1] >= 0.5:
@@ -352,16 +336,16 @@ def _label_cut(dist) -> Optional[float]:
 class _Trials1D:
     """Trials of a 1-D family at one (n, k), drawn into buffers they reuse.
 
-    On a family with a label change `cut` (`_label_cut`), a trial reads its
-    switch off a row of n uniforms, from n = `_BAND_FROM` on off a band row
-    of those in `band_ends` around the cut, picked out through two flag
-    rows of n.  Other trials draw in full into six float rows and three
-    flag rows of n + 2 (2.5 MB at n = 5*10^4), made on first use; one row
-    takes the integral's terms.  Besides a redraw's sort, a trial allocates
-    only in an excess trial, on its windows whose disagreement is not 0.
-    One instance serves a whole run of trials, and goes when the run does;
-    so does its one generator, on which each trial sets its stream's PCG64
-    state.
+    On a family with a label change `cut` (`_label_cut`), a trial is
+    |s* - cut| (`_step_mass`), s* read off a row of n uniforms, from n =
+    `_BAND_FROM` on off a band row of those in `band_ends` around the cut,
+    picked out through two flag rows of n.  Other trials draw in full into
+    six float rows and three flag rows of n + 2 (2.5 MB at n = 5*10^4),
+    made on first use; one row takes the integral's terms.  Besides a
+    redraw's sort, a trial allocates only in an excess trial, on its windows
+    whose disagreement is not 0.  One instance serves a whole run of trials,
+    and goes when the run does; so does its one generator, on which each
+    trial sets its stream's PCG64 state.
 
     A trial reads the numbers of `sample_arrays`'s PCG64 stream that decide
     its table, and no others: the location uniforms, then the label
@@ -377,9 +361,9 @@ class _Trials1D:
         self.rng = np.random.Generator(np.random.PCG64(0))
         self.cut = _label_cut(dist)
         if self.cut is not None:
-            # the band holds m points on a side with room to spare: a + 1 below
-            # the cut, for s*, and k + 1 from it up, for u[c + k] as well
-            below, above = ((m + 8.0 * math.sqrt(m) + 16.0) / n for m in (k // 2 + 1, k + 1))
+            # the band holds s*'s two order statistics with room to spare: a + 1
+            # points below the cut and b from it up
+            below, above = ((m + 8.0 * math.sqrt(m) + 16.0) / n for m in (k // 2 + 1, (k + 1) // 2))
             self.band_ends = (self.cut - below, self.cut + above)
             self.u, self.band = np.empty((2, n))
             self.masks = np.empty((2, n), dtype=bool)
@@ -419,12 +403,11 @@ class _Trials1D:
         preds[i] = votes >= (k + 1) // 2
         return edges, preds
 
-    def _step_mass(self, state: dict) -> Optional[float]:
-        """|s* - cut| for the rule trained on the stream of ``state``; None where the integral may differ.
+    def _step_mass(self, state: dict) -> float:
+        """|s* - cut| for the rule trained on the stream of ``state``: the trial's whole value.
 
         t[j], the row's (lo + j)-th smallest uniform, is read off the band
-        or the sorted row.  As u[c + k] < 1.0, only 2 s* < 1.0 can fail
-        `_label_cut`'s condition.
+        or the sorted row.
         """
         n, k, u, cut = self.n, self.k, self.u, self.cut
         a, b = k // 2, (k + 1) // 2
@@ -446,16 +429,7 @@ class _Trials1D:
             u.sort()
             lo, i = 0, int(u.searchsorted(cut))
         c = lo + i
-        if c <= a:
-            return None
-        s = 1.0 if n - c < b else (t[i - a - 1] + t[i + b - 1]) / 2.0
-        if s < cut and 2.0 * s < 1.0:
-            if i + k < t.size:
-                reach = t[i + k] <= 2.0 * s
-            else:
-                reach = np.count_nonzero(np.less_equal(u, 2.0 * s, out=self.masks[0])) > c + k
-            if not reach:
-                return None
+        s = 0.0 if c <= a else 1.0 if n - c < b else (t[i - a - 1] + t[i + b - 1]) / 2.0
         return float(abs(s - cut))
 
     def value(self, state: dict, excess: bool = False) -> float:
@@ -468,9 +442,8 @@ class _Trials1D:
         On a `_label_cut` family that weight is the density, so the step's
         |s* - B| is the excess as well.
         """
-        step = None if self.cut is None else self._step_mass(state)
-        if step is not None:
-            return step
+        if self.cut is not None:
+            return self._step_mass(state)
         edges, preds = self._train(state)
         edges[0], edges[-1] = 0.0, 1.0
         cdf, ones, mass = (row[: edges.size] for row in self.rows[:3])
@@ -613,6 +586,12 @@ def _log_shares(part: int, whole: int) -> tuple[float, float]:
     return (log_a, math.log1p(-a)) if a < b else (math.log1p(-b), log_b)
 
 
+def _exact_units(masses: list[float], etas: list[float]) -> tuple[list[int], list[int]]:
+    """Masses and mass * eta in exact multiples of 2**-2148, as every double in [0, 1] and product of two is."""
+    units = [num * (2**2148 // den) for num, den in map(float.as_integer_ratio, masses)]
+    return units, [m * num // den for m, (num, den) in zip(units, map(float.as_integer_ratio, etas))]
+
+
 def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
     """Exact expected Bayes-disagreement mass over all training draws.
 
@@ -644,9 +623,7 @@ def exact_expected_mistake(dist: FiniteAtomic, n: int, k: int) -> float:
         raise ValueError(f"need 1 <= k <= n <= 2**53, got k={k}, n={n}")
     _oracle_budget(dist, k)
     qs, rows, starts = _live_groups(dist)
-    # masses and label-one masses in exact multiples of 2**-2148, as every double and product of two is
-    masses = [int(Fraction(v) * 2**2148) for v in dist.masses.tolist()]
-    ones = [int(v * Fraction(e)) for v, e in zip(masses, dist.etas.tolist())]
+    masses, ones = _exact_units(dist.masses.tolist(), dist.etas.tolist())
     whole = sum(masses)
     log_fact = _log_sums(range(1, 4 * k + 65))
     falling = _log_sums(range(n, n - min(n, 4 * k + 64), -1))

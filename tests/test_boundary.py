@@ -268,6 +268,13 @@ def test_smoothness_audit_validation():
     holed = disjoint_family()
     with pytest.raises(DomainError):
         smoothness_audit(holed, 1.0, 0.5, [(1.7, 0.1)])
+    # a probe in a gap of the support, and a ball too small to hold a double
+    # either side of its centre, whose mass is 0.0
+    gapped = PiecewiseUniform1D([0.5, 0.5], ([0.0, 0.3, 1.0], [1.0 / 0.3, 0.0]), ([0.0, 0.6, 1.0], [0.0, 2.5]))
+    with pytest.raises(DomainError, match="^probe 0.45 is outside the support$"):
+        smoothness_audit(gapped, 1.0, 0.5, [(0.2, 0.1), (0.45, 0.1)])
+    with pytest.raises(ZeroMassError, match="^a ball in the query holds zero mass$"):
+        smoothness_audit(pm, 1.0, 0.5, [(0.3, 0.1), (0.5, 1e-300)])
 
 
 def test_scan_measure_against_monte_carlo():

@@ -1,11 +1,13 @@
 """Closed-form guarantees against independent high-precision recomputation.
 
 Oracles: mpmath for normal quantities, exact rational arithmetic for
-binomial tails.  Frozen decimals below were derived by hand or with
-mpmath before the implementation existed.
+binomial tails, and mpmath for tails too long to sum as rationals.  Frozen
+decimals below were derived by hand or with mpmath before the
+implementation existed.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -190,6 +192,31 @@ def test_spec_validation():
         MarginSpec(-0.5, 1.0)
 
 
+SPECS = (SmoothnessSpec(1.0, 1.0), MarginSpec(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: holder_translate(1.0, 1, 1.0, 0.0), "holder_exponent, holder_constant, density_floor must be positive"),
+        (lambda: holder_translate(1.0, 0, 1.0, 1.0), "dim must be a positive integer, got 0"),
+        (lambda: margin_rate(0, *SPECS), "n must be positive"),
+        (lambda: expected_risk_bound(10, 10, *SPECS), "need 1 <= k < n, got k=10, n=10"),
+        (lambda: exponential_regime(0.4, SPECS[0], 0), "n must be positive"),
+        (lambda: zero_bayes_params(10, 11, 0.1), "need 1 <= k <= n, got k=11, n=10"),
+        (lambda: binomial_tail(10, 0.5, 11), "count must lie in [0, n=10], got 11"),
+        (lambda: slud_bound(10, 0.3, -1), "count must lie in [0, n=10], got -1"),
+    ],
+    ids=[
+        "holder_floor", "holder_dim", "margin_rate_n", "risk_bound_k", "exponential_n", "zero_bayes_k",
+        "tail_count", "slud_count",
+    ],
+)
+def test_bounds_refuse_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # -- smoothness translation ------------------------------------------------------
 
 
@@ -279,6 +306,44 @@ def test_binomial_tail_holds_its_error_past_underflow():
                         if want > 1e-300:
                             got = binomial_tail(n, q, count, direction)
                             assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), (n, q, count, direction)
+
+
+def mp_tail(n, q, count, direction):
+    """P(X >= count) or P(X <= count), X ~ Bin(n, q), at 40 digits: the pmf at count from
+    loggamma, then a ratio recurrence away from it until a term past the mean falls under 1e-45
+    of the sum."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(q)
+        term = mpmath.exp(
+            mpmath.loggamma(n + 1) - mpmath.loggamma(count + 1) - mpmath.loggamma(n - count + 1)
+            + count * mpmath.log(p) + (n - count) * mpmath.log1p(-p)
+        )
+        total, j, step = term, count, 1 if direction == "ge" else -1
+        while j != (n if step > 0 else 0):
+            if step > 0:
+                term *= mpmath.mpf(n - j) / (j + 1) * p / (1 - p)
+            else:
+                term *= mpmath.mpf(j) / (n - j + 1) * (1 - p) / p
+            j += step
+            total += term
+            if term < total * mpmath.mpf(10) ** -45 and (j - n * q) * step > 0:
+                break
+        return total
+
+
+@pytest.mark.parametrize("n, bound", [(10_001, 3e-11), (100_000, 2.5e-10)])
+def test_binomial_tail_holds_its_stated_error_past_the_exact_comb(n, bound):
+    # past n = 10^4 the anchor's log C(n, j) is a difference of lgamma values;
+    # the docstring's worst cases there, 2.9e-11 at 10,001 and 2.3e-10 at
+    # 10^5, rounded up
+    worst = 0.0
+    for q in (0.01, 0.1, 0.5):
+        mean, sd = n * q, math.sqrt(n * q * (1.0 - q))
+        for count in (round(mean - 3.0 * sd), round(mean), round(mean + 3.0 * sd)):
+            for direction in ("ge", "le"):
+                want = mp_tail(n, q, count, direction)
+                worst = max(worst, float(abs(binomial_tail(n, q, count, direction) - want) / want))
+    assert worst <= bound
 
 
 def test_binomial_tail_frozen_example():

@@ -7,7 +7,7 @@ from nnrates._rng import generator
 from nnrates.classifier import fit, fit_arrays, predict
 from nnrates.distributions import AugmentedSample
 from nnrates.harness import _packed_sort, _Trials1D
-from nnrates.metric import IntervalMetric
+from nnrates.metric import FiniteMetric, IntervalMetric
 from references import reference_window
 
 
@@ -31,6 +31,15 @@ def test_fit_validation():
         fit(im, good, k=3)  # k > n
     with pytest.raises(ValueError):
         fit(im, good, k=0)
+    with pytest.raises(ValueError, match="^cannot fit on an empty sample$"):
+        fit(im, [], k=1)
+
+
+def test_fit_on_a_finite_metric_keeps_atom_indices():
+    fm = FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    model = fit(fm, [AugmentedSample(1, 0.5, 1, 0), AugmentedSample(0, 0.2, 0, 1)], k=1)
+    assert model.xs.dtype == np.intp and model.xs.tolist() == [1, 0]
+    assert [predict(model, q) for q in (0, 1)] == [0, 1]
 
 
 def test_even_vote_tie_goes_to_one():

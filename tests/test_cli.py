@@ -672,18 +672,24 @@ PURE_ATOMS = {"family": "finite_atomic", "metric_file": "m.txt", "masses": [0.5,
         ({**PURE_ATOMS, "metric_file": "missing.txt"}, 4),
         ({**POWER_DIST, "gamm": 1.0}, 2),
         ({**PURE_ATOMS, "metric_file": "far.txt", "masses": [1.0] + [0.0] * 199, "etas": [1.0] * 200}, 2),
+        ({**PURE_ATOMS, "metric_file": "nan.txt"}, 2),
+        ({**PURE_ATOMS, "metric_file": "negative.txt"}, 2),
     ],
     ids=[
         "gamma_string", "class_list", "one_prior", "null_prior", "metric_file_number",
         "mass_past_float", "nan_eta", "metric_file_missing", "unknown_key", "non_metric",
+        "metric_nan", "metric_negative",
     ],
 )
 def test_malformed_distribution_exits_with_its_code(tmp_path, capsys, dist, code):
     # a malformed distribution field is a config error and an unreadable
     # metric file an I/O failure, on both commands that load a distribution,
     # with a message and no traceback.  far.txt breaks the triangle
-    # inequality on one pair of its 200 atoms
+    # inequality on one pair of its 200 atoms; nan.txt and negative.txt hold
+    # a distance that is not a number and one below 0
     (tmp_path / "m.txt").write_text("2\n0 1\n1 0\n")
+    (tmp_path / "nan.txt").write_text("2\n0 nan\nnan 0\n")
+    (tmp_path / "negative.txt").write_text("2\n0 -1\n-1 0\n")
     far = np.ones((200, 200)) - np.eye(200)
     far[50, 150] = far[150, 50] = 2.5
     (tmp_path / "far.txt").write_text("200\n" + "\n".join(" ".join(map(repr, row)) for row in far.tolist()))

@@ -7,6 +7,7 @@ from the code under test.
 
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from nnrates.distributions import (
 )
 from nnrates._rng import mix64
 from nnrates.errors import DomainError, UnsupportedMethodError, ZeroMassError
-from nnrates.metric import FiniteMetric
+from nnrates.metric import FiniteMetric, IntervalMetric
 from references import bayes_one_cdf
 
 
@@ -144,6 +145,58 @@ def make_piecewise():
     class0 = ([0.0, 0.4, 0.6, 1.0], [2.0, 0.0, 0.5])
     class1 = ([0.0, 0.4, 0.6, 1.0], [0.5, 0.0, 2.0])
     return PiecewiseUniform1D(priors, class0, class1)
+
+
+FLAT = ([0.0, 0.5, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ball_mass(PowerMargin1D(1.0), 0.5, -0.1), ValueError, "radius must be finite and nonnegative, got -0.1"),
+        (lambda: FiniteAtomic(IntervalMetric(0.0, 1.0), [1.0], [0.5]), TypeError, "FiniteAtomic requires a FiniteMetric space"),
+        (
+            lambda: FiniteAtomic(FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]])), [1.5, -0.5], [0.5, 0.5]),
+            ValueError,
+            "masses must be nonnegative and finite",
+        ),
+        (
+            lambda: PiecewiseUniform1D([0.5, 0.5], ([0.0, 1.0], [1.0, 1.0]), FLAT),
+            ValueError,
+            "class density needs k+1 breakpoints and k segment densities",
+        ),
+        (
+            lambda: PiecewiseUniform1D([0.5, 0.5], ([0.0, 0.5, 1.0], [2.5, -0.5]), FLAT),
+            ValueError,
+            "densities must be nonnegative and finite",
+        ),
+        (
+            lambda: PiecewiseUniform1D([0.5, 0.5], ([0.0, 0.3, 1.0], [1.0 / 0.3, 0.0]), ([0.0, 0.6, 1.0], [0.0, 2.5]))
+            .eta_small_radius_limit([0.2, 0.45]),
+            ZeroMassError,
+            "a point has no mass adjacent to it",
+        ),
+        (lambda: PowerMargin1D(0.0), ValueError, "gamma must be positive, got 0.0"),
+        (lambda: sample_labeled(PowerMargin1D(1.0), 0, -1), ValueError, "sample size must be nonnegative"),
+        (
+            lambda: eta_ball(PowerMargin1D(1.0), 0.5, 0.1, kind="half"),
+            ValueError,
+            "kind must be one of ('open', 'closed', 'augmented'), got 'half'",
+        ),
+        (
+            lambda: eta_ball(PowerMargin1D(1.0), 0.5, 0.1, kind="open", z_cut=0.5),
+            ValueError,
+            "z_cut only applies to augmented queries",
+        ),
+    ],
+    ids=[
+        "negative_radius", "atoms_off_a_finite_metric", "negative_mass", "short_densities", "negative_density",
+        "gap_limit", "zero_gamma", "negative_sample_size", "ball_kind", "z_cut_off_augmented",
+    ],
+)
+def test_distributions_refuse_malformed_arguments(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_piecewise_validation():

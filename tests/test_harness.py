@@ -295,41 +295,54 @@ def split_at(b):
     return PiecewiseUniform1D([b, 1.0 - b], class0, class1)
 
 
+def rounded_step(u, b, k):
+    """|s* - b| correctly rounded, s* the switch of the step rule on the sorted uniforms u."""
+    n, c, a = u.size, int(u.searchsorted(b)), k // 2
+    s = 0.0 if c <= a else 1.0 if n - c < k - a else (u[c - a - 1] + u[c + k - a - 1]) / 2.0
+    return s, float(abs(Fraction(s) - Fraction(b)))
+
+
 def test_cut_local_trials_equal_the_full_sorted_path():
     # a routed trial reads |s* - B| off two order statistics of its sorted
-    # row or band near the label change, or takes the integral where the
-    # two may differ (`_Trials1D._step_mass`); every value must be that of
-    # the general route, which sorts the full row and integrates its window
-    # table, bit for bit.  The cases hold
+    # row or band near the label change (`_Trials1D._step_mass`); every value
+    # must be |s* - B| correctly rounded, s* read off the sorted full draw.
+    # The general route, which sorts the full row and integrates its window
+    # table, must switch once, at s*, and integrate to within 2**-53 of it.
+    # The cases hold
     # k = n, k = n - 1, n = 1, rows with no change, changes within k + 1
     # places of either end, and the trials_large and c05 sizes; B = 3/4
     # puts the change off the middle
     cases = [(1, 1, 20), (2, 1, 40), (3, 3, 40), (5, 4, 100), (6, 2, 200), (40, 15, 200)]
     cases += [(300, 25, 40), (10_000, 100, 12), (30_000, 173, 4), (50_000, 224, 4)]
     for dist in (disjoint_family(), split_at(0.75)):
-        seen = set()
+        cut, seen = dist.breaks[1], set()
         for n, k, stop in cases:
             for seed in (9, 2026):
-                states = list(block_states(mix64(seed, n), 0, stop))
                 routed, full = _Trials1D(dist, n, k), _Trials1D(dist, n, k)
                 full.cut = None
-                assert routed.cut == dist.breaks[1]
-                assert [routed.value(s) for s in states] == [full.value(s) for s in states]
-                if n > 300:
-                    continue
-                for t in range(stop):
-                    c = n - int(dist.sample_arrays(mix64(seed, n, t), n)[2].sum())
+                assert routed.cut == cut
+                for t, state in enumerate(block_states(mix64(seed, n), 0, stop)):
+                    u = np.sort(dist.sample_arrays(mix64(seed, n, t), n)[0])
+                    s, want = rounded_step(u, cut, k)
+                    value = routed.value(state)
+                    assert value == want, (n, k, seed, t)
+                    assert abs(full.value(state) - value) <= 2.0**-53, (n, k, seed, t)
+                    edges, preds = full._train(state)
+                    flips = np.flatnonzero(preds[1:] != preds[:-1])
+                    assert flips.size <= 1 and preds[-1] == (s < 1.0), (n, k, seed, t)
+                    assert (edges[flips[0] + 1] if flips.size else 1.0 - preds[0]) == s, (n, k, seed, t)
+                    c = int(u.searchsorted(cut))
                     near_end = "start" if c <= k + 1 else "end" if c >= n - k - 1 else "inner"
                     seen.add("none" if c in (0, n) else near_end)
         assert seen == {"none", "start", "end", "inner"}, dist.breaks
 
 
 def test_cut_local_route_admits_only_exact_families():
-    # the route is taken where every far window adds exactly +0.0 and a
-    # location is its own uniform: two segments of density 1, labels 0 then
-    # 1, and a change at B >= 1/2.  The alternating family has two Bayes-1
-    # segments, the far windows of the gapped family add rounding residues,
-    # and same_label_knife has several label-0 segments
+    # the route is taken where the rule is a step whose disagreement mass is
+    # |s* - B| and a location is its own uniform: two segments of density 1,
+    # labels 0 then 1, and a change at B >= 1/2.  The alternating family has
+    # two Bayes-1 segments, the gapped family's marginal is not uniform, and
+    # same_label_knife has several label-0 segments
     families = {**ONE_D_FAMILIES, **PURE_FAMILIES, "B = 3/4": lambda: split_at(0.75)}
     admitted = {name: family() for name, family in families.items() if _label_cut(family()) is not None}
     assert set(admitted) == {"disjoint", "B = 3/4"}
@@ -349,76 +362,73 @@ class FixedUniforms:
 
 def test_label_cut_trials_take_each_branch():
     # from n = _BAND_FROM on a trial sorts only its band near B, unless the
-    # band misses one of s*'s order statistics; the step |s* - B| gives way
-    # to the integral at c <= a and where 2 s* < u[c + k] (`_label_cut`).
-    # Each row below, shuffled, is every draw of a stand-in generator, and
-    # each value must be the general route's
+    # band misses one of s*'s order statistics; s* is 0.0 at c <= a and 1.0
+    # at n - c < b.  Each row below, shuffled, is every draw of a stand-in
+    # generator; each value must be |s* - B| correctly rounded, and the
+    # general route's integral within 2**-53 of it
     n, k = 10_000, 100
     assert n >= harness._BAND_FROM
     state = generator(0).bit_generator.state
 
     def run(row):
-        """(step, value, whether the trial sorted its whole row) of one row."""
+        """(value, whether the trial sorted its whole row) of one row."""
         assert row.size == n
         routed, full = _Trials1D(disjoint_family(), n, k), _Trials1D(disjoint_family(), n, k)
         full.cut = None
         routed.rng = full.rng = FixedUniforms(np.random.default_rng(3).permutation(row))
-        step = routed._step_mass(state)
         value = routed.value(state)
-        assert value == full.value(state)
-        return step, value, bool(np.all(routed.u[1:] >= routed.u[:-1]))
+        assert abs(value - full.value(state)) <= 2.0**-53
+        return value, bool(np.all(routed.u[1:] >= routed.u[:-1]))
 
     def step(row):
-        u = np.sort(row)
-        c = int(u.searchsorted(0.5))
-        return abs((u[c - k // 2 - 1] + u[c + (k + 1) // 2 - 1]) / 2.0 - 0.5)
+        return rounded_step(np.sort(row), 0.5, k)[1]
 
     spread = np.arange(n) / n
-    assert run(spread) == (step(spread), step(spread), False)
+    assert run(spread) == (step(spread), False)
     # no point within delta of B: the whole row is sorted
     far = np.concatenate([np.linspace(0.0, 0.45, n // 2), np.linspace(0.55, 0.999, n // 2)])
-    assert run(far) == (step(far), step(far), True)
-    # c <= a: s* = 0.0, which takes the integral
+    assert run(far) == (step(far), True)
+    # c <= a: s* = 0.0
     few_below = np.concatenate([np.linspace(0.0, 0.4, 40), np.linspace(0.5, 0.999, n - 40)])
-    assert run(few_below)[0] is None
+    assert run(few_below) == (0.5, True)
     # n - c < b: s* = 1.0
     few_above = np.concatenate([np.linspace(0.0, 0.4999, n - 40), np.linspace(0.5, 0.999, 40)])
-    assert run(few_above) == (0.5, 0.5, True)
-    # s* < B with 60 points just above B: the band ends below u[c + k], and
-    # the row is counted up to 2 s* = 0.99394...
+    assert run(few_above) == (0.5, True)
+    # s* < B with 60 points just above B, which the band holds, and u[c + k]
+    # below or above 2 s* = 0.99394...
     below, near = np.linspace(0.0, 0.496, n - 260), 0.5 + 1e-5 * np.arange(60)
-    for tail, takes_step in [(np.linspace(0.98, 0.99, 200), True), (np.linspace(0.996, 0.9999, 200), False)]:
+    for tail in (np.linspace(0.98, 0.99, 200), np.linspace(0.996, 0.9999, 200)):
         row = np.concatenate([below, near, tail])
-        assert step(row) > 0.0025
-        got, value, _ = run(row)
-        assert got == (step(row) if takes_step else None) and value > 0.0025, takes_step
-    # c + k >= n: the bound on the straddling window's edge is 1.0 > 2 s*
-    assert run(np.concatenate([np.linspace(0.0, 0.496, n - 60), near]))[0] is None
+        assert run(row) == (step(row), False) and step(row) > 0.0025
+    # c + k >= n
+    row = np.concatenate([np.linspace(0.0, 0.496, n - 60), near])
+    assert run(row) == (step(row), False) and step(row) > 0.0025
 
 
-def test_label_cut_trials_take_the_integral_where_the_step_may_differ():
-    # with c > a and s* < B, the step |s* - B| is the integral bit for bit
-    # only if 2 s* >= u[c + k] (`_label_cut`).  Some rows at these sizes
-    # fail that and take the integral; at (2, 1) and (5, 4) the step of
-    # such a row is off by an ulp, so a kernel without the check fails here
-    dist = disjoint_family()
+def test_label_cut_trials_round_the_step_once_where_the_integral_may_differ():
+    # with c <= a, or with s* < B and u[c + k] past 2 s*, the window table's
+    # integral need not be |s* - B| bit for bit.  Such rows come up at these
+    # sizes; each trial there must be |s* - B| correctly rounded, and the
+    # integral, off by up to 2**-54, differs from it on some of them
     off = 0
-    for n, k, stop in [(2, 1, 40), (5, 4, 100), (40, 15, 200)]:
-        a, b = k // 2, (k + 1) // 2
-        routed, full = _Trials1D(dist, n, k), _Trials1D(dist, n, k)
-        full.cut = None
-        fallbacks = 0
-        for t, state in enumerate(block_states(mix64(9, n), 0, stop)):
-            u = np.sort(dist.sample_arrays(mix64(9, n, t), n)[0])
-            c = int(u.searchsorted(0.5))
-            value = full.value(state)
-            assert routed.value(state) == value, (n, k, t)
-            if c > a and routed._step_mass(state) is None:
-                fallbacks += 1
-                s = 1.0 if n - c < b else (u[c - a - 1] + u[c + b - 1]) / 2.0
-                assert s < 0.5 and (c + k >= n or 2.0 * s < u[c + k]), (n, k, t)
-                off += abs(s - 0.5) != value
-        assert fallbacks > 0, (n, k)
+    for dist in (disjoint_family(), split_at(0.75)):
+        cut = dist.breaks[1]
+        for n, k in [(2, 1), (5, 4), (6, 2)]:
+            a, routed, full = k // 2, _Trials1D(dist, n, k), _Trials1D(dist, n, k)
+            full.cut = None
+            rows = 0
+            for t, state in enumerate(block_states(mix64(9, n), 0, 400)):
+                u = np.sort(dist.sample_arrays(mix64(9, n, t), n)[0])
+                c = int(u.searchsorted(cut))
+                s, want = rounded_step(u, cut, k)
+                if c > a and (s >= cut or 2.0 * s >= 1.0 or (c + k < n and u[c + k] <= 2.0 * s)):
+                    continue
+                rows += 1
+                value, integral = routed.value(state), full.value(state)
+                assert value == want, (cut, n, k, t)
+                assert abs(integral - value) <= 2.0**-54, (cut, n, k, t)
+                off += integral != value
+            assert rows > 0, (cut, n, k)
     assert off > 0
 
 
@@ -456,7 +466,7 @@ def test_every_per_trial_value_is_a_python_float(excess):
     for dist, n, k in cases:
         if _label_cut(dist) is not None:
             routed = _Trials1D(dist, n, k)
-            assert any(routed._step_mass(s) is not None for s in block_states(mix64(9, n), 0, 8)), (n, k)
+            assert all(type(routed._step_mass(s)) is float for s in block_states(mix64(9, n), 0, 8)), (n, k)
         values = _trial_values(dist, n, k, 9, 0, 8, excess)
         assert all(type(v) is float for v in values), (n, k, {type(v).__name__ for v in values})
     disjoint = disjoint_family()
@@ -610,6 +620,21 @@ def test_exact_oracle_refuses_n_past_exact_floats():
     assert exact_expected_mistake(fa, 2**53, 3) == 0.0
     with pytest.raises(ValueError):
         exact_expected_mistake(fa, 2**53 + 1, 3)
+
+
+def test_exact_oracle_units_equal_the_rational_ones():
+    # masses and label-one masses as integer multiples of 2**-2148, against
+    # exact rationals: random doubles of every binade in [0, 1], subnormals,
+    # 0.0, 1.0 and the ends of the normal range among them
+    rng = np.random.default_rng(2026)
+    special = [0.0, 1.0, 5e-324, 2.0**-1022, np.nextafter(2.0**-1022, 0.0), np.nextafter(1.0, 0.0), 0.5]
+    masses, etas = (
+        [*ends, *(rng.random(20_000) * 2.0 ** -rng.integers(0, 1080, 20_000)).tolist()]
+        for ends in (special, special[::-1])
+    )
+    units, ones = harness._exact_units(masses, etas)
+    assert units == [int(Fraction(m) * 2**2148) for m in masses]
+    assert ones == [int(u * Fraction(e)) for u, e in zip(units, etas)]
 
 
 @pytest.mark.parametrize("family", [tied_three_atoms, zero_mass_atoms, pure_atoms, four_tied_atoms])
@@ -944,6 +969,42 @@ def test_lower_bound_continuous_path():
     assert chk.passed
 
 
+def test_lower_bound_extends_its_pilot_in_trial_order(monkeypatch):
+    # at (300, 25) the pilot's 2,000 trials leave the stderr above rhs/10, and
+    # the run extends to its cap of 2,500: the extension's trials follow the
+    # pilot's, as one run of 2,500 trials orders them
+    seen, mean_var = [], harness._mean_var
+    monkeypatch.setattr(harness, "_mean_var", lambda values: seen.append(list(values)) or mean_var(values))
+    chk = run_lower_bound_trials(disjoint_family(), 300, 25, trials=2500, master_seed=7)
+    want = _trial_values(disjoint_family(), 300, 25, 7, 0, 2500)
+    assert seen == [want[:2000], want]
+    assert chk.trials_used == 2500 and chk.lhs == math.fsum(want) / 2500
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: exact_expected_mistake(PowerMargin1D(1.0), 10, 3),
+            "the exact oracle requires a finite-atomic distribution",
+        ),
+        (lambda: mc_expected_mistake(tied_three_atoms(), 10, 3, trials=0), "trials must be positive"),
+        (lambda: run_upper_bound_trials(tied_three_atoms(), 10, 3, 0.5, trials=0), "trials must be positive"),
+        (lambda: estimate_expected_excess(tied_three_atoms(), 10, 3, trials=0), "trials must be positive"),
+    ],
+    ids=["oracle_off_atoms", "mc_trials", "upper_trials", "excess_trials"],
+)
+def test_harness_refuses_runs_it_cannot_make(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_mc_expected_mistake_of_one_trial_has_no_stderr():
+    fa = tied_three_atoms()
+    want = _trial_values(fa, 40, 13, 5, 0, 1)[0]
+    assert mc_expected_mistake(fa, 40, 13, trials=1, master_seed=5) == (want, 0.0)
+
+
 # -- excess and sweeps -----------------------------------------------------------
 
 
@@ -1026,6 +1087,15 @@ def test_rate_sweep_shape_and_fit():
         rate_sweep(pm, [50, 100, 200], KRule("sqrt"), trials=4)
     with pytest.raises(ValueError):
         rate_sweep(pm, [50, 100, 100, 200], KRule("sqrt"), trials=4)
+
+
+def test_rate_sweep_with_under_two_positive_means_has_no_fit():
+    # k = 1 on two pure atoms errs only on a draw that misses an atom: at
+    # these n no trial does, and a mean of 0 carries no log
+    sweep = rate_sweep(pure_atoms(), [20, 30, 40, 50], KRule("fixed", k=1), trials=4, master_seed=3)
+    assert [r.mean_excess for r in sweep.rows] == [0.0] * 4
+    assert math.isnan(sweep.slope) and math.isnan(sweep.intercept)
+    assert sweep.excluded == (20, 30, 40, 50)
 
 
 def test_consistency_sweep_trend():

@@ -216,6 +216,21 @@ def test_finite_metric_reads_a_negative_zero_self_distance_as_zero():
     assert given.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.zeros((2, 3)), "distance matrix must be square, got shape (2, 3)"),
+        (np.zeros((0, 0)), "distance matrix must have at least one atom"),
+        ([[0.0, float("nan")], [float("nan"), 0.0]], "distance matrix entries must be finite"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "distances must be nonnegative"),
+    ],
+    ids=["not_square", "no_atom", "nan", "negative"],
+)
+def test_finite_metric_refuses_malformed_matrices(matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteMetric(matrix)
+
+
 def test_finite_metric_point_checks():
     fm = FiniteMetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
     fm.check_point(0)
@@ -232,6 +247,9 @@ def test_interval_and_box_metrics():
     assert im.distance(0.2, 0.9) == pytest.approx(0.7)
     with pytest.raises(DomainError):
         im.check_point(-0.5)
+    assert not im.contains("0.5x") and not im.contains(None)  # no number at all
+    with pytest.raises(ValueError, match=r"^interval bounds must be finite with low < high, got \[1.0, 0.0\]$"):
+        IntervalMetric(1.0, 0.0)
 
     bm = BoxMetric([0.0, 0.0], [1.0, 2.0])
     assert bm.distance((0.0, 0.0), (1.0, 2.0)) == pytest.approx(np.sqrt(5.0))
